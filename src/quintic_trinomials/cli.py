@@ -58,6 +58,8 @@ class RunConfig:
         for name in ("height_bound", "precision_bits", "denominator_bound", "prime_bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.jobs < 0:
+            raise ValueError("jobs must be >= 0 (0 means the CPU count)")
 
 
 def _load_config_file(path: str) -> dict:

@@ -16,17 +16,20 @@ instead stores a cubic already reduced by a multiple of the quadric
 (same ideal, fewer monomials); `normal_form_cubic` reconciles the two
 presentations for comparisons.
 
-Point search enumerates integer (b, c, d) boxes and solves the quadric
-for the remaining coordinate exactly (a rational root exists iff the
-integer discriminant is a perfect square).  A vectorized numpy inner
-loop runs when an exact precomputed bound fits the arithmetic in int64;
-otherwise a big-int path takes over.  Every candidate is re-verified in
-exact arithmetic before acceptance.
+Point search on a t-form curve enumerates integer (b, c, d) in a half
+box and solves the quadric for a: a rational root exists iff the
+integer discriminant is a perfect square.  One engine serves every t.
+It sieves the discriminant modulo small moduli, takes exact square
+roots of the survivors (int64 when a precomputed bound allows, Python
+ints otherwise), tests the cubic modulo a prime, and confirms the few
+remaining candidates in exact integer arithmetic.  Its integer
+coefficient tables are the curve's own forms with denominators cleared.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,18 +60,20 @@ class CurvePoint:
     coords: Tuple[int, ...]
 
     @staticmethod
-    def from_rationals(values: Sequence[Fraction]) -> "CurvePoint":
-        vals = [Fraction(v) for v in values]
-        if all(v == 0 for v in vals):
+    def from_integers(values: Sequence[int]) -> "CurvePoint":
+        g = math.gcd(*values)
+        if g == 0:
             raise ValueError("all coordinates vanish")
-        den = math.lcm(*(v.denominator for v in vals))
-        ints = [int(v * den) for v in vals]
-        g = math.gcd(*(abs(v) for v in ints))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
+        ints = [v // g for v in values]
+        if next(v for v in ints if v) < 0:
             ints = [-v for v in ints]
         return CurvePoint(tuple(ints))
+
+    @staticmethod
+    def from_rationals(values: Sequence[Fraction]) -> "CurvePoint":
+        vals = [Fraction(v) for v in values]
+        den = math.lcm(*(v.denominator for v in vals))
+        return CurvePoint.from_integers([int(v * den) for v in vals])
 
     @property
     def height(self) -> int:
@@ -318,158 +323,206 @@ class SearchResult:
     height_bound: int
 
 
-def _square_filters():
-    masks = []
-    for m in (64, 63, 65, 11):
-        table = bytearray(m)
-        for r in range(m):
-            table[r * r % m] = 1
-        masks.append((m, bytes(table)))
-    return masks
+# (exponents over (a, b, c, d), integer coefficient) pairs
+_Table = Tuple[Tuple[Tuple[int, ...], int], ...]
+
+# Sieve moduli.  _SQUARE_SUMS[m][i, j] says whether i + j is a square mod m,
+# so one row of a d-slice is one gather from a row of the table.
+_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
 
 
-_SQ_FILTERS = _square_filters()
+def _square_sums(m: int) -> np.ndarray:
+    squares = np.zeros(m, dtype=bool)
+    squares[[r * r % m for r in range(m)]] = True
+    r = np.arange(m)
+    return squares[(r[:, None] + r[None, :]) % m]
 
 
-def _cubic_int_coeffs(p: int, q: int):
-    """Integer coefficients of q^2 * cubic for exact candidate filtering."""
-    return {
-        "a3": -10 * q * q, "a2b": 25 * q * q, "a2c": -125 * q * q,
-        "acd": -160 * p * q, "ad2": -100 * p * q,
-        "b2c": 64 * p * q, "b2d": 80 * p * q, "bc2": 80 * p * q,
-        "cd2": -64 * p * p, "d3": -48 * p * p,
-    }
+_SQUARE_SUMS = {m: _square_sums(m) for m in _MODULI}
+
+# The cubic prefilter modulus: a product of two residues stays below 2^62.
+_CUBIC_PRIME = 2 ** 31 - 1
 
 
-def _cubic_vanishes(k, a, b, c, d) -> bool:
-    return (k["a3"] * a ** 3 + k["a2b"] * a * a * b + k["a2c"] * a * a * c
-            + k["acd"] * a * c * d + k["ad2"] * a * d * d
-            + k["b2c"] * b * b * c + k["b2d"] * b * b * d + k["bc2"] * b * c * c
-            + k["cd2"] * c * d * d + k["d3"] * d ** 3) == 0
+@dataclass(frozen=True)
+class _SearchForms:
+    """Integer tables of a t-form curve, denominators cleared.
+
+    With the quadric written lead*a^2 + linear*a + rest, integer (b, c, d)
+    gives a = (-linear +- s) / (2 lead) where s^2 is the discriminant
+    linear^2 - 4 lead rest = root_scale^2 (row(b; disc_b) + row(c; disc_c)),
+    see `_row`.
+    """
+
+    quadric: _Table
+    cubic: _Table
+    cubic_in_a: Tuple[_Table, ...]  # the cubic's coefficients of a^0, ..., a^3
+    lead: int
+    linear: _Table
+    root_scale: int
+    disc_b: Tuple[int, int, int]
+    disc_c: Tuple[int, int, int]
 
 
-def _finish_candidates(p, q, b, c, d, disc_sqrt, height_bound, kcub, out):
-    """Exact acceptance of the two quadric roots at integer (b, c, d)."""
-    for sign in (1, -1):
-        num = 50 * q * b + sign * disc_sqrt
-        a = Fraction(num, 10 * q)
-        try:
-            pt = CurvePoint.from_rationals((a, b, c, d))
-        except ValueError:
-            continue
-        if pt.height > height_bound:
-            continue
-        ai, bi, ci, di = pt.coords
-        # quadric re-check in exact arithmetic (guards the fast path)
-        if -5 * q * ai * ai + 50 * q * ai * bi + p * (32 * bi * di + 16 * ci * ci + 40 * ci * di) != 0:
-            continue
-        if _cubic_vanishes(kcub, ai, bi, ci, di):
-            out.add(pt)
+def _cleared(form: MultiPoly) -> MultiPoly:
+    return form * math.lcm(*(c.denominator for c in form.terms.values()))
 
 
-def _search_chunk_python(p, q, height_bound, d_lo, d_hi):
-    """Big-int enumeration over d in [d_lo, d_hi) of the half box; exact everywhere.
+def _table(form: MultiPoly) -> _Table:
+    return tuple(sorted((e, int(c)) for e, c in form.terms.items()))
 
-    Half box: d >= 0, with c >= 0 when d = 0 and b >= 0 when d = c = 0;
-    negated triples give the same projective points, so nothing is lost.
+
+def _search_forms(curve: TrinomialCurve) -> _SearchForms:
+    quadric = _cleared(curve.quadric)
+    lead = quadric.coefficient_of("a", 2)
+    linear = quadric.coefficient_of("a", 1)
+    disc = linear * linear - lead * quadric.coefficient_of("a", 0) * 4
+    k = {e[1:]: int(c) for e, c in disc.terms.items()}
+    if k.get((1, 1, 0)):
+        raise ValueError("the discriminant has a b*c term: its rows do not separate")
+    # A square factor of the content hides residues from the sieve, so the
+    # engine sieves disc / root_scale^2 and scales its square roots back.
+    content = math.gcd(*k.values())
+    root_scale = 1
+    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):  # primes of the moduli
+        while content % (root_scale * ell) ** 2 == 0:
+            root_scale *= ell
+    k = {e: v // root_scale ** 2 for e, v in k.items()}
+    cubic = _cleared(curve.cubic)
+    return _SearchForms(
+        quadric=_table(quadric), cubic=_table(cubic),
+        cubic_in_a=tuple(_table(cubic.coefficient_of("a", n)) for n in range(4)),
+        lead=int(lead.terms[(0, 0, 0, 0)]), linear=_table(linear), root_scale=root_scale,
+        disc_b=(k.get((2, 0, 0), 0), k.get((1, 0, 1), 0), k.get((0, 0, 2), 0)),
+        disc_c=(k.get((0, 2, 0), 0), k.get((0, 1, 1), 0), 0))
+
+
+def _row(k, x, d):
+    """k[0] x^2 + k[1] x d + k[2] d^2: one row of the quadric discriminant."""
+    return (k[0] * x + k[1] * d) * x + k[2] * d * d
+
+
+def _form_value(table: _Table, coords) -> int:
+    total = 0
+    for exps, k in table:
+        for x, e in zip(coords, exps):
+            k = k * x ** e
+        total += k
+    return total
+
+
+def _form_residues(table: _Table, coords, modulus: int):
+    """The form at residue arrays in [0, modulus), reduced after every product."""
+    total = 0
+    for exps, k in table:
+        k %= modulus
+        for x, e in zip(coords, exps):
+            for _ in range(e):
+                k = k * x % modulus
+        total = (total + k) % modulus
+    return total
+
+
+def _search_chunk(forms: _SearchForms, height_bound: int, d_lo: int, d_hi: int) -> set:
+    """Points from the half-box cells with d_lo <= d < d_hi; exact everywhere.
+
+    Half box: d >= 0, with c >= 0 when d = 0 and b > 0 when d = c = 0;
+    negated triples give the same projective points and (0, 0, 0) gives
+    none, so nothing is lost.
     """
     H = height_bound
-    kcub = _cubic_int_coeffs(p, q)
-    k1 = 2500 * q * q
+    xs = np.arange(-H, H + 1, dtype=np.int64)
+    # residues of both discriminant rows for every modulus at once, from
+    # coefficients and coordinates already reduced, so no t can overflow
+    mods = np.array(_MODULI, dtype=np.int64)[:, None]
+    xm = xs % mods
+    kb, kc = (np.array([[k % m for k in ks] for m in _MODULI], dtype=np.int64).T[:, :, None]
+              for ks in (forms.disc_b, forms.disc_c))
+    # exact square roots in int64 while the unscaled discriminant provably fits
+    bound = H * H * forms.root_scale ** 2 * sum(map(abs, forms.disc_b + forms.disc_c))
+    dtype = np.int64 if bound < 2 ** 61 else object
+    P = _CUBIC_PRIME
+    two_lead = 2 * forms.lead
     out = set()
     for d in range(d_lo, d_hi):
-        k3 = 640 * q * p * d
-        c_lo = 0 if d == 0 else -H
-        for c in range(c_lo, H + 1):
-            b_lo = 0 if (d == 0 and c == 0) else -H
-            k4 = 20 * q * p * (16 * c * c + 40 * c * d)
-            disc = (k1 * b_lo + k3) * b_lo + k4
-            step = k3 + k1 * (2 * b_lo + 1)
-            for b in range(b_lo, H + 1):
-                if disc >= 0:
-                    for m, table in _SQ_FILTERS:
-                        if not table[disc % m]:
-                            break
-                    else:
-                        s = math.isqrt(disc)
-                        if s * s == disc:
-                            _finish_candidates(p, q, b, c, d, s, H, kcub, out)
-                disc += step
-                step += 2 * k1
-    return out
+        lo = H if d == 0 else 0
+        rb = _row(kb, xm, d % mods) % mods
+        rc = _row(kc, xm[:, lo:], d % mods) % mods
+        mask = np.ones((xs.size, xs.size - lo), dtype=bool)
+        for m, row_b, row_c in zip(_MODULI, rb, rc):
+            mask &= np.take(_SQUARE_SUMS[m][:, row_c], row_b, axis=0)
+        bi, ci = np.divmod(np.flatnonzero(mask), xs.size - lo)
+        b, c = xs[bi].astype(dtype), xs[lo:][ci].astype(dtype)
+        if d == 0:
+            keep = (c > 0) | (b > 0)
+            b, c = b[keep], c[keep]
 
-
-_SQ64 = np.zeros(64, dtype=bool)
-_SQ64[[(r * r) % 64 for r in range(64)]] = True
-_SQ63 = np.zeros(63, dtype=bool)
-_SQ63[[(r * r) % 63 for r in range(63)]] = True
-
-
-def _search_chunk_numpy(p, q, height_bound, d_lo, d_hi):
-    """Vectorized enumeration over the half box; caller guarantees int64 bounds."""
-    H = height_bound
-    kcub = _cubic_int_coeffs(p, q)
-    full_b = np.arange(-H, H + 1, dtype=np.int64)
-    full_c = np.arange(-H, H + 1, dtype=np.int64)
-    k1 = 2500 * q * q
-    out = set()
-    for d in range(d_lo, d_hi):
-        cs = full_c[H:] if d == 0 else full_c
-        bs = full_b
-        row_b = k1 * bs * bs + (640 * q * p * d) * bs
-        row_c = (320 * p * q) * cs * cs + (800 * p * q * d) * cs
-        disc = row_b[:, None] + row_c[None, :]
-        # quadratic-residue prefilter mod 64 and 63, then exact sqrt on survivors
-        maybe = _SQ64[disc & 63] & _SQ63[disc % 63] & (disc >= 0)
-        bi, ci = np.nonzero(maybe)
-        if bi.size == 0:
+        disc = _row(forms.disc_b, b, d) + _row(forms.disc_c, c, d)
+        keep = disc >= 0
+        b, c, disc = b[keep], c[keep], disc[keep]
+        if dtype is object:
+            s = np.array([math.isqrt(v) for v in disc], dtype=object)
+        else:
+            # for disc = n^2 < 2^61 the float root is within 2^-22 of n, so
+            # rounding recovers n; a non-square fails the test below either way
+            s = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
+        keep = s * s == disc
+        if not keep.any():
             continue
-        vals = disc[bi, ci]
-        s = np.rint(np.sqrt(vals.astype(np.float64))).astype(np.int64)
-        for delta in (-1, 0, 1):
-            cand = s + delta
-            for idx in np.nonzero((cand * cand == vals) & (cand >= 0))[0]:
-                b = int(bs[bi[idx]])
-                c = int(cs[ci[idx]])
-                if d == 0 and c == 0 and b < 0:
-                    continue  # covered by the negated triple
-                _finish_candidates(p, q, b, c, d, int(cand[idx]), H, kcub, out)
+        b, c, s = b[keep], c[keep], s[keep] * forms.root_scale
+
+        # the cubic modulo a prime at (-linear +- s : 2 lead b : 2 lead c : 2 lead d),
+        # the point scaled by 2 lead; the cubic is homogeneous, so its vanishing is kept
+        pb, pc, ps = ((x % P).astype(np.int64) for x in (b, c, s))
+        plin = _form_residues(forms.linear, (0, pb, pc, d % P), P)
+        scaled = (0, *(two_lead % P * x % P for x in (pb, pc, d % P)))
+        coeffs = [_form_residues(k, scaled, P) for k in reversed(forms.cubic_in_a)]
+        for sign in (1, -1):
+            pa = (sign * ps - plin) % P
+            value = 0
+            for k in coeffs:
+                value = (value * pa + k) % P
+            for i in np.flatnonzero(value == 0):
+                b_i, c_i = int(b[i]), int(c[i])
+                a = sign * int(s[i]) - _form_value(forms.linear, (0, b_i, c_i, d))
+                pt = CurvePoint.from_integers((a, two_lead * b_i, two_lead * c_i, two_lead * d))
+                if (pt.height <= H and _form_value(forms.quadric, pt.coords) == 0
+                        and _form_value(forms.cubic, pt.coords) == 0):
+                    out.add(pt)
     return out
 
 
-def _chunk_worker(args):
-    p, q, height_bound, d_lo, d_hi, use_numpy = args
-    fn = _search_chunk_numpy if use_numpy else _search_chunk_python
-    return fn(p, q, height_bound, d_lo, d_hi)
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Worker processes for `chunks` tasks at parallelism `jobs`, capped at the CPU count."""
+    return max(1, min(jobs, chunks, os.cpu_count() or 1))
 
 
 def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> SearchResult:
     """All primitive points with max |coordinate| <= height_bound.
 
-    Enumerates (b, c, d), solves the quadric for a (quadratic with
-    constant leading coefficient -5), filters by the cubic, normalizes,
-    deduplicates and sorts by height.  No completeness beyond the height
-    bound is claimed.  Results are independent of the partitioning into
-    parallel chunks.
+    Enumerates (b, c, d) in a half box and solves the quadric for a
+    (constant leading coefficient).  The discriminant is sieved modulo
+    small moduli, survivors get exact integer square roots, both roots
+    are tested against the cubic modulo a prime, and the few that pass
+    are normalized by gcd and sign and re-checked on the height bound,
+    the quadric and the cubic in exact integer arithmetic.  No
+    completeness beyond the height bound is claimed.  Results are
+    independent of the partitioning into parallel chunks.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     H = height_bound
-    p, q = curve.t.numerator, curve.t.denominator
-    # overflow audit for the vectorized path, with slack
-    bound = H * H * (2500 * q * q + 640 * abs(p) * q + 320 * abs(p) * q + 800 * abs(p) * q)
-    use_numpy = bound < 2 ** 61
-    chunks = []
+    forms = _search_forms(curve)
     n_chunks = max(1, min(4 * jobs, H + 1))
     edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
-    for lo, hi in zip(edges, edges[1:]):
-        if lo < hi:
-            chunks.append((p, q, H, lo, hi, use_numpy))
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_chunk_worker, chunks))
+    ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    columns = ([forms] * len(ranges), [H] * len(ranges), *zip(*ranges))
+    workers = _worker_count(jobs, len(ranges))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_search_chunk, *columns))
     else:
-        partials = [_chunk_worker(ch) for ch in chunks]
+        partials = list(map(_search_chunk, *columns))
     merged = set()
     for part in partials:
         merged |= part

@@ -175,6 +175,17 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_negative_jobs_exits_2(tmp_path, capsys, monkeypatch):
+    search = ("search", "--t", "6/5", "--height", "2")
+    code, out, err = run_cli(capsys, "--jobs", "-1", *search)
+    assert code == EXIT_USAGE and out == "" and "jobs" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = -3\n")
+    assert run_cli(capsys, "--config", str(cfg), *search)[0] == EXIT_USAGE
+    monkeypatch.setenv("QUINTRIN_JOBS", "-2")
+    assert run_cli(capsys, *search)[0] == EXIT_USAGE
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

@@ -1,20 +1,24 @@
 """Curve construction, point search, and the point/trinomial dictionary."""
 
+import math
+import os
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quintic_trinomials.qpoly import UniPoly
+from quintic_trinomials.qpoly import UniPoly, is_rational_square
 from quintic_trinomials.multipoly import MultiPoly
 from quintic_trinomials.numberfield import NumberField, has_root_in_field
 from quintic_trinomials.trinomial import EquivClass
 from quintic_trinomials.curve import (CurvePoint, curve_from_t, curve_from_field,
                                       point_search, general_point_search,
                                       point_to_trinomial, trinomial_to_point,
-                                      field_L_polynomial, FULL_VARS,
-                                      _normal_form_mod_quadric,
-                                      _search_chunk_python, _search_chunk_numpy)
+                                      field_L_polynomial, FULL_VARS, SearchResult,
+                                      _normal_form_mod_quadric, _search_chunk,
+                                      _search_forms, _worker_count, _SQUARE_SUMS)
 
 T65 = F(6, 5)
 
@@ -67,12 +71,15 @@ def test_point_search_small_heights():
 
 
 def test_point_search_partition_invariance():
-    full = _search_chunk_python(6, 5, 40, 0, 41)
-    pieces = set()
-    for lo, hi in ((0, 7), (7, 19), (19, 40), (40, 41)):
-        pieces |= _search_chunk_python(6, 5, 40, lo, hi)
-    assert pieces == full
-    assert _search_chunk_numpy(6, 5, 40, 0, 41) == full
+    # T65 runs the int64 square roots, the large t the Python-int ones
+    for t in (T65, F(2 ** 66 + 1, 7)):
+        forms = _search_forms(curve_from_t(t))
+        full = _search_chunk(forms, 40, 0, 41)
+        pieces = set()
+        for lo, hi in ((0, 7), (7, 19), (19, 40), (40, 41)):
+            pieces |= _search_chunk(forms, 40, lo, hi)
+        assert pieces == full
+        assert full == set(point_search(curve_from_t(t), 40).points)
 
 
 def test_point_search_parallel_matches_serial():
@@ -88,6 +95,72 @@ def test_point_search_python_path_on_large_t():
     curve = curve_from_t(t)
     res = point_search(curve, 2)
     assert (0, 1, 0, 0) in {pt.coords for pt in res.points}
+
+
+def test_sieve_tables_pass_every_square():
+    # any split of a square's residue into the two row residues must pass
+    for m, table in _SQUARE_SUMS.items():
+        rows = np.arange(m)
+        for x in range(m):
+            assert table[rows, (x * x - rows) % m].all()
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _worker_count(10 ** 9, 201) == 2
+    assert _worker_count(8, 1) == 1
+    assert _worker_count(1, 4) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(4, 16) == 1
+
+
+def _reference_search(curve, H):
+    """Brute force in Fractions: the half box of (b, c, d), the quadric solved
+    exactly for a, then normalization, the height bound and both forms."""
+    found = set()
+    for d in range(0, H + 1):
+        for c in range(0 if d == 0 else -H, H + 1):
+            for b in range(0 if d == c == 0 else -H, H + 1):
+                coeff = [F(0), F(0), F(0)]
+                for (ea, eb, ec, ed), k in curve.quadric.terms.items():
+                    coeff[ea] += k * b ** eb * c ** ec * d ** ed
+                c0, c1, c2 = coeff
+                disc = c1 * c1 - 4 * c2 * c0
+                if disc < 0 or not is_rational_square(disc):
+                    continue
+                s = F(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+                for a in ((-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)):
+                    try:
+                        pt = CurvePoint.from_rationals((a, b, c, d))
+                    except ValueError:
+                        continue
+                    if pt.height <= H and curve.contains(pt):
+                        found.add(pt)
+    degenerate = {pt for pt in found if not any(pt.coords[1:])}
+    key = lambda pt: (pt.height, pt.coords)
+    return SearchResult(points=tuple(sorted(found - degenerate, key=key)),
+                        degenerate=tuple(sorted(degenerate, key=key)), height_bound=H)
+
+
+@pytest.mark.parametrize("t, H, jobs", [
+    (T65, 12, 1), (F(-3125, 20736), 10, 1), (F(7, 3), 10, 1), (F(-1), 10, 1),
+    (F(2 ** 66 + 1, 7), 10, 1), (F(3, 2 ** 44 + 5), 10, 1), (F(2 ** 66 + 1, 7), 8, 2),
+])
+def test_point_search_matches_fraction_reference(t, H, jobs):
+    curve = curve_from_t(t)
+    assert point_search(curve, H, jobs=jobs) == _reference_search(curve, H)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(-60, 60).filter(bool), q=st.integers(1, 300), H=st.integers(1, 8))
+def test_point_search_points_are_normalized_curve_points(p, q, H):
+    curve = curve_from_t(F(p, q))  # |p| <= 60 never gives the excluded -3125/256
+    for pt in point_search(curve, H).points:
+        assert math.gcd(*pt.coords) == 1
+        assert next(v for v in pt.coords if v) > 0
+        assert pt.height <= H
+        assert curve.contains(pt)
+        point_to_trinomial(curve, pt)
 
 
 def test_point_to_trinomial_base_point():
