@@ -1,11 +1,12 @@
 """Exact tools for quintic trinomials x^5 + ax + b with a root in a given field.
 
 Layers, bottom up: exact rational polynomials (qpoly), factorization
-over Q (factor), certified complex roots (roots), quintic field
-arithmetic and root certificates (numberfield), trinomial equivalence
-and families (trinomial), the classifying projective curve and its
-point search (curve), the sextic surface of fields with extra
-trinomials (surface), and Weierstrass curve utilities (elliptic).
+over Q (factor), certified complex roots (roots, standalone), quintic
+field arithmetic and exact root-in-field decisions (numberfield),
+trinomial equivalence and families (trinomial), the classifying
+projective curve and its point search (curve), the sextic surface of
+fields with extra trinomials (surface), and Weierstrass curve
+utilities (elliptic).
 """
 
 from .qpoly import UniPoly, resultant, discriminant, count_real_roots

@@ -3,8 +3,9 @@
 All rational values cross the boundary as exact "p/q" strings, never
 floating point; polynomials are ascending-degree coefficient lists.
 Search output streams one JSON object per line; everything else emits a
-single JSON document.  Exit codes: 0 success, 2 malformed input,
-3 computationally inconclusive.
+single JSON document.  Exit codes: 0 success, 1 a `verify` criterion
+failed, 2 malformed input.  Root-in-field answers are exact: a verified
+root or a proof of absence.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from typing import Optional
 from .qpoly import (UniPoly, discriminant, format_rational, parse_rational,
                     poly_to_strings)
 from .factor import factor_over_Q
-from .roots import PrecisionExhausted
-from .numberfield import (DEFAULT_DENOMINATOR_BOUND, DEFAULT_PRECISION_BITS,
-                          NumberField, has_root_in_field)
+from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc,
                         galois_type_heuristic, weber_family, dihedral_family,
                         sw2_family, two_trinomial_family)
@@ -35,7 +34,6 @@ from .report import run_acceptance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 
 ENV_JOBS = "QUINTRIN_JOBS"
 
@@ -43,8 +41,6 @@ ENV_JOBS = "QUINTRIN_JOBS"
 @dataclass
 class RunConfig:
     height_bound: int = 200
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
     prime_bound: int = 500
     jobs: int = 0  # 0 = hardware-derived
     output: Optional[str] = None
@@ -55,7 +51,7 @@ class RunConfig:
         return max(1, os.cpu_count() or 1)
 
     def validate(self):
-        for name in ("height_bound", "precision_bits", "denominator_bound", "prime_bound"):
+        for name in ("height_bound", "prime_bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.jobs < 0:
@@ -80,8 +76,7 @@ def build_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
-            if key in ("height_bound", "precision_bits", "denominator_bound",
-                       "prime_bound", "jobs"):
+            if key in ("height_bound", "prime_bound", "jobs"):
                 setattr(cfg, key, int(val))
             elif key == "output":
                 cfg.output = val
@@ -89,10 +84,8 @@ def build_config(args) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
     if os.environ.get(ENV_JOBS):
         cfg.jobs = int(os.environ[ENV_JOBS])
-    for attr, arg in (("height_bound", "height"), ("precision_bits", "precision_bits"),
-                      ("denominator_bound", "denominator_bound"),
-                      ("prime_bound", "prime_bound"), ("jobs", "jobs"),
-                      ("output", "output")):
+    for attr, arg in (("height_bound", "height"), ("prime_bound", "prime_bound"),
+                      ("jobs", "jobs"), ("output", "output")):
         val = getattr(args, arg, None)
         if val is not None:
             setattr(cfg, attr, val)
@@ -202,20 +195,17 @@ def _cmd_root_in_field(args, cfg, out) -> int:
     g = _parse_poly(args.g)
     f = _parse_poly(args.f)
     field = NumberField(g)
-    res = has_root_in_field(f, field, precision_bits=cfg.precision_bits,
-                            denominator_bound=cfg.denominator_bound)
+    res = has_root_in_field(f, field)
     doc = {
         "field": poly_to_strings(g),
         "polynomial": poly_to_strings(f),
         "status": res.status,
         "detail": res.detail,
-        "parameters": {"precision_bits": res.precision_bits,
-                       "denominator_bound": res.denominator_bound},
     }
     if res.witness is not None:
         doc["root"] = [format_rational(c) for c in res.witness.coords]
     _emit(doc, out)
-    return EXIT_INCONCLUSIVE if res.status == "inconclusive" else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_family(args, cfg, out) -> int:
@@ -305,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quintrin",
         description="exact search and verification for quintic trinomials x^5+ax+b")
     parser.add_argument("--config", help="key = value file overriding defaults")
-    parser.add_argument("--precision-bits", type=int, dest="precision_bits")
-    parser.add_argument("--denominator-bound", type=int, dest="denominator_bound")
     parser.add_argument("--prime-bound", type=int, dest="prime_bound")
     parser.add_argument("--jobs", type=int, help="task parallelism (default: cpu count)")
     parser.add_argument("--output", help="write to this path instead of stdout")
@@ -330,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("root-in-field", help="certified root membership for degree <= 5")
+    p = sub.add_parser("root-in-field", help="a certified root or a proof of absence, degree <= 5")
     p.add_argument("--g", required=True, help="field polynomial, ascending coefficients")
     p.add_argument("--f", required=True, help="query polynomial, ascending coefficients")
     p.set_defaults(func=_cmd_root_in_field)
@@ -403,9 +391,6 @@ def main(argv=None) -> int:
         close = True
     try:
         return args.func(args, cfg, out)
-    except PrecisionExhausted as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

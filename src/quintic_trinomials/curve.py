@@ -8,13 +8,14 @@ points of a genus-four curve in P^3: the trace condition eliminates e
 quadric and a cubic in (a : b : c : d).
 
 For a general quintic field the same construction is done symbolically:
-the characteristic polynomial of a generic element is expanded by
-Faddeev-LeVerrier over a polynomial ring in the five coordinates, one
-variable is eliminated through the (linear) trace condition, and the
-raw quadric/cubic conditions are returned.  The t-form constructor
-instead stores a cubic already reduced by a multiple of the quadric
-(same ideal, fewer monomials); `normal_form_cubic` reconciles the two
-presentations for comparisons.
+the x^4, x^3, x^2 coefficients of the characteristic polynomial of a
+generic element come from its trace forms Tr(beta^k), k = 1, 2, 3, which
+are polynomials in the five coordinates with the power sums Tr(alpha^n)
+as coefficients; one variable is eliminated through the (linear) trace
+condition, and the raw quadric/cubic conditions are returned.  The
+t-form constructor instead stores a cubic already reduced by a multiple
+of the quadric (same ideal, fewer monomials); `normal_form_cubic`
+reconciles the two presentations for comparisons.
 
 Point search on a t-form curve enumerates integer (b, c, d) in a half
 box and solves the quadric for a: a rational root exists iff the
@@ -28,6 +29,7 @@ coefficient tables are the curve's own forms with denominators cleared.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +42,7 @@ import numpy as np
 from .qpoly import UniPoly, is_rational_square
 from .factor import factor_over_Q
 from .multipoly import MultiPoly
-from .numberfield import NumberField, FieldElement, charpoly_mod, charpoly_from_matrix
+from .numberfield import NumberField, FieldElement, charpoly_mod
 from .trinomial import Trinomial, EquivClass, equiv_class
 
 CURVE_VARS = ("a", "b", "c", "d")
@@ -162,24 +164,25 @@ def curve_from_t(t: Fraction) -> TrinomialCurve:
 # general fields: symbolic construction
 # ---------------------------------------------------------------------------
 
+def _trace_form(power_sums, k: int) -> MultiPoly:
+    """Tr(beta^k) for the generic beta = sum x_i alpha^i: sum of s_(i1+...+ik) x_i1...x_ik."""
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for idx in itertools.product(range(5), repeat=k):
+        key = tuple(idx.count(i) for i in range(5))
+        terms[key] = terms.get(key, Fraction(0)) + power_sums[sum(idx)]
+    return MultiPoly(FULL_VARS, terms)
+
+
 def _generic_conditions(g: UniPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """x^4, x^3, x^2 coefficient conditions of the generic characteristic polynomial."""
-    pows = []
-    acc = UniPoly.one()
-    for _ in range(9):
-        pows.append([acc[i] for i in range(5)])
-        acc = (acc * UniPoly.x()) % g
-    zero = MultiPoly.zero(FULL_VARS)
-    gens = [MultiPoly.variable(FULL_VARS, v) for v in FULL_VARS]
-    rows = [[zero for _ in range(5)] for _ in range(5)]
-    for j in range(5):
-        for k in range(5):
-            red = pows[k + j]
-            for i in range(5):
-                if red[i]:
-                    rows[i][j] = rows[i][j] + gens[k] * red[i]
-    cs = charpoly_from_matrix(rows, zero, MultiPoly.constant(FULL_VARS, 1))
-    return cs[4], cs[3], cs[2]
+    """x^4, x^3, x^2 coefficients of the generic characteristic polynomial.
+
+    With p_k = Tr(beta^k) these are -p1, (p1^2 - p2)/2 and
+    -(p1^3 - 3 p1 p2 + 2 p3)/6 (Newton's identities).
+    """
+    sums = g.power_sums(12)
+    p1, p2, p3 = (_trace_form(sums, k) for k in (1, 2, 3))
+    return (-p1, (p1 * p1 - p2) * Fraction(1, 2),
+            (p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) * Fraction(-1, 6))
 
 
 @dataclass(frozen=True)

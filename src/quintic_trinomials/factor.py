@@ -4,8 +4,10 @@ The rational factorization pipeline is the classical small-degree route:
 clear denominators, take the squarefree decomposition, factor each
 squarefree part modulo a good odd prime, Hensel-lift past the
 Landau-Mignotte coefficient bound, and recombine modular factors by
-subset search.  Degrees here never exceed ten, so the subset search is
-cheap and no lattice machinery is involved.
+subset search.  Degrees here never exceed 25 (the norms of root-in-field
+queries), so the subset search stays cheap and no lattice machinery is
+involved.  A squarefreeness proof modulo a small prime skips the
+rational gcd of the squarefree decomposition.
 """
 
 from __future__ import annotations
@@ -475,8 +477,21 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
+def _squarefree_mod_small_prime(ints: Sequence[int]) -> bool:
+    """Squarefree modulo a small prime not dividing the lc, hence squarefree over Q."""
+    for p in _SMALL_PRIMES:
+        if ints[-1] % p:
+            fbar = [c % p for c in ints]
+            dfbar = _gf_deriv(fbar, p)
+            if dfbar and len(_gf_gcd(fbar, dfbar, p)) == 1:
+                return True
+    return False
+
+
 def _yun_squarefree(f: UniPoly) -> List[Tuple[UniPoly, int]]:
     """Yun decomposition of monic f: [(squarefree factor, multiplicity)]."""
+    if _squarefree_mod_small_prime(f.content_and_primitive()[1]):
+        return [(f, 1)]
     fp = f.derivative()
     a0 = f.gcd(fp)
     if a0.degree == 0:

@@ -2,65 +2,29 @@
 
 Elements are coordinate vectors over the power basis 1, alpha, ...,
 alpha^4.  The characteristic polynomial of the multiplication-by-beta
-map is computed by Faddeev-LeVerrier over exact rationals; it equals
-the minimal polynomial of beta whenever beta is irrational (degree five
-is prime, so there are no intermediate fields).
+map is computed from the traces of the powers of beta by Newton's
+identities; it equals the minimal polynomial of beta whenever beta is
+irrational (degree five is prime, so there are no intermediate fields).
 
-Root certification: to decide whether f has a root in K, each
-conjugation-respecting assignment of the complex roots of f to the
-embeddings of K is solved as a 5x5 Vandermonde system in the power
-basis; the numeric solutions are lifted to rationals and verified by
-exact evaluation.  Certificates are unconditional; absence is only
-asserted on exact criteria (degree obstruction or real/complex
-signature mismatch); everything else is reported inconclusive.
+Whether f has a root in K is decided exactly by Trager's norm criterion
+(Trager, SYMSAC 1976; Cohen, "A Course in Computational Algebraic Number
+Theory", 3.6): for an irreducible quintic f and k with
+N_k(x) = Norm_{K/Q} f(x - k alpha) squarefree, f has a root in K exactly
+when N_k has an irreducible factor h of degree 5 over Q, and the root is
+the common root of f(x) and h(x + k alpha), found by Euclid over K.  N_k
+is built from power sums: its roots are beta_j + k alpha_i.  Roots are
+re-verified by exact evaluation in K; "absent" is always proven.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
-
 from .qpoly import UniPoly, count_real_roots
 from .factor import factor_over_Q
-from .roots import complex_roots, reconstruct_float
-
-DEFAULT_PRECISION_BITS = 512
-DEFAULT_DENOMINATOR_BOUND = 10 ** 12
-
-
-def charpoly_from_matrix(rows, zero, one):
-    """Characteristic polynomial coefficients of a 5x5 matrix by Faddeev-LeVerrier.
-
-    Entries may be Fractions or any ring elements supporting + and * and
-    scalar multiplication by Fraction.  Returns [c5, c4, ..., c1] such
-    that charpoly = x^5 + c1 x^4 + c2 x^3 + c3 x^2 + c4 x + c5.
-    """
-    n = 5
-
-    def mat_mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(n)), zero)
-                 for j in range(n)] for i in range(n)]
-
-    def trace(a):
-        t = a[0][0]
-        for i in range(1, n):
-            t = t + a[i][i]
-        return t
-
-    coeffs = []
-    nk = [row[:] for row in rows]
-    for k in range(1, n + 1):
-        ck = trace(nk) * Fraction(-1, k)
-        coeffs.append(ck)
-        if k < n:
-            shifted = [[nk[i][j] + (ck if i == j else zero)
-                        for j in range(n)] for i in range(n)]
-            nk = mat_mul(rows, shifted)
-    return list(reversed(coeffs))  # [c5, c4, c3, c2, c1]
 
 
 def multiplication_matrix_mod(g: UniPoly, coords: Sequence[Fraction]):
@@ -76,10 +40,28 @@ def multiplication_matrix_mod(g: UniPoly, coords: Sequence[Fraction]):
 
 
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
-    """Characteristic polynomial of multiplication by the element with given coords."""
-    rows = multiplication_matrix_mod(g, coords)
-    cs = charpoly_from_matrix(rows, Fraction(0), Fraction(1))
-    return UniPoly(cs + [Fraction(1)])
+    """Characteristic polynomial of multiplication by the element with given coords.
+
+    Its roots are the conjugates of beta, so its power sums are the
+    traces Tr(beta^m) = sum_i [alpha^i] beta^m * Tr(alpha^i).
+    """
+    traces = g.power_sums(g.degree - 1)
+    beta = UniPoly(coords) % g
+    power = UniPoly.one()
+    psums = [Fraction(g.degree)]
+    for _ in range(g.degree):
+        power = (power * beta) % g
+        psums.append(sum(power[i] * traces[i] for i in range(g.degree)))
+    return _monic_from_power_sums(psums)
+
+
+def _monic_from_power_sums(psums: Sequence[Fraction]) -> UniPoly:
+    """The monic polynomial of degree n whose roots have power sums psums[1..n] (Newton)."""
+    n = len(psums) - 1
+    e = [Fraction(1)]  # elementary symmetric functions of the roots
+    for m in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * psums[i] for i in range(1, m + 1)) / m)
+    return UniPoly((-1) ** m * e[m] for m in range(n, -1, -1))
 
 
 class NumberField:
@@ -91,7 +73,6 @@ class NumberField:
         if check_irreducible and not factor_over_Q(defining_poly).is_irreducible:
             raise ValueError(f"defining polynomial {defining_poly} is reducible over Q")
         self.defining_poly = defining_poly
-        self._embeddings = {}
         # reduction table: coordinates of alpha^k for k = 0..8
         self._alpha_powers: List[Tuple[Fraction, ...]] = []
         acc = UniPoly.one()
@@ -117,13 +98,6 @@ class NumberField:
 
     def rational(self, q) -> "FieldElement":
         return self.element((q, 0, 0, 0, 0))
-
-    def embeddings(self, precision_bits: int = 128):
-        """The five complex embeddings of alpha, canonically ordered, cached."""
-        if precision_bits not in self._embeddings:
-            self._embeddings[precision_bits] = tuple(
-                complex_roots(self.defining_poly, precision_bits))
-        return self._embeddings[precision_bits]
 
     @property
     def signature(self) -> Tuple[int, int]:
@@ -231,13 +205,15 @@ class FieldElement:
     def norm(self) -> Fraction:
         return -self.char_poly()[0]  # det of the multiplication matrix
 
-    def embed(self, ball):
-        """Image under one embedding, the generator mapped to the given ball."""
-        acc = None
-        for c in reversed(self.coords):
-            cb = ball._coerce(c)
-            acc = cb if acc is None else acc * ball + cb
-        return acc
+    def inverse(self) -> "FieldElement":
+        """1/beta by Cayley-Hamilton: beta^5 + c1 beta^4 + ... + c4 beta + c5 = 0, c5 = -norm."""
+        cp = self.char_poly()
+        if cp[0] == 0:
+            raise ZeroDivisionError("zero has no inverse in the field")
+        acc = self.field.rational(0)
+        for c in reversed(cp.coeffs[1:]):
+            acc = acc * self + c
+        return acc * (-1 / cp[0])
 
     def __repr__(self):
         return f"FieldElement({self.coords})"
@@ -269,16 +245,15 @@ class FieldElement:
 class RootSearchResult:
     """Outcome of a root-in-field query.
 
-    status is one of "certified" (witness verifies f(witness) = 0
-    exactly), "absent" (an exact obstruction applies), or
-    "inconclusive" (no certificate found at the given parameters;
-    absence is NOT claimed).
+    status is "certified" (witness verifies f(witness) = 0 exactly) or
+    "absent" (proven).  precision_bits and denominator_bound are always
+    None; they are kept for callers that build results positionally.
     """
 
     status: str
     witness: Optional[FieldElement]
-    precision_bits: int
-    denominator_bound: int
+    precision_bits: Optional[int] = None
+    denominator_bound: Optional[int] = None
     detail: str = ""
 
     @property
@@ -286,118 +261,125 @@ class RootSearchResult:
         return self.status == "certified"
 
 
-def _conjugation_assignments(field_sig, root_reals, root_pairs):
-    """Yield root-value vectors aligned with the canonical embedding order."""
-    r, c = field_sig
-    for real_perm in itertools.permutations(range(r)):
-        for pair_perm in itertools.permutations(range(c)):
-            for flips in itertools.product((False, True), repeat=c):
-                w = [None] * 5
-                for i in range(r):
-                    w[i] = root_reals[real_perm[i]]
-                for j in range(c):
-                    u = root_pairs[pair_perm[j]]
-                    val = mpmath.conj(u) if flips[j] else u
-                    w[r + 2 * j] = val
-                    w[r + 2 * j + 1] = mpmath.conj(val)
-                yield w
+def has_root_in_field(f: UniPoly, K: NumberField) -> RootSearchResult:
+    """Find beta in K with f(beta) = 0, or prove that there is none.
 
-
-def has_root_in_field(f: UniPoly, K: NumberField,
-                      precision_bits: int = DEFAULT_PRECISION_BITS,
-                      denominator_bound: int = DEFAULT_DENOMINATOR_BOUND) -> RootSearchResult:
-    """Find beta in K with f(beta) = 0, prove absence, or report inconclusive.
-
-    Certificates always re-verify by exact evaluation in K before being
-    returned.  Absence is only claimed via exact criteria: an
-    irreducible factor of degree 2, 3 or 4 can have no root in a quintic
-    field, and an irreducible quintic whose real/complex signature
-    differs from K's admits no conjugation-respecting embedding
-    matching.  No completeness claim is made otherwise.
+    Each irreducible factor of f over Q is decided on its own: a linear
+    factor gives a rational root, a factor of degree 2, 3 or 4 has no
+    root in a quintic field, an irreducible quintic whose real/complex
+    signature differs from K's has none, and any other quintic is
+    decided by the norm criterion.  Certificates re-verify by exact
+    evaluation in K before being returned.
     """
     if f.degree < 1 or f.degree > 5:
         raise ValueError("degree must be between 1 and 5")
-    f = f.monic()
-    fac = factor_over_Q(f)
-    parts = [p for p, _ in fac.factors]
-    if len(parts) > 1 or fac.factors[0][1] > 1:
-        outcomes = [_root_of_irreducible(p, K, precision_bits, denominator_bound)
-                    for p in parts]
-        for out in outcomes:
-            if out.certified:
-                return out
-        if all(o.status == "absent" for o in outcomes):
-            return RootSearchResult("absent", None, precision_bits, denominator_bound,
-                                    "no irreducible factor has a root in the field")
-        return RootSearchResult("inconclusive", None, precision_bits, denominator_bound,
-                                "no factor certified; absence not established")
-    return _root_of_irreducible(parts[0], K, precision_bits, denominator_bound)
+    fac = factor_over_Q(f.monic())
+    if fac.is_irreducible:
+        return _root_of_irreducible(fac.factors[0][0], K)
+    for p, _ in fac.factors:
+        out = _root_of_irreducible(p, K)
+        if out.certified:
+            return out
+    return RootSearchResult("absent", None,
+                            detail="no irreducible factor has a root in the field")
 
 
-def _root_of_irreducible(f, K, precision_bits, denominator_bound):
+def _root_of_irreducible(f: UniPoly, K: NumberField) -> RootSearchResult:
     if f.degree == 1:
-        beta = K.rational(-f[0])
-        return RootSearchResult("certified", beta, precision_bits, denominator_bound,
-                                "rational root")
+        return RootSearchResult("certified", K.rational(-f[0]), detail="rational root")
     if f.degree in (2, 3, 4):
-        return RootSearchResult("absent", None, precision_bits, denominator_bound,
-                                f"irreducible degree {f.degree} does not divide 5")
+        return RootSearchResult("absent", None,
+                                detail=f"irreducible degree {f.degree} does not divide 5")
     r_f = count_real_roots(f)
-    r_g, c_g = K.signature
+    r_g, _ = K.signature
     if r_f != r_g:
         return RootSearchResult(
-            "absent", None, precision_bits, denominator_bound,
-            f"signature mismatch: {r_f} real roots vs {r_g} real embeddings")
-
-    for prec in (precision_bits, 2 * precision_bits):
-        beta = _search_at_precision(f, K, prec, denominator_bound, r_g, c_g)
-        if beta is not None:
-            return RootSearchResult("certified", beta, precision_bits,
-                                    denominator_bound, "verified exactly")
-    return RootSearchResult("inconclusive", None, precision_bits, denominator_bound,
-                            "no assignment verified at the given precision")
+            "absent", None,
+            detail=f"signature mismatch: {r_f} real roots vs {r_g} real embeddings")
+    k, beta = _norm_criterion(f, K)
+    if beta is None:
+        return RootSearchResult(
+            "absent", None, detail=f"norm N_{k} has no irreducible factor of degree 5")
+    return RootSearchResult("certified", beta, detail="verified exactly")
 
 
-def _search_at_precision(f, K, prec, denominator_bound, r, c):
-    emb = K.embeddings(prec)
-    froots = complex_roots(f, prec)
-    root_reals = [b.mid for b in froots[:r]]
-    root_pairs = [froots[r + 2 * j].mid for j in range(c)]
-    with mpmath.workprec(prec):
-        vmat = mpmath.matrix(5, 5)
-        for i in range(5):
-            z = emb[i].mid
-            acc = mpmath.mpc(1)
-            for k in range(5):
-                vmat[i, k] = acc
-                acc *= z
-        imag_tol = mpmath.mpf(2) ** (-prec // 4)
-        for w in _conjugation_assignments((r, c), root_reals, root_pairs):
-            try:
-                sol = mpmath.lu_solve(vmat, mpmath.matrix(w))
-            except ZeroDivisionError:
-                continue
-            coords = []
-            for k in range(5):
-                z = sol[k]
-                if abs(z.imag) > imag_tol:
-                    coords = None
-                    break
-                cand = reconstruct_float(z.real, denominator_bound)
-                if cand is None:
-                    coords = None
-                    break
-                coords.append(cand)
-            if coords is None:
-                continue
-            beta = K.element(coords)
-            if _evaluate_exactly(f, beta).is_zero:
-                return beta
-    return None
+def trager_norm(f: UniPoly, g: UniPoly, k: int) -> UniPoly:
+    """N_k(x) = Res_y(g(y), f(x - k y)) = Norm f(x - k alpha), alpha a root of g.
+
+    f and g must be monic.  The roots of N_k are beta_j + k alpha_i, so
+    its power sums are P_m = sum_r C(m, r) k^(m-r) s_f(r) s_g(m-r), and
+    Newton's identities turn them into coefficients.
+    """
+    n = f.degree * g.degree
+    sf, sg = f.power_sums(n), g.power_sums(n)
+    return _monic_from_power_sums(
+        [sum(math.comb(m, r) * k ** (m - r) * sf[r] * sg[m - r] for r in range(m + 1))
+         for m in range(n + 1)])
 
 
-def _evaluate_exactly(f: UniPoly, beta: FieldElement) -> FieldElement:
-    acc = beta.field.rational(0)
-    for coeff in reversed(f.coeffs):
-        acc = acc * beta + beta.field.rational(coeff)
-    return acc
+def _integral_scale(p: UniPoly) -> int:
+    """A positive integer D with D^n p(x / D) in Z[x] (p monic of degree n)."""
+    n = p.degree
+    d = 1
+    for i in range(1, n + 1):
+        den = p[n - i].denominator
+        d *= den // math.gcd(den, d ** i)
+    return d
+
+
+def _norm_criterion(f: UniPoly, K: NumberField) -> Tuple[int, Optional[FieldElement]]:
+    """(k, root of f in K or None) for a monic irreducible quintic f, by Trager's criterion.
+
+    f and the generator are first scaled to algebraic integers, D beta and
+    E alpha, so N_k is a monic integer polynomial.
+    """
+    d = _integral_scale(f)
+    e = _integral_scale(K.defining_poly)
+    f_int = f.scale_argument(Fraction(1, d)) * d ** 5
+    g_int = K.defining_poly.scale_argument(Fraction(1, e)) * e ** 5
+    theta = K.generator * e
+    k = 0
+    while True:
+        k += 1
+        fac = factor_over_Q(trager_norm(f_int, g_int, k))
+        if all(m == 1 for _, m in fac.factors):
+            break
+    for h, _ in fac.factors:
+        if h.degree == 5:
+            shifted = _compose_shift(h, theta * k)
+            gcd = _gcd_over_field([K.rational(c) for c in f_int.coeffs], shifted)
+            beta = -gcd[0] * Fraction(1, d)
+            if len(gcd) != 2 or not f(beta).is_zero:
+                raise ArithmeticError(f"norm factor {h} of {f} gave no root in {K}")
+            return k, beta
+    return k, None
+
+
+def _compose_shift(h: UniPoly, c: FieldElement) -> List[FieldElement]:
+    """Coefficients of h(x + c) over K, ascending, by Horner's rule."""
+    out: List[FieldElement] = []
+    for coeff in reversed(h.coeffs):
+        out = [c.field.rational(0)] + out  # times x ...
+        for i in range(len(out) - 1):
+            out[i] = out[i] + c * out[i + 1]  # ... plus c times the old value
+        out[0] = out[0] + coeff
+    return out
+
+
+def _gcd_over_field(a: List[FieldElement], b: List[FieldElement]) -> List[FieldElement]:
+    """Monic gcd of two nonzero polynomials over K (ascending coefficient lists)."""
+    a = a[:]
+    while True:
+        if b[-1] != 1:
+            inv = b[-1].inverse()
+            b = [c * inv for c in b]
+        while len(a) >= len(b):  # a <- a mod b, b monic
+            c = a.pop()
+            shift = len(a) - len(b) + 1
+            for i in range(len(b) - 1):
+                a[shift + i] = a[shift + i] - c * b[i]
+            while a and a[-1].is_zero:
+                a.pop()
+        if not a:
+            return b
+        a, b = b, a

@@ -187,6 +187,18 @@ class UniPoly:
             acc = c if acc is None else acc * x + c
         return acc
 
+    def power_sums(self, count: int) -> list:
+        """[s_0, ..., s_count], s_m the sum of the m-th powers of the roots (Newton)."""
+        p = self.monic()
+        n = p.degree
+        sums = [Fraction(n)]
+        for m in range(1, count + 1):
+            s = -m * p[n - m] if m <= n else Fraction(0)
+            for i in range(1, min(m, n + 1)):
+                s -= p[n - i] * sums[m - i]
+            sums.append(s)
+        return sums
+
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self

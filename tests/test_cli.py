@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE, EXIT_INCONCLUSIVE
+from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE
 
 
 def run_cli(capsys, *argv):
@@ -99,10 +99,13 @@ def test_root_in_field_certificate(capsys):
 
 
 def test_root_in_field_inconclusive_exits_3(capsys):
-    code, out, _ = run_cli(capsys, "--precision-bits", "128", "root-in-field",
+    # x^5 - 2 matches the field's signature; the norm criterion proves absence
+    code, out, _ = run_cli(capsys, "root-in-field",
                            "--g", "12,-5,0,0,0,1", "--f", "-2,0,0,0,0,1")
-    assert code == EXIT_INCONCLUSIVE
-    assert json.loads(out)["status"] == "inconclusive"
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["status"] == "absent" and "root" not in doc
+    assert "parameters" not in doc
 
 
 def test_root_in_field_absent(capsys):

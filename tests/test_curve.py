@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, is_rational_square
 from quintic_trinomials.multipoly import MultiPoly
-from quintic_trinomials.numberfield import NumberField, has_root_in_field
+from quintic_trinomials.numberfield import NumberField, charpoly_mod, has_root_in_field
 from quintic_trinomials.trinomial import EquivClass
 from quintic_trinomials.curve import (CurvePoint, curve_from_t, curve_from_field,
                                       point_search, general_point_search,
@@ -254,13 +254,29 @@ def test_general_construction_auto_elimination():
     assert pure.linear.proportionality(MultiPoly.variable(FULL_VARS, "a")) is not None
 
 
+def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
+    rng = random.Random(7)
+    fields = [UniPoly([-18, 0, 0, 0, 0, 1]), UniPoly([105, 75, 0, 0, 0, 1]),
+              UniPoly([T65, T65, 0, 0, 0, 1]), UniPoly([F(1, 2), F(3, 7), -2, 0, F(5, 3), 1])]
+    for g in fields:
+        for eliminate in (None, "a"):
+            curve = curve_from_field(g, eliminate=eliminate)
+            for _ in range(5):
+                live = {v: F(rng.randint(-9, 9), rng.randint(1, 4)) for v in curve.live_vars}
+                coords = curve.full_coords(live)
+                values = dict(zip(FULL_VARS, coords))
+                cp = charpoly_mod(g, coords)
+                assert cp[4] == 0
+                assert curve.quadric.evaluate(values) == cp[3]
+                assert curve.cubic.evaluate(values) == cp[2]
+
+
 def test_general_construction_rejects_reducible():
     with pytest.raises(ValueError):
         curve_from_field(UniPoly([1, 1, 0, 0, 0, 1]))
 
 
 def test_pure_field_search_finds_all_five_classes():
-    from quintic_trinomials.numberfield import charpoly_mod
     from quintic_trinomials.trinomial import Trinomial, equiv_class
     curve = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))
     pts = general_point_search(curve, 4)

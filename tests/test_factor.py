@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from quintic_trinomials.qpoly import UniPoly, discriminant
+from quintic_trinomials import factor
 from quintic_trinomials.factor import (factor_over_Q, is_irreducible, factor_int,
                                        fifth_power_class, cycle_type_mod_p,
                                        is_prime, primes_below)
@@ -69,6 +70,25 @@ def test_random_products_multiply_back():
         assert all(f.lc == 1 for f, _ in fac.factors)
         assert all(is_irreducible(f) for f, _ in fac.factors)
         checked += 1
+
+
+def test_squarefree_shortcut_matches_yun(monkeypatch):
+    rng = random.Random(22)
+    pool = [UniPoly([1, 1]), UniPoly([-2, 1]), UniPoly([1, 0, 1]), UniPoly([3, 1, 1]),
+            UniPoly([-2, 0, 1]), UniPoly([1, -1, 0, 1]), UniPoly([2, 0, 0, 0, 0, 1]),
+            UniPoly([F(1, 3), -1, F(2, 7), 0, 1])]
+    polys = []
+    for _ in range(40):
+        p = UniPoly([F(rng.choice([-2, 1, 3]), rng.choice([1, 4]))])
+        for _ in range(rng.randint(1, 4)):
+            p = p * rng.choice(pool)
+        polys.append(p)
+    with_shortcut = [factor_over_Q(p) for p in polys]
+    for p, fac in zip(polys, with_shortcut):
+        if any(m > 1 for _, m in fac.factors):
+            assert not factor._squarefree_mod_small_prime(p.content_and_primitive()[1])
+    monkeypatch.setattr(factor, "_squarefree_mod_small_prime", lambda ints: False)
+    assert [factor_over_Q(p) for p in polys] == with_shortcut
 
 
 def test_factorization_order_is_deterministic():

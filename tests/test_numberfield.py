@@ -5,11 +5,13 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, count_real_roots
 from quintic_trinomials.factor import factor_over_Q
+from quintic_trinomials.roots import ComplexBall, complex_roots
 from quintic_trinomials.numberfield import (NumberField, has_root_in_field,
-                                            charpoly_mod)
+                                            charpoly_mod, trager_norm)
 
 K18 = NumberField(UniPoly([-18, 0, 0, 0, 0, 1]))
 
@@ -100,13 +102,21 @@ def test_char_poly_irreducible_for_irrational_elements():
             assert factor_over_Q(beta.char_poly()).is_irreducible
 
 
+def _embed(beta, ball):
+    """Image of beta when the generator maps to the given ball (Horner in ball arithmetic)."""
+    acc = ComplexBall.from_fraction(F(0), ball.prec)
+    for c in reversed(beta.coords):
+        acc = acc * ball + c
+    return acc
+
+
 def test_trace_norm_match_embeddings():
     rng = random.Random(43)
     for field in _random_fields(rng, 3):
-        emb = field.embeddings(128)
+        emb = complex_roots(field.defining_poly, 128)
         beta = field.element([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)])
         with mpmath.workprec(150):
-            values = [beta.embed(b) for b in emb]
+            values = [_embed(beta, b) for b in emb]
             total = values[0]
             prod = values[0]
             for v in values[1:]:
@@ -163,11 +173,12 @@ def test_rational_root_certificate():
 
 
 def test_inconclusive_never_wrong():
-    # x^5 - 2 has the same signature as the dihedral field but no root in it
+    # x^5 - 2 has the same signature as the dihedral field, so only the
+    # norm criterion can prove that it has no root there
     field = NumberField(UniPoly([12, -5, 0, 0, 0, 1]))
-    res = has_root_in_field(UniPoly([-2, 0, 0, 0, 0, 1]), field,
-                            precision_bits=128)
-    assert res.status == "inconclusive"
+    res = has_root_in_field(UniPoly([-2, 0, 0, 0, 0, 1]), field)
+    assert res.status == "absent" and res.witness is None
+    assert "norm" in res.detail
 
 
 def test_charpoly_mod_matches_field_elements():
@@ -192,17 +203,118 @@ def test_certification_roundtrip_on_random_fields():
         if all(c == 0 for c in coords[1:]):
             coords[1] = F(1)
         beta = field.element(coords)
-        res = has_root_in_field(beta.char_poly(), field, precision_bits=256)
+        res = has_root_in_field(beta.char_poly(), field)
         assert res.certified, (g, coords, res.detail)
         done += 1
 
 
 def test_certification_in_totally_real_field():
-    # minimal polynomial of 2cos(2pi/11): five real embeddings, so the
-    # assignment search walks the full 120-permutation case
+    # minimal polynomial of 2cos(2pi/11): a cyclic field with five real
+    # embeddings, so f = char_poly(beta) has all five of its roots in it
     g = UniPoly([1, 3, -3, -4, 1, 1])
     assert count_real_roots(g) == 5
     field = NumberField(g)
     beta = field.element((F(1, 2), 1, 0, -1, F(1, 3)))
-    res = has_root_in_field(beta.char_poly(), field, precision_bits=256)
+    res = has_root_in_field(beta.char_poly(), field)
     assert res.certified
+    assert res.witness.char_poly() == beta.char_poly()
+
+
+def _is_root(f, beta):
+    acc = beta.field.rational(0)
+    for c in reversed(f.coeffs):
+        acc = acc * beta + c
+    return acc.is_zero
+
+
+def test_results_are_certified_or_absent_only():
+    res = has_root_in_field(UniPoly([-18, 0, 0, 0, 0, 1]), K18)
+    assert res.precision_bits is None and res.denominator_bound is None
+    rng = random.Random(45)
+    for field in _random_fields(rng, 2):
+        for _ in range(3):
+            f = UniPoly([rng.randint(-20, 20) for _ in range(5)] + [1])
+            res = has_root_in_field(f, field)
+            assert res.status in ("certified", "absent"), res
+            assert res.status == "absent" or _is_root(f, res.witness)
+
+
+def test_field_element_inverse():
+    rng = random.Random(46)
+    for field in _random_fields(rng, 3):
+        for _ in range(4):
+            beta = field.element([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)])
+            if beta.is_zero:
+                continue
+            assert beta * beta.inverse() == 1
+    assert K18.rational(F(2, 3)).inverse() == F(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        K18.rational(0).inverse()
+
+
+def test_trager_norm_roots_are_shifted_sums():
+    # x^5 - 18 against itself: N_k(x) = prod (zeta^j + k zeta^i) 18^(1/5)
+    g = K18.defining_poly
+    n2 = trager_norm(g, g, 2)
+    assert n2.degree == 25 and n2.lc == 1
+    # the diagonal i = j contributes ((x / 3)^5 - 18) * 3^5 = x^5 - 18 * 3^5
+    assert UniPoly([-18 * 3 ** 5, 0, 0, 0, 0, 1]).divides_exactly(n2)
+    # k = 1 pairs (i, j) with (j, i): N_1 has repeated factors
+    assert not all(m == 1 for _, m in factor_over_Q(trager_norm(g, g, 1)).factors)
+
+
+def _sympy_norm(f, g, k):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    fs = sum(sympy.Rational(c.numerator, c.denominator) * (x - k * y) ** i
+             for i, c in enumerate(f.coeffs))
+    gs = sum(sympy.Rational(c.numerator, c.denominator) * y ** i
+             for i, c in enumerate(g.coeffs))
+    return sympy, x, sympy.Poly(sympy.resultant(gs, sympy.expand(fs), y), x)
+
+
+_DIFFERENTIAL_CASES = [
+    (K18.defining_poly, UniPoly([3750, 750, 0, 0, 0, 1]), 1),
+    (K18.defining_poly, UniPoly([-2, 0, 0, 0, 0, 1]), 1),
+    (UniPoly([12, -5, 0, 0, 0, 1]), UniPoly([-2, 0, 0, 0, 0, 1]), 1),
+    (UniPoly([105, 75, 0, 0, 0, 1]), UniPoly([465, -75, 0, 0, 0, 1]), 2),
+    (UniPoly([F(6, 5), F(6, 5), 0, 0, 0, 1]), UniPoly([F(1, 3), -1, F(2, 7), 0, 1, 1]), 3),
+]
+
+
+@pytest.mark.parametrize("g, f, k", _DIFFERENTIAL_CASES)
+def test_trager_norm_matches_sympy_resultant(g, f, k):
+    sympy, x, expected = _sympy_norm(f, g, k)
+    ours = trager_norm(f, g, k)
+    assert [sympy.Rational(c.numerator, c.denominator) for c in reversed(ours.coeffs)] \
+        == expected.all_coeffs()
+
+
+@pytest.mark.parametrize("g, f, k", _DIFFERENTIAL_CASES[:4])
+def test_norm_criterion_matches_sympy_factor_degrees(g, f, k):
+    sympy, x, norm = _sympy_norm(f, g, k)
+    _, factors = sympy.factor_list(norm.as_expr(), x)
+    degrees = sorted(sympy.degree(h, x) for h, m in factors for _ in range(m))
+    ours = sorted(h.degree for h, m in factor_over_Q(trager_norm(f, g, k)).factors
+                  for _ in range(m))
+    assert ours == degrees
+    if all(m == 1 for _, m in factors):
+        res = has_root_in_field(f, NumberField(g))
+        assert res.certified == (5 in degrees)
+
+
+_PROPERTY_FIELDS = [K18, NumberField(UniPoly([105, 75, 0, 0, 0, 1])),
+                    NumberField(UniPoly([F(6, 5), F(6, 5), 0, 0, 0, 1])),
+                    NumberField(UniPoly([1, 3, -3, -4, 1, 1]))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_PROPERTY_FIELDS),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                min_size=5, max_size=5))
+def test_char_poly_of_any_element_is_certified(field, coords):
+    beta = field.element(coords)
+    f = beta.char_poly()
+    res = has_root_in_field(f, field)
+    assert res.certified and _is_root(f, res.witness)
+    assert res.witness.char_poly() == f

@@ -149,6 +149,18 @@ def test_division_and_gcd():
     assert (f * g).squarefree_part() == f.monic()
 
 
+def test_power_sums_match_roots():
+    rng = random.Random(12)
+    for _ in range(20):
+        roots = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+        lead = F(rng.choice([-3, 1, 2]), rng.choice([1, 5]))
+        p = UniPoly([lead])
+        for r in roots:
+            p = p * UniPoly([-r, 1])
+        assert p.power_sums(9) == [sum(r ** m for r in roots) for m in range(10)]
+    assert UniPoly([-18, 0, 0, 0, 0, 1]).power_sums(10) == [5, 0, 0, 0, 0, 90, 0, 0, 0, 0, 1620]
+
+
 def test_scale_argument():
     f = UniPoly([12, -5, 0, 0, 0, 1])
     lam = F(12, -5)
