@@ -139,6 +139,8 @@ def _cmd_classify(args, cfg, out) -> int:
 def _cmd_curve(args, cfg, out) -> int:
     if (args.t is None) == (args.g is None):
         raise ValueError("give exactly one of --t or --g")
+    if args.eliminate is not None and args.g is None:
+        raise ValueError("--eliminate needs --g")
     if args.t is not None:
         t = parse_rational(args.t)
         curve = curve_from_t(t)
@@ -381,21 +383,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_option_values(list(argv)))
     try:
         cfg = build_config(args)
+        out = open(cfg.output, "w", encoding="utf-8") if cfg.output else sys.stdout
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = sys.stdout
-    close = False
-    if cfg.output:
-        out = open(cfg.output, "w", encoding="utf-8")
-        close = True
     try:
         return args.func(args, cfg, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 

@@ -17,14 +17,18 @@ t-form constructor instead stores a cubic already reduced by a multiple
 of the quadric (same ideal, fewer monomials); `normal_form_cubic`
 reconciles the two presentations for comparisons.
 
-Point search on a t-form curve enumerates integer (b, c, d) in a half
-box and solves the quadric for a: a rational root exists iff the
-integer discriminant is a perfect square.  One engine serves every t.
-It sieves the discriminant modulo small moduli, takes exact square
+Point search is one engine for both kinds of curve.  One live variable
+v, with a square term if any has one, is solved from the quadric; the
+other three are enumerated in a half box as row, column and slice, and a
+rational v exists iff the integer discriminant of the quadric in v is a
+perfect square.  (A quadric linear in v, as on pure quintics, gives v by
+one division, or every v where both its coefficients vanish.)  The
+engine sieves the discriminant modulo small moduli, takes exact square
 roots of the survivors (int64 when a precomputed bound allows, Python
 ints otherwise), tests the cubic modulo a prime, and confirms the few
-remaining candidates in exact integer arithmetic.  Its integer
-coefficient tables are the curve's own forms with denominators cleared.
+remaining candidates in exact integer arithmetic on the curve's output
+coordinates.  Its integer coefficient tables are the curve's own forms
+with denominators cleared.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qpoly import UniPoly, is_rational_square
+from .qpoly import UniPoly
 from .factor import factor_over_Q
 from .multipoly import MultiPoly
 from .numberfield import NumberField, FieldElement, charpoly_mod
@@ -316,7 +320,7 @@ def field_L_polynomial(t: Fraction) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# point search on t-form curves
+# point search, one engine for t-form and general curves
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -326,22 +330,12 @@ class SearchResult:
     height_bound: int
 
 
-# (exponents over (a, b, c, d), integer coefficient) pairs
+# (exponents, integer coefficient) pairs
 _Table = Tuple[Tuple[Tuple[int, ...], int], ...]
 
-# Sieve moduli.  _SQUARE_SUMS[m][i, j] says whether i + j is a square mod m,
-# so one row of a d-slice is one gather from a row of the table.
+# Sieve moduli, and _SQUARES[k][r] for r < m^2 + 2m: is r a square mod m = _MODULI[k]
 _MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _square_sums(m: int) -> np.ndarray:
-    squares = np.zeros(m, dtype=bool)
-    squares[[r * r % m for r in range(m)]] = True
-    r = np.arange(m)
-    return squares[(r[:, None] + r[None, :]) % m]
-
-
-_SQUARE_SUMS = {m: _square_sums(m) for m in _MODULI}
+_SQUARES = tuple(np.isin(np.arange(m * m + 2 * m) % m, np.arange(m) ** 2 % m) for m in _MODULI)
 
 # The cubic prefilter modulus: a product of two residues stays below 2^62.
 _CUBIC_PRIME = 2 ** 31 - 1
@@ -349,67 +343,84 @@ _CUBIC_PRIME = 2 ** 31 - 1
 
 @dataclass(frozen=True)
 class _SearchForms:
-    """Integer tables of a t-form curve, denominators cleared.
+    """Integer tables of a curve for the search engine, denominators cleared.
 
-    With the quadric written lead*a^2 + linear*a + rest, integer (b, c, d)
-    gives a = (-linear +- s) / (2 lead) where s^2 is the discriminant
-    linear^2 - 4 lead rest = root_scale^2 (row(b; disc_b) + row(c; disc_c)),
-    see `_row`.
+    The engine tables are over the live coordinates (v, x, y, z): the
+    quadric is lead*v^2 + linear*v + rest, and (x, y, z) are enumerated as
+    row, column and slice.  disc = linear^2 - 4 lead rest, divided by
+    root_scale^2.  `coordinate_map` sends live coordinates to the curve's
+    output coordinates, where every form of `checks` must vanish.
     """
 
-    quadric: _Table
-    cubic: _Table
-    cubic_in_a: Tuple[_Table, ...]  # the cubic's coefficients of a^0, ..., a^3
     lead: int
     linear: _Table
+    rest: _Table
+    disc: _Table
     root_scale: int
-    disc_b: Tuple[int, int, int]
-    disc_c: Tuple[int, int, int]
+    cubic_in_v: Tuple[_Table, ...]  # the cubic's coefficients of v^0, ..., v^3
+    coordinate_map: Tuple[Tuple[int, ...], ...]
+    checks: Tuple[_Table, ...]
 
 
 def _cleared(form: MultiPoly) -> MultiPoly:
     return form * math.lcm(*(c.denominator for c in form.terms.values()))
 
 
-def _table(form: MultiPoly) -> _Table:
-    return tuple(sorted((e, int(c)) for e, c in form.terms.items()))
+def _table(form: MultiPoly, order: Sequence[str]) -> _Table:
+    """The integral form's terms, with exponents over the variables `order`."""
+    pos = [form.vars.index(n) for n in order]
+    return tuple(sorted((tuple(e[i] for i in pos), int(c)) for e, c in form.terms.items()))
 
 
-def _search_forms(curve: TrinomialCurve) -> _SearchForms:
-    quadric = _cleared(curve.quadric)
-    lead = quadric.coefficient_of("a", 2)
-    linear = quadric.coefficient_of("a", 1)
-    disc = linear * linear - lead * quadric.coefficient_of("a", 0) * 4
-    k = {e[1:]: int(c) for e, c in disc.terms.items()}
-    if k.get((1, 1, 0)):
-        raise ValueError("the discriminant has a b*c term: its rows do not separate")
+def _search_forms(curve) -> _SearchForms:
+    """Engine tables of a TrinomialCurve or a GeneralCurve.
+
+    The solved variable v is the first live variable with a square term,
+    else the first of degree 1; for t-form curves (v; x, y, z) = (a; b, c, d).
+    """
+    if isinstance(curve, GeneralCurve):
+        live, expr = curve.live_vars, curve.elimination_expr
+        checks = (curve.linear, curve.quadric, curve.cubic)
+    else:
+        live, expr = CURVE_VARS, MultiPoly.zero(CURVE_VARS)
+        checks = (curve.quadric, curve.cubic)
+    quadric, cubic = _cleared(curve.quadric), _cleared(curve.cubic)
+    names = quadric.vars
+    solve = (next((n for n in live if quadric.coefficient_of(n, 2)), None)
+             or next((n for n in live if quadric.degree_in(n) == 1), None))
+    if solve is None:
+        raise ValueError("quadric involves no live variable")
+    order = (solve, *(n for n in live if n != solve))
+    lead = quadric.coefficient_of(solve, 2).terms.get((0,) * len(names), 0)
+    linear, rest = quadric.coefficient_of(solve, 1), quadric.coefficient_of(solve, 0)
+    disc = _table(linear * linear - rest * (4 * lead), order)
     # A square factor of the content hides residues from the sieve, so the
     # engine sieves disc / root_scale^2 and scales its square roots back.
-    content = math.gcd(*k.values())
+    content = math.gcd(*(k for _, k in disc))
     root_scale = 1
     for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):  # primes of the moduli
         while content % (root_scale * ell) ** 2 == 0:
             root_scale *= ell
-    k = {e: v // root_scale ** 2 for e, v in k.items()}
-    cubic = _cleared(curve.cubic)
+    # live -> output coordinates, scaled by the elimination's denominator;
+    # the eliminated coordinate (if any) is a linear form in the live ones
+    den = math.lcm(*(c.denominator for c in expr.terms.values()))
+    weights = {names[e.index(1)]: int(c * den) for e, c in expr.terms.items()}
+    coordinate_map = tuple(
+        tuple(den * (n == m) if n in order else weights.get(m, 0) for m in order) for n in names)
     return _SearchForms(
-        quadric=_table(quadric), cubic=_table(cubic),
-        cubic_in_a=tuple(_table(cubic.coefficient_of("a", n)) for n in range(4)),
-        lead=int(lead.terms[(0, 0, 0, 0)]), linear=_table(linear), root_scale=root_scale,
-        disc_b=(k.get((2, 0, 0), 0), k.get((1, 0, 1), 0), k.get((0, 0, 2), 0)),
-        disc_c=(k.get((0, 2, 0), 0), k.get((0, 1, 1), 0), 0))
-
-
-def _row(k, x, d):
-    """k[0] x^2 + k[1] x d + k[2] d^2: one row of the quadric discriminant."""
-    return (k[0] * x + k[1] * d) * x + k[2] * d * d
+        lead=int(lead), linear=_table(linear, order), rest=_table(rest, order),
+        disc=tuple((e, k // root_scale ** 2) for e, k in disc), root_scale=root_scale,
+        cubic_in_v=tuple(_table(cubic.coefficient_of(solve, n), order) for n in range(4)),
+        coordinate_map=coordinate_map,
+        checks=tuple(_table(_cleared(f), names) for f in checks))
 
 
 def _form_value(table: _Table, coords) -> int:
     total = 0
     for exps, k in table:
         for x, e in zip(coords, exps):
-            k = k * x ** e
+            if e:
+                k = k * x ** e
         total += k
     return total
 
@@ -426,78 +437,143 @@ def _form_residues(table: _Table, coords, modulus: int):
     return total
 
 
-def _search_chunk(forms: _SearchForms, height_bound: int, d_lo: int, d_hi: int) -> set:
-    """Points from the half-box cells with d_lo <= d < d_hi; exact everywhere.
+def _sieve_tables(disc: _Table, layers: int) -> Tuple[np.ndarray, ...]:
+    """tables[k][r, x, y] = (disc(x, y, r) is a square mod m), m = _MODULI[k],
+    for residues x, y and r <= m / 2, r < layers.
 
-    Half box: d >= 0, with c >= 0 when d = 0 and b > 0 when d = c = 0;
-    negated triples give the same projective points and (0, 0, 0) gives
-    none, so nothing is lost.
+    disc is a quadratic form, so disc(-x, -y, -z) = disc(x, y, z): a slice
+    whose z has residue r > m / 2 reads layer m - r at (-x, -y).
+    """
+    coeffs = {e[1:]: k for e, k in disc}
+    tables = []
+    for m, squares in zip(_MODULI, _SQUARES):
+        kxx, kxy, kyy, kxz, kyz, kzz = (
+            coeffs.get(e, 0) % m
+            for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))
+        x, y = np.arange(m)[:, None], np.arange(m)[None, :]
+        fixed, by_z = ((kxx * x + kxy * y) * x + kyy * y * y) % m, (kxz * x + kyz * y) % m
+        # each part is reduced before the sum, which stays below len(squares)
+        tables.append(np.array([squares[fixed + kzz * r * r % m + r * by_z]
+                                for r in range(min(m // 2 + 1, layers))]))
+    return tuple(tables)
+
+
+def _mod_p(values) -> np.ndarray:
+    return (values % _CUBIC_PRIME).astype(np.int64)
+
+
+def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> None:
+    """Map live integer coordinates to the output, normalize, and check exactly."""
+    pt = CurvePoint.from_integers(
+        [sum(k * w for k, w in zip(row, live)) for row in forms.coordinate_map])
+    if pt.height <= height_bound and not any(_form_value(t, pt.coords) for t in forms.checks):
+        out.add(pt)
+
+
+def _add_roots(forms: _SearchForms, height_bound: int, out: set, x, y, z: int, scale, roots):
+    """The candidates (v : scale x : scale y : scale z), v in each array of `roots`.
+
+    The cubic is homogeneous, so the scaling keeps its zeros.  It is tested
+    modulo a prime, by Horner in v, and the few survivors exactly.
+    """
+    P = _CUBIC_PRIME
+    pscale = _mod_p(scale)
+    scaled = (0, *(pscale * w % P for w in (_mod_p(x), _mod_p(y), z % P)))
+    coeffs = [_form_residues(k, scaled, P) for k in reversed(forms.cubic_in_v)]
+    for v in roots:
+        pv = _mod_p(v)
+        value = 0
+        for k in coeffs:
+            value = (value * pv + k) % P
+        for i in np.flatnonzero(value == 0):
+            s = int(scale[i])
+            _add_if_on_curve(forms, height_bound,
+                             (int(v[i]), s * int(x[i]), s * int(y[i]), s * z), out)
+
+
+def _search_chunk(forms: _SearchForms, height_bound: int, z_lo: int, z_hi: int) -> set:
+    """Points from the half-box cells with z_lo <= z < z_hi; exact everywhere.
+
+    Half box: z >= 0, with y >= 0 when z = 0 and x > 0 when y = z = 0;
+    negated cells give the same projective points.  The zero cell (0, 0, 0)
+    can only hold the unit point of v, which the z = 0 slice checks once.
     """
     H = height_bound
     xs = np.arange(-H, H + 1, dtype=np.int64)
-    # residues of both discriminant rows for every modulus at once, from
-    # coefficients and coordinates already reduced, so no t can overflow
-    mods = np.array(_MODULI, dtype=np.int64)[:, None]
-    xm = xs % mods
-    kb, kc = (np.array([[k % m for k in ks] for m in _MODULI], dtype=np.int64).T[:, :, None]
-              for ks in (forms.disc_b, forms.disc_c))
-    # exact square roots in int64 while the unscaled discriminant provably fits
-    bound = H * H * forms.root_scale ** 2 * sum(map(abs, forms.disc_b + forms.disc_c))
+    residues = xs % np.array(_MODULI)[:, None]
+    tables = _sieve_tables(forms.disc, z_hi)
+    # every exact value below fits int64 when this bound does
+    bound = (H + 1) ** 2 * (forms.root_scale ** 2 * sum(abs(k) for _, k in forms.disc)
+                            + sum(abs(k) for _, k in forms.linear + forms.rest)
+                            + 2 * abs(forms.lead))
     dtype = np.int64 if bound < 2 ** 61 else object
-    P = _CUBIC_PRIME
-    two_lead = 2 * forms.lead
     out = set()
-    for d in range(d_lo, d_hi):
-        lo = H if d == 0 else 0
-        rb = _row(kb, xm, d % mods) % mods
-        rc = _row(kc, xm[:, lo:], d % mods) % mods
+    for z in range(z_lo, z_hi):
+        lo = H if z == 0 else 0
         mask = np.ones((xs.size, xs.size - lo), dtype=bool)
-        for m, row_b, row_c in zip(_MODULI, rb, rc):
-            mask &= np.take(_SQUARE_SUMS[m][:, row_c], row_b, axis=0)
-        bi, ci = np.divmod(np.flatnonzero(mask), xs.size - lo)
-        b, c = xs[bi].astype(dtype), xs[lo:][ci].astype(dtype)
-        if d == 0:
-            keep = (c > 0) | (b > 0)
-            b, c = b[keep], c[keep]
-
-        disc = _row(forms.disc_b, b, d) + _row(forms.disc_c, c, d)
-        keep = disc >= 0
-        b, c, disc = b[keep], c[keep], disc[keep]
-        if dtype is object:
-            s = np.array([math.isqrt(v) for v in disc], dtype=object)
+        # the residues of -xs are those of xs reversed
+        for m, table, pos, neg in zip(_MODULI, tables, residues, residues[:, ::-1]):
+            r = z % m
+            layer, row = (table[r], pos) if 2 * r <= m else (table[m - r], neg)
+            mask &= np.take(layer[:, row[lo:]], row, axis=0)
+        xi, yi = np.divmod(np.flatnonzero(mask), xs.size - lo)
+        x, y = xs[xi].astype(dtype), xs[lo:][yi].astype(dtype)
+        if z == 0:
+            keep = (y > 0) | (x > 0)
+            x, y = x[keep], y[keep]
+            _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
+        cell, zero = (0, x, y, z), x * 0
+        lin = zero + _form_value(forms.linear, cell)
+        if forms.lead:
+            disc = zero + _form_value(forms.disc, cell)
+            keep = disc >= 0
+            x, y, lin, disc = x[keep], y[keep], lin[keep], disc[keep]
+            if dtype is object:
+                s = np.array([math.isqrt(v) for v in disc], dtype=object)
+            else:
+                # for disc = n^2 < 2^61 the float root is within 2^-22 of n, so
+                # rounding recovers n; a non-square fails the test below either way
+                s = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
+            keep = s * s == disc
+            x, y, lin, s = x[keep], y[keep], lin[keep], s[keep] * forms.root_scale
+            _add_roots(forms, H, out, x, y, z, x * 0 + 2 * forms.lead, (s - lin, -s - lin))
         else:
-            # for disc = n^2 < 2^61 the float root is within 2^-22 of n, so
-            # rounding recovers n; a non-square fails the test below either way
-            s = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
-        keep = s * s == disc
-        if not keep.any():
-            continue
-        b, c, s = b[keep], c[keep], s[keep] * forms.root_scale
-
-        # the cubic modulo a prime at (-linear +- s : 2 lead b : 2 lead c : 2 lead d),
-        # the point scaled by 2 lead; the cubic is homogeneous, so its vanishing is kept
-        pb, pc, ps = ((x % P).astype(np.int64) for x in (b, c, s))
-        plin = _form_residues(forms.linear, (0, pb, pc, d % P), P)
-        scaled = (0, *(two_lead % P * x % P for x in (pb, pc, d % P)))
-        coeffs = [_form_residues(k, scaled, P) for k in reversed(forms.cubic_in_a)]
-        for sign in (1, -1):
-            pa = (sign * ps - plin) % P
-            value = 0
-            for k in coeffs:
-                value = (value * pa + k) % P
-            for i in np.flatnonzero(value == 0):
-                b_i, c_i = int(b[i]), int(c[i])
-                a = sign * int(s[i]) - _form_value(forms.linear, (0, b_i, c_i, d))
-                pt = CurvePoint.from_integers((a, two_lead * b_i, two_lead * c_i, two_lead * d))
-                if (pt.height <= H and _form_value(forms.quadric, pt.coords) == 0
-                        and _form_value(forms.cubic, pt.coords) == 0):
-                    out.add(pt)
+            # a quadric linear in v: v = -rest / lin, and every v where both vanish
+            rest = zero + _form_value(forms.rest, cell)
+            solved, free = lin != 0, (lin == 0) & (rest == 0)
+            _add_roots(forms, H, out, x[solved], y[solved], z, lin[solved], (-rest[solved],))
+            n = int(free.sum())
+            _add_roots(forms, H, out, np.repeat(x[free], xs.size), np.repeat(y[free], xs.size), z,
+                       np.ones(n * xs.size, dtype=dtype), (np.tile(xs.astype(dtype), n),))
     return out
 
 
 def _worker_count(jobs: int, chunks: int) -> int:
     """Worker processes for `chunks` tasks at parallelism `jobs`, capped at the CPU count."""
     return max(1, min(jobs, chunks, os.cpu_count() or 1))
+
+
+def _search(curve, height_bound: int, jobs: int) -> set:
+    """The engine: its slices split into chunks, run serially or in a process pool."""
+    H = height_bound
+    forms = _search_forms(curve)
+    # one chunk when serial, as each chunk builds its sieve tables; else four
+    # per worker, so that a worker on a slower CPU does not hold up the rest
+    workers = _worker_count(jobs, H + 1)
+    n_chunks = 4 * workers if workers > 1 else 1
+    edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
+    ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    columns = ([forms] * len(ranges), [H] * len(ranges), *zip(*ranges))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_search_chunk, *columns))
+    else:
+        partials = list(map(_search_chunk, *columns))
+    return set().union(*partials)
+
+
+def _by_height(pt: CurvePoint):
+    return pt.height, pt.coords
 
 
 def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> SearchResult:
@@ -514,101 +590,25 @@ def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> Sea
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
-    H = height_bound
-    forms = _search_forms(curve)
-    n_chunks = max(1, min(4 * jobs, H + 1))
-    edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
-    ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    columns = ([forms] * len(ranges), [H] * len(ranges), *zip(*ranges))
-    workers = _worker_count(jobs, len(ranges))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_search_chunk, *columns))
-    else:
-        partials = list(map(_search_chunk, *columns))
-    merged = set()
-    for part in partials:
-        merged |= part
     points, degenerate = [], []
-    for pt in merged:
+    for pt in _search(curve, height_bound, jobs):
         # b = c = d = 0 would make beta rational; cannot occur on the curve,
         # but route it to the degenerate list rather than dropping silently
-        if pt.coords[1] == 0 and pt.coords[2] == 0 and pt.coords[3] == 0:
-            degenerate.append(pt)
-        else:
-            points.append(pt)
-    key = lambda pt: (pt.height, pt.coords)
-    return SearchResult(points=tuple(sorted(points, key=key)),
-                        degenerate=tuple(sorted(degenerate, key=key)),
-                        height_bound=H)
+        (degenerate if not any(pt.coords[1:]) else points).append(pt)
+    return SearchResult(points=tuple(sorted(points, key=_by_height)),
+                        degenerate=tuple(sorted(degenerate, key=_by_height)),
+                        height_bound=height_bound)
 
-
-# ---------------------------------------------------------------------------
-# point search on general curves (exact, small boxes)
-# ---------------------------------------------------------------------------
 
 def general_point_search(curve: GeneralCurve, height_bound: int) -> List[CurvePoint]:
-    """Primitive integer 5-tuples on a general curve, searched exactly.
+    """Primitive integer 5-tuples on a general curve with height <= height_bound.
 
-    The quadric is solved for a live variable that appears squared
-    (quadratic branch) or, failing that, linearly (pure quintics yield a
-    bilinear quadric); the remaining three live variables are
-    enumerated.  Exact Fraction arithmetic throughout.
+    The same engine as `point_search`, run serially: the live coordinates
+    other than the solved one are enumerated in [-H, H], the solved one
+    comes from the quadric (both roots of a square discriminant, or the
+    single root when the quadric is linear in it, as on pure quintics),
+    and the eliminated coordinate from the trace condition.  Candidates
+    pass the cubic modulo a prime, then the linear, quadric and cubic
+    forms and the height bound on the full 5-tuple exactly.
     """
-    H = height_bound
-    live = curve.live_vars
-    sq_name = None
-    for name in live:
-        exps = [0] * 5
-        exps[FULL_VARS.index(name)] = 2
-        if tuple(exps) in curve.quadric.terms:
-            sq_name = name
-            break
-    solve_name = sq_name
-    if solve_name is None:
-        for name in live:
-            if curve.quadric.degree_in(name) == 1:
-                solve_name = name
-                break
-    if solve_name is None:
-        raise ValueError("quadric involves no live variable")
-    others = [v for v in live if v != solve_name]
-    found = set()
-
-    def push(values: Dict[str, Fraction]):
-        coords = curve.full_coords(values)
-        if all(v == 0 for v in coords):
-            return
-        pt = CurvePoint.from_rationals(coords)
-        if pt.height <= H and curve.contains(pt.coords):
-            found.add(pt)
-
-    quad = curve.quadric
-    cubic = curve.cubic
-    for x1 in range(-H, H + 1):
-        for x2 in range(-H, H + 1):
-            for x3 in range(-H, H + 1):
-                values = {others[0]: Fraction(x1), others[1]: Fraction(x2),
-                          others[2]: Fraction(x3)}
-                restricted = quad.partial_evaluate(values)
-                c2 = restricted.coefficient_of(solve_name, 2).terms.get((0,) * 5, Fraction(0))
-                c1 = restricted.coefficient_of(solve_name, 1).terms.get((0,) * 5, Fraction(0))
-                c0 = restricted.coefficient_of(solve_name, 0).terms.get((0,) * 5, Fraction(0))
-                roots: List[Fraction] = []
-                if c2 != 0:
-                    disc = c1 * c1 - 4 * c2 * c0
-                    if disc >= 0 and is_rational_square(disc):
-                        s = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
-                        roots = [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]
-                elif c1 != 0:
-                    roots = [-c0 / c1]
-                elif c0 == 0:
-                    roots = [Fraction(v) for v in range(-H, H + 1)]
-                for root in roots:
-                    vals = dict(values)
-                    vals[solve_name] = root
-                    full = {**vals, curve.eliminated: Fraction(0)}
-                    if cubic.evaluate(full) == 0:
-                        push(vals)
-    key = lambda pt: (pt.height, pt.coords)
-    return sorted(found, key=key)
+    return sorted(_search(curve, height_bound, 1), key=_by_height)

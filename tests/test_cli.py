@@ -68,6 +68,12 @@ def test_curve_requires_exactly_one_source(capsys):
     assert code == EXIT_USAGE
 
 
+def test_curve_eliminate_without_general_field_exits_2(capsys):
+    code, out, err = run_cli(capsys, "curve", "--t", "6/5", "--eliminate", "a")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "--eliminate" in err
+
+
 def test_search_stream_and_determinism(capsys):
     args = ("search", "--t", "-3125/20736", "--height", "30")
     code, out1, _ = run_cli(capsys, *args)
@@ -195,6 +201,15 @@ def test_output_file(tmp_path, capsys):
                            "classify", "--a", "-5", "--b", "12")
     assert code == EXIT_OK and out == ""
     assert json.loads(target.read_text())["discriminant"] == "64000000"
+
+
+def test_output_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "--output", str(target),
+                             "classify", "--a", "-5", "--b", "12")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
 
 
 def test_usage_error_on_unknown_command(capsys):

@@ -1,5 +1,6 @@
 """Curve construction, point search, and the point/trinomial dictionary."""
 
+import itertools
 import math
 import os
 import random
@@ -18,7 +19,7 @@ from quintic_trinomials.curve import (CurvePoint, curve_from_t, curve_from_field
                                       point_to_trinomial, trinomial_to_point,
                                       field_L_polynomial, FULL_VARS, SearchResult,
                                       _normal_form_mod_quadric, _search_chunk,
-                                      _search_forms, _worker_count, _SQUARE_SUMS)
+                                      _search_forms, _sieve_tables, _worker_count, _MODULI)
 
 T65 = F(6, 5)
 
@@ -71,15 +72,21 @@ def test_point_search_small_heights():
 
 
 def test_point_search_partition_invariance():
-    # T65 runs the int64 square roots, the large t the Python-int ones
-    for t in (T65, F(2 ** 66 + 1, 7)):
-        forms = _search_forms(curve_from_t(t))
-        full = _search_chunk(forms, 40, 0, 41)
+    # T65 runs the int64 square roots, the large t the Python-int ones; the
+    # pure field's quadric is linear in the solved variable, and the dense
+    # field's discriminant has a b*c term
+    searches = [(curve_from_t(t), 40, lambda c, H: point_search(c, H).points)
+                for t in (T65, F(2 ** 66 + 1, 7))]
+    searches += [(curve_from_field(UniPoly(g)), 6, general_point_search)
+                 for g in ([-18, 0, 0, 0, 0, 1], [-20, 5, -5, -10, -5, 1])]
+    for curve, H, search in searches:
+        forms = _search_forms(curve)
+        full = _search_chunk(forms, H, 0, H + 1)
         pieces = set()
-        for lo, hi in ((0, 7), (7, 19), (19, 40), (40, 41)):
-            pieces |= _search_chunk(forms, 40, lo, hi)
+        for lo, hi in ((0, 1), (1, H // 3), (H // 3, H), (H, H + 1)):
+            pieces |= _search_chunk(forms, H, lo, hi)
         assert pieces == full
-        assert full == set(point_search(curve_from_t(t), 40).points)
+        assert full == set(search(curve, H))
 
 
 def test_point_search_parallel_matches_serial():
@@ -98,11 +105,24 @@ def test_point_search_python_path_on_large_t():
 
 
 def test_sieve_tables_pass_every_square():
-    # any split of a square's residue into the two row residues must pass
-    for m, table in _SQUARE_SUMS.items():
-        rows = np.arange(m)
-        for x in range(m):
-            assert table[rows, (x * x - rows) % m].all()
+    # the table entry of a residue triple is True exactly when its
+    # discriminant is a square mod m; the coefficients include b*c terms and
+    # exceed int64
+    rng = random.Random(5)
+    discs = [_search_forms(curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1]))).disc,
+             _search_forms(curve_from_t(T65)).disc,
+             tuple(((0, *e), rng.randint(-2 ** 70, 2 ** 70)) for e in
+                   ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))]
+    for disc in discs:
+        for m, table in zip(_MODULI, _sieve_tables(disc, 200)):
+            squares = list({r * r % m for r in range(m)})
+            x, y = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+            for z in range(m):
+                value = sum(k % m * x ** e[1] * y ** e[2] * z ** e[3] for e, k in disc) % m
+                # residues above m / 2 read the layer of -z at (-x, -y)
+                sign = 1 if 2 * z <= m else -1
+                assert (table[sign * z % m][sign * x % m, sign * y % m]
+                        == np.isin(value, squares)).all()
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -274,6 +294,34 @@ def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
 def test_general_construction_rejects_reducible():
     with pytest.raises(ValueError):
         curve_from_field(UniPoly([1, 1, 0, 0, 0, 1]))
+
+
+def _general_reference(curve, H):
+    """Brute force in Fractions: every live tuple in [-H, H]^4, the eliminated
+    coordinate from the trace condition, then normalization, the height bound
+    and the linear, quadric and cubic forms."""
+    found = set()
+    for live in itertools.product(range(-H, H + 1), repeat=4):
+        if any(live):
+            coords = curve.full_coords(dict(zip(curve.live_vars, map(F, live))))
+            pt = CurvePoint.from_rationals(coords)
+            if pt.height <= H and curve.contains(pt.coords):
+                found.add(pt)
+    return sorted(found, key=lambda pt: (pt.height, pt.coords))
+
+
+@pytest.mark.parametrize("g, eliminate, H", [
+    ([-18, 0, 0, 0, 0, 1], None, 4),  # a quadric linear in v, and the zero cell
+    ([105, 75, 0, 0, 0, 1], None, 4),
+    ([105, 75, 0, 0, 0, 1], "a", 4),
+    ([-20, 5, -5, -10, -5, 1], None, 3),  # a b*c term in the discriminant
+    ([F(1, 2), F(3, 7), -2, 0, F(5, 3), 1], None, 3),
+    ([F(-5, 2), F(-5, 2), 0, 0, 0, 1], None, 4),  # (4 : -2 : -1 : 2 : -2), eliminated e = -2
+])
+def test_general_point_search_matches_fraction_reference(g, eliminate, H):
+    curve = curve_from_field(UniPoly(g), eliminate=eliminate)
+    for h in (0, H):
+        assert general_point_search(curve, h) == _general_reference(curve, h)
 
 
 def test_pure_field_search_finds_all_five_classes():
