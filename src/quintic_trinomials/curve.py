@@ -307,7 +307,8 @@ def trinomial_to_point(curve: TrinomialCurve, beta: FieldElement) -> CurvePoint:
     if any(cp[i] != 0 for i in (2, 3, 4)):
         raise ValueError(f"characteristic polynomial {cp} is not of trinomial shape")
     a, b, c, d, e = beta.coords
-    assert e == curve.e_coordinate(a), "trace relation must hold for trinomial shape"
+    if e != curve.e_coordinate(a):
+        raise ArithmeticError(f"trace relation broken: e = {e}, expected {curve.e_coordinate(a)}")
     return CurvePoint.from_rationals((a, b, c, d))
 
 
@@ -555,6 +556,8 @@ def _worker_count(jobs: int, chunks: int) -> int:
 
 def _search(curve, height_bound: int, jobs: int) -> set:
     """The engine: its slices split into chunks, run serially or in a process pool."""
+    if height_bound < 0:
+        raise ValueError("height bound must be >= 0")
     H = height_bound
     forms = _search_forms(curve)
     # one chunk when serial, as each chunk builds its sieve tables; else four
@@ -586,10 +589,9 @@ def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> Sea
     are normalized by gcd and sign and re-checked on the height bound,
     the quadric and the cubic in exact integer arithmetic.  No
     completeness beyond the height bound is claimed.  Results are
-    independent of the partitioning into parallel chunks.
+    independent of the partitioning into parallel chunks.  A negative
+    bound raises ValueError; bound 0 gives an empty result.
     """
-    if height_bound < 1:
-        raise ValueError("height bound must be >= 1")
     points, degenerate = [], []
     for pt in _search(curve, height_bound, jobs):
         # b = c = d = 0 would make beta rational; cannot occur on the curve,
@@ -609,6 +611,7 @@ def general_point_search(curve: GeneralCurve, height_bound: int) -> List[CurvePo
     single root when the quadric is linear in it, as on pure quintics),
     and the eliminated coordinate from the trace condition.  Candidates
     pass the cubic modulo a prime, then the linear, quadric and cubic
-    forms and the height bound on the full 5-tuple exactly.
+    forms and the height bound on the full 5-tuple exactly.  A negative
+    bound raises ValueError; bound 0 gives an empty list.
     """
     return sorted(_search(curve, height_bound, 1), key=_by_height)

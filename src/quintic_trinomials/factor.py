@@ -1,13 +1,24 @@
 """Factorization over Q and supporting integer arithmetic.
 
 The rational factorization pipeline is the classical small-degree route:
-clear denominators, take the squarefree decomposition, factor each
-squarefree part modulo a good odd prime, Hensel-lift past the
-Landau-Mignotte coefficient bound, and recombine modular factors by
-subset search.  Degrees here never exceed 25 (the norms of root-in-field
-queries), so the subset search stays cheap and no lattice machinery is
-involved.  A squarefreeness proof modulo a small prime skips the
-rational gcd of the squarefree decomposition.
+clear denominators, take the squarefree decomposition, lift a modular
+factorization past the Landau-Mignotte coefficient bound, and recombine
+the lifted factors by subset search.  Degrees here never exceed 25 (the
+norms of root-in-field queries), so the subset search stays cheap and no
+lattice machinery is involved.  A squarefreeness proof modulo a small
+prime skips the rational gcd of the squarefree decomposition.
+
+Everything modulo p starts from the Frobenius matrix of f: its rows are
+x^(ip) mod f, built from one x^p mod f.  Berlekamp's count deg f -
+rank(Q - I) gives the number of irreducible factors of a squarefree f
+mod p, so the Hensel prime (fewest factors among the first five good odd
+primes, smallest p on a tie) is chosen without factoring, a count of one
+proves irreducibility at once, and only the chosen prime is factored in
+full.  Distinct-degree splitting gets each x^(p^k) by one product with
+the matrix; equal-degree splitting (Cantor-Zassenhaus) then separates
+the factors.  A cycle type needs only degrees, so a squarefree reduction
+stops after distinct-degree splitting.  Recombination divides candidate
+factors exactly in Z[x], after a constant-term divisibility test.
 """
 
 from __future__ import annotations
@@ -155,8 +166,8 @@ def _gf_mul(a, b, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gf_trim(out)
+                out[i + j] += ai * bj
+    return _gf_trim([c % p for c in out])
 
 
 def _gf_divmod(a, b, p):
@@ -169,12 +180,12 @@ def _gf_divmod(a, b, p):
     inv = pow(b[-1], p - 2, p)
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
-        c = a[k + db] * inv % p
+        c = a[k + db] % p * inv % p
         quo[k] = c
         if c:
-            for j in range(db + 1):
-                a[k + j] = (a[k + j] - c * b[j]) % p
-    return _gf_trim(quo), _gf_trim(a)
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    return _gf_trim(quo), _gf_trim([c % p for c in a[:db]])
 
 
 def _gf_mod(a, b, p):
@@ -205,13 +216,19 @@ def _gf_powmod(base, e, mod, p):
     while e:
         if e & 1:
             result = _gf_mod(_gf_mul(result, base, p), mod, p)
-        base = _gf_mod(_gf_mul(base, base, p), mod, p)
         e >>= 1
+        if e:
+            base = _gf_mod(_gf_mul(base, base, p), mod, p)
     return result
 
 
 def _gf_deriv(a, p):
     return _gf_trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _gf_is_squarefree(f, p) -> bool:
+    df = _gf_deriv(f, p)
+    return bool(df) and len(_gf_gcd(f, df, p)) == 1
 
 
 def _gf_extended_gcd(a, b, p):
@@ -232,20 +249,71 @@ def _gf_extended_gcd(a, b, p):
     return r0, s0, t0
 
 
+def _frobenius_rows(f, p):
+    """Rows x^(ip) mod f, 0 <= i < deg f: the matrix of h -> h^p on GF(p)[x]/(f)."""
+    xp = _gf_powmod([0, 1], p, f, p)
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_gf_mod(_gf_mul(rows[-1], xp, p), f, p))
+    return rows
+
+
+def _frobenius_apply(rows, h, p):
+    """h^p mod f for h of degree < deg f, one matrix-vector product."""
+    out = [0] * len(rows)
+    for hi, row in zip(h, rows):
+        if hi:
+            for j, c in enumerate(row):
+                out[j] += hi * c
+    return _gf_trim([c % p for c in out])
+
+
+def _gf_rank(matrix, p) -> int:
+    """Rank over GF(p) of a list of equal-length integer rows, by Gaussian elimination."""
+    rows = [[c % p for c in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        top = [c * inv % p for c in rows[rank]]
+        rows[rank] = top
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            if c:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _berlekamp_count(f, p) -> int:
+    """Number of irreducible factors of monic squarefree f mod p: deg f - rank(Q - I)."""
+    n = len(f) - 1
+    rows = _frobenius_rows(f, p)
+    return n - _gf_rank([[(row[j] if j < len(row) else 0) - (i == j) for j in range(n)]
+                         for i, row in enumerate(rows)], p)
+
+
 def _distinct_degree(f, p):
-    """Split monic squarefree f into (product of its degree-d factors, d) parts."""
+    """Split monic squarefree f into (product of its degree-d factors, d) parts.
+
+    h = x^(p^k) comes from one product with the Frobenius matrix of f per
+    degree.  h stays reduced modulo the original f; the shrinking remainder
+    divides it, so its gcd with h - x is unchanged.
+    """
     out = []
+    rows = _frobenius_rows(f, p)
     h = [0, 1]
     k = 0
-    f = f[:]
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
-        h = _gf_powmod(h, p, f, p)
+        h = _frobenius_apply(rows, h, p)
         g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, k))
             f = _gf_divmod(f, g, p)[0]
-            h = _gf_mod(h, f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -316,10 +384,19 @@ def factor_mod_p(int_coeffs: Sequence[int], p: int) -> List[Tuple[List[int], int
 
 
 def cycle_type_mod_p(int_coeffs: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Sorted factor degrees of the reduction mod p, with multiplicity."""
+    """Sorted factor degrees of the reduction mod p, with multiplicity.
+
+    A squarefree reduction needs only its distinct-degree split; any other
+    is factored in full by `factor_mod_p`.
+    """
+    f = _gf_monic([c % p for c in int_coeffs], p)
     degs = []
-    for g, m in factor_mod_p(int_coeffs, p):
-        degs.extend([len(g) - 1] * m)
+    if len(f) > 1 and _gf_is_squarefree(f, p):
+        for part, d in _distinct_degree(f, p):
+            degs.extend([d] * ((len(part) - 1) // d))
+    else:
+        for g, m in factor_mod_p(int_coeffs, p):
+            degs.extend([len(g) - 1] * m)
     return tuple(sorted(degs))
 
 
@@ -371,7 +448,8 @@ def _hensel_lift(f_ints, factors_p, p, k):
         for g in lifted:
             prod = _z_mul(prod, g)
         diff = _z_sub(f_ints, prod)
-        assert all(c % modulus == 0 for c in diff), "lift invariant broken"
+        if any(c % modulus for c in diff):
+            raise ArithmeticError(f"lift invariant broken modulo {modulus}")
         e = [(c // modulus) % p for c in diff]
         for i in range(len(lifted)):
             delta = _gf_mod(_gf_mul(e, ells[i], p), gs[i], p)
@@ -382,7 +460,8 @@ def _hensel_lift(f_ints, factors_p, p, k):
     prod = [1]
     for g in lifted:
         prod = _z_mul(prod, g)
-    assert all(c % modulus == 0 for c in _z_sub(f_ints, prod))
+    if any(c % modulus for c in _z_sub(f_ints, prod)):
+        raise ArithmeticError(f"lift invariant broken modulo {modulus}")
     return lifted, modulus
 
 
@@ -391,27 +470,41 @@ def _mignotte_bound(ints: Sequence[int]) -> int:
     return 2 ** len(ints) * norm2 * abs(ints[-1])
 
 
+def _z_exact_quotient(a, b):
+    """a / b in Z[x] for monic b, or None when b does not divide a."""
+    db = len(b) - 1
+    if len(a) <= db or (a[0] % b[0] if b[0] else a[0]):
+        return None
+    a = a[:]
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = a[k + db]
+        if c:
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    return None if any(a[:db]) else quo
+
+
 def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
     """Irreducible factors in Z[x] of a monic squarefree integer polynomial."""
     n = len(ints) - 1
     if n == 1:
         return [ints]
-    # choose among the first few good odd primes the one with fewest factors
+    # among the first few good odd primes, lift at the one with the fewest
+    # factors, counted by Berlekamp rank; one factor proves irreducibility
     candidates = []
     p = 3
     while len(candidates) < 5:
         if is_prime(p):
-            fbar = _gf_trim([c % p for c in ints])
-            if len(fbar) == len(ints):
-                dfbar = _gf_deriv(fbar, p)
-                if dfbar and len(_gf_gcd(fbar, dfbar, p)) == 1:
-                    mods = factor_mod_p(ints, p)
-                    candidates.append((len(mods), p, mods))
+            fbar = [c % p for c in ints]
+            if _gf_is_squarefree(fbar, p):
+                count = _berlekamp_count(fbar, p)
+                if count == 1:
+                    return [ints]
+                candidates.append((count, p))
         p += 2
-    _, p, modular = min(candidates, key=lambda c: (c[0], c[1]))
-    factors_mod = [g for g, _ in modular]
-    if len(factors_mod) == 1:
-        return [ints]
+    _, p = min(candidates)
+    factors_mod = [g for g, _ in factor_mod_p(ints, p)]
     bound = _mignotte_bound(ints)
     k = 1
     while p ** k < 2 * bound + 1:
@@ -432,15 +525,14 @@ def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
             for i in subset:
                 cand = [c % modulus for c in _z_mul(cand, lifted[i])]
             cand = _z_centered(cand, modulus)
-            quo, rem = divmod(UniPoly.from_int_coeffs(current),
-                              UniPoly.from_int_coeffs(cand))
-            if rem.is_zero and all(c.denominator == 1 for c in quo.coeffs):
-                hit = (subset, cand, [int(c) for c in quo.coeffs])
+            quo = _z_exact_quotient(current, cand)
+            if quo is not None:
+                hit = (subset, cand, quo)
                 break
         if hit is None:
             size += 1
             continue
-        subset, cand, current = hit[0], hit[1], hit[2]
+        subset, cand, current = hit
         out.append(cand)
         remaining = [i for i in remaining if i not in subset]
         if not remaining:
@@ -479,13 +571,8 @@ class Factorization:
 
 def _squarefree_mod_small_prime(ints: Sequence[int]) -> bool:
     """Squarefree modulo a small prime not dividing the lc, hence squarefree over Q."""
-    for p in _SMALL_PRIMES:
-        if ints[-1] % p:
-            fbar = [c % p for c in ints]
-            dfbar = _gf_deriv(fbar, p)
-            if dfbar and len(_gf_gcd(fbar, dfbar, p)) == 1:
-                return True
-    return False
+    return any(ints[-1] % p and _gf_is_squarefree([c % p for c in ints], p)
+               for p in _SMALL_PRIMES)
 
 
 def _yun_squarefree(f: UniPoly) -> List[Tuple[UniPoly, int]]:

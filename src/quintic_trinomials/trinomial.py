@@ -143,7 +143,8 @@ def normalize_t_form(f: Trinomial) -> Tuple[Trinomial, Fraction]:
     t = f.a ** 5 / f.b ** 4
     lam = f.b / f.a
     normalized = f.scaled(lam)
-    assert normalized == Trinomial(t, t)
+    if normalized != Trinomial(t, t):
+        raise ArithmeticError(f"scaling {f} by {lam} gave {normalized}, not the t-form of t = {t}")
     return normalized, lam
 
 

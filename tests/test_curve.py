@@ -324,6 +324,17 @@ def test_general_point_search_matches_fraction_reference(g, eliminate, H):
         assert general_point_search(curve, h) == _general_reference(curve, h)
 
 
+def test_height_bound_is_validated_alike_by_both_entry_points():
+    t_curve = curve_from_t(T65)
+    g_curve = curve_from_field(UniPoly([105, 75, 0, 0, 0, 1]))
+    with pytest.raises(ValueError):
+        point_search(t_curve, -1)
+    with pytest.raises(ValueError):
+        general_point_search(g_curve, -1)
+    assert point_search(t_curve, 0) == SearchResult(points=(), degenerate=(), height_bound=0)
+    assert general_point_search(g_curve, 0) == []
+
+
 def test_pure_field_search_finds_all_five_classes():
     from quintic_trinomials.trinomial import Trinomial, equiv_class
     curve = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))

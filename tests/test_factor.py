@@ -4,12 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, discriminant
 from quintic_trinomials import factor
 from quintic_trinomials.factor import (factor_over_Q, is_irreducible, factor_int,
-                                       fifth_power_class, cycle_type_mod_p,
+                                       fifth_power_class, cycle_type_mod_p, factor_mod_p,
                                        is_prime, primes_below)
+from quintic_trinomials.numberfield import trager_norm
 
 
 def test_cyclotomic_split():
@@ -120,6 +122,97 @@ def test_cycle_types():
     assert cycle_type_mod_p([-18, 0, 0, 0, 0, 1], 131) == (1, 1, 1, 1, 1)
     # p = 2 path (trace-map splitting)
     assert cycle_type_mod_p([1, 1, 0, 0, 0, 1], 2) == (2, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=25),
+       st.sampled_from(primes_below(102)[1:]))
+def test_berlekamp_count_and_distinct_degree_match_full_factorization(low, p):
+    ints = low + [1]
+    fbar = [c % p for c in ints]
+    assume(factor._gf_is_squarefree(fbar, p))
+    full = factor_mod_p(ints, p)
+    assert all(m == 1 for _, m in full)
+    assert factor._berlekamp_count(fbar, p) == len(full)
+    assert cycle_type_mod_p(ints, p) == tuple(sorted(len(g) - 1 for g, _ in full))
+
+
+def test_cycle_type_of_non_squarefree_reduction_uses_full_factorization(monkeypatch):
+    calls = []
+
+    def spy(ints, p):
+        calls.append(p)
+        return factor_mod_p(ints, p)
+
+    monkeypatch.setattr(factor, "factor_mod_p", spy)
+    # x^5 - 18 is x^5 mod 2 and 3, and (x - 3)^5 mod 5
+    for p in (2, 3, 5):
+        assert cycle_type_mod_p([-18, 0, 0, 0, 0, 1], p) == (1, 1, 1, 1, 1)
+    assert calls == [2, 3, 5]
+    assert cycle_type_mod_p([-18, 0, 0, 0, 0, 1], 7) == (1, 4)
+    assert calls == [2, 3, 5]
+
+
+def test_hensel_lift_rejects_a_non_factorization():
+    # (x + 1)(x + 2) is not x^2 + 1 mod 5, whose factors are x + 2 and x + 3
+    with pytest.raises(ArithmeticError, match="lift invariant broken"):
+        factor._hensel_lift([1, 0, 1], [[1, 1], [2, 1]], 5, 3)
+    lifted, modulus = factor._hensel_lift([1, 0, 1], [[2, 1], [3, 1]], 5, 3)
+    assert modulus == 125
+    assert [c % 125 for c in factor._z_mul(*lifted)] == [1, 0, 1]
+
+
+def _sympy_factors(poly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(poly.coeffs))
+    _, factors = sympy.factor_list(expr, x)
+    return {(tuple(int(c) for c in reversed(sympy.Poly(h, x).all_coeffs())), m)
+            for h, m in factors}
+
+
+def _our_factors(poly):
+    return {(tuple(f.content_and_primitive()[1]), m) for f, m in factor_over_Q(poly).factors}
+
+
+def test_factor_over_Q_matches_sympy_on_random_products():
+    pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for _ in range(12):
+        p = UniPoly([F(rng.choice([-3, 1, 2]), rng.choice([1, 5]))])
+        target = rng.randint(6, 25)
+        while p.degree < target:
+            d = rng.randint(1, min(6, 25 - p.degree))
+            p = p * UniPoly([rng.randint(-9, 9) for _ in range(d)] + [rng.choice([1, 2, 3])])
+        assert _our_factors(p) == _sympy_factors(p)
+
+
+@pytest.mark.parametrize("g, f", [
+    ([-18, 0, 0, 0, 0, 1], [3750, 750, 0, 0, 0, 1]),
+    ([-18, 0, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 1]),
+    ([105, 75, 0, 0, 0, 1], [465, -75, 0, 0, 0, 1]),
+    ([105, 75, 0, 0, 0, 1], [105, 75, 0, 0, 0, 1]),
+    ([12, -5, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 1]),
+])
+def test_factor_over_Q_matches_sympy_on_trager_norms(g, f):
+    norm = trager_norm(UniPoly(f), UniPoly(g), 1)
+    assert _our_factors(norm) == _sympy_factors(norm)
+
+
+@pytest.mark.parametrize("ints", [[-18, 0, 0, 0, 0, 1], [105, 75, 0, 0, 0, 1],
+                                  [12, -5, 0, 0, 0, 1]])
+def test_cycle_types_match_sympy_at_good_primes(ints):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sum(c * x ** i for i, c in enumerate(ints))
+    disc = int(sympy.discriminant(expr, x))
+    for p in primes_below(500):
+        if disc % p == 0:
+            continue
+        _, factors = sympy.Poly(expr, x, modulus=p).factor_list()
+        expected = tuple(sorted(h.degree() for h, m in factors for _ in range(m)))
+        assert cycle_type_mod_p(ints, p) == expected, p
 
 
 def test_prime_utilities():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, discriminant
 from quintic_trinomials.factor import factor_over_Q
@@ -31,6 +32,15 @@ def test_equivalence_is_a_scaling_invariant():
                       F(rng.randint(-40, 40), rng.randint(1, 9)))
         lam = F(rng.randint(1, 15) * rng.choice([-1, 1]), rng.randint(1, 15))
         assert equiv_class(f.scaled(lam)) == equiv_class(f)
+
+
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIONALS, _RATIONALS, _RATIONALS.filter(lambda u: u != 0))
+def test_equiv_class_is_invariant_under_rescaling(a, b, u):
+    assert equiv_class(Trinomial(a * u ** 4, b * u ** 5)) == equiv_class(Trinomial(a, b))
 
 
 def test_scaled_matches_polynomial_rescaling():
