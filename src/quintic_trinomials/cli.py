@@ -4,8 +4,9 @@ All rational values cross the boundary as exact "p/q" strings, never
 floating point; polynomials are ascending-degree coefficient lists.
 Search output streams one JSON object per line; everything else emits a
 single JSON document.  Exit codes: 0 success, 1 a `verify` criterion
-failed, 2 malformed input.  Root-in-field answers are exact: a verified
-root or a proof of absence.
+failed, 2 malformed input, 4 an internal error (a broken invariant of the
+exact arithmetic).  Root-in-field answers are exact: a verified root or a
+proof of absence.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .report import run_acceptance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
+EXIT_INTERNAL = 4  # a broken internal invariant (ArithmeticError), never a failed check
 
 ENV_JOBS = "QUINTRIN_JOBS"
 
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if out is not sys.stdout:
             out.close()

@@ -139,7 +139,7 @@ def quadratic_twist_factor(e1: WeierstrassCurve, e2: WeierstrassCurve) -> Option
     d_raw = (e2.c6 / e1.c6) * (e1.c4 / e2.c4)
     d = squarefree_class(d_raw)
     if not is_isomorphic_over_Q(quadratic_twist(e1, d), e2):
-        raise AssertionError("twist verification failed")
+        raise ArithmeticError(f"twist invariant broken: the {d}-twist of {e1} is not {e2}")
     return d
 
 

@@ -3,10 +3,10 @@
 The rational factorization pipeline is the classical small-degree route:
 clear denominators, take the squarefree decomposition, lift a modular
 factorization past the Landau-Mignotte coefficient bound, and recombine
-the lifted factors by subset search.  Degrees here never exceed 25 (the
-norms of root-in-field queries), so the subset search stays cheap and no
-lattice machinery is involved.  A squarefreeness proof modulo a small
-prime skips the rational gcd of the squarefree decomposition.
+the lifted factors by subset search.  The library factors quintics, so
+the subset search stays cheap and no lattice machinery is involved.  A
+squarefreeness proof modulo a small prime skips the rational gcd of the
+squarefree decomposition.
 
 Everything modulo p starts from the Frobenius matrix of f: its rows are
 x^(ip) mod f, built from one x^p mod f.  Berlekamp's count deg f -
@@ -19,6 +19,11 @@ the matrix; equal-degree splitting (Cantor-Zassenhaus) then separates
 the factors.  A cycle type needs only degrees, so a squarefree reduction
 stops after distinct-degree splitting.  Recombination divides candidate
 factors exactly in Z[x], after a constant-term divisibility test.
+
+Root counts over many primes at once run in numpy int64 lanes, one per
+(polynomial, prime): x^p mod f by square-and-multiply, then the count as
+the trace of the Frobenius matrix.  Simple roots mod p lift to p^k by
+Newton's iteration.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .qpoly import UniPoly
 
@@ -258,6 +265,77 @@ def _frobenius_rows(f, p):
     return rows
 
 
+# n products below p^2 sum below 2^63 for p < 2^30 and n <= 7
+_BATCH_PRIME_LIMIT = 1 << 30
+_BATCH_MAX_DEGREE = 7
+
+
+class _BatchMod:
+    """Reduction modulo (P, p) for stacked monic integer polys P and primes p, in int64 lanes.
+
+    Lane (l, j) works modulo polys[l] and primes[j]; a residue is an array
+    of shape (len(polys), len(primes), n) of ascending coefficients.
+    """
+
+    def __init__(self, polys: Sequence[Sequence[int]], primes: Sequence[int]):
+        n = self.n = len(polys[0]) - 1
+        if not primes or max(primes) >= _BATCH_PRIME_LIMIT or not 2 <= n <= _BATCH_MAX_DEGREE:
+            raise ValueError(f"need primes below {_BATCH_PRIME_LIMIT} and degree 2 to "
+                             f"{_BATCH_MAX_DEGREE}")
+        self.primes = np.array(primes, dtype=np.int64)
+        self.mod = self.primes[None, :, None]
+        self.low = np.array([[[c % p for c in poly[:n]] for p in primes] for poly in polys],
+                            dtype=np.int64)
+        # convolution as a 0/1 matrix: (coefficient i, coefficient j) -> degree i + j
+        self.conv = np.zeros((n * n, 2 * n - 1), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                self.conv[i * n + j, i + j] = 1
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b mod (P, p); a product sums at most n terms below p^2."""
+        n = self.n
+        outer = (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (n * n,))
+        prod = (outer @ self.conv) % self.mod
+        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) * (x^n - P)
+            prod[..., k - n:k] = (prod[..., k - n:k] - prod[..., k, None] * self.low) % self.mod
+        return prod[..., :n]
+
+    def times_x(self, a: np.ndarray) -> np.ndarray:
+        shifted = np.concatenate((np.zeros_like(a[..., :1]), a[..., :-1]), axis=-1)
+        return (shifted - a[..., -1, None] * self.low) % self.mod
+
+    def xpow_p(self) -> np.ndarray:
+        """x^p mod (P, p) in every lane, by square-and-multiply over the bits of p."""
+        acc = np.zeros(self.low.shape, dtype=np.int64)
+        acc[..., 0] = 1
+        for bit in range(int(self.primes.max()).bit_length() - 1, -1, -1):
+            acc = self.mul(acc, acc)
+            odd = ((self.primes >> bit) & 1).astype(bool)[None, :, None]
+            acc = np.where(odd, self.times_x(acc), acc)
+        return acc
+
+
+def _gf_root_counts_batch(polys: Sequence[Sequence[int]], primes: Sequence[int]) -> np.ndarray:
+    """Number of roots mod p of every monic P of one degree n, squarefree mod p > n.
+
+    It is the trace of the Frobenius matrix, whose rows are x^(ip) mod P:
+    GF(p)[x]/(P) is a product of fields GF(p^d), and h -> h^p permutes a
+    normal basis of each cyclically, so the trace counts the factors with
+    d = 1, modulo p; p > n makes the count exact.  Shape (len(polys),
+    len(primes)).
+    """
+    ring = _BatchMod(polys, primes)
+    if min(primes) <= ring.n:
+        raise ValueError("root counts by trace need p > deg P")
+    row = xp = ring.xpow_p()
+    trace = 1 + xp[..., 1]
+    for i in range(2, ring.n):
+        row = ring.mul(row, xp)
+        trace = trace + row[..., i]
+    return trace % ring.mod[..., 0]
+
+
 def _frobenius_apply(rows, h, p):
     """h^p mod f for h of degree < deg f, one matrix-vector product."""
     out = [0] * len(rows)
@@ -463,6 +541,33 @@ def _hensel_lift(f_ints, factors_p, p, k):
     if any(c % modulus for c in _z_sub(f_ints, prod)):
         raise ArithmeticError(f"lift invariant broken modulo {modulus}")
     return lifted, modulus
+
+
+def _lift_roots(f_ints, roots, p, k):
+    """Lift simple roots mod p of an integer polynomial to roots mod p^k.
+
+    Newton's iteration r <- r - f(r) / f'(r) doubles the precision each
+    step; f'(r) is a unit because the roots are simple mod p.
+    """
+    target = p ** k
+    deriv = [i * c for i, c in enumerate(f_ints)][1:]
+    lifted = []
+    for r in roots:
+        modulus = p
+        while modulus < target:
+            modulus = min(modulus * modulus, target)
+            r = (r - _z_eval(f_ints, r) * pow(_z_eval(deriv, r), -1, modulus)) % modulus
+        if _z_eval(f_ints, r) % target:
+            raise ArithmeticError(f"lift invariant broken modulo {target}")
+        lifted.append(r)
+    return lifted
+
+
+def _z_eval(a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _mignotte_bound(ints: Sequence[int]) -> int:

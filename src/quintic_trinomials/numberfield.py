@@ -6,25 +6,31 @@ map is computed from the traces of the powers of beta by Newton's
 identities; it equals the minimal polynomial of beta whenever beta is
 irrational (degree five is prime, so there are no intermediate fields).
 
-Whether f has a root in K is decided exactly by Trager's norm criterion
-(Trager, SYMSAC 1976; Cohen, "A Course in Computational Algebraic Number
-Theory", 3.6): for an irreducible quintic f and k with
-N_k(x) = Norm_{K/Q} f(x - k alpha) squarefree, f has a root in K exactly
-when N_k has an irreducible factor h of degree 5 over Q, and the root is
-the common root of f(x) and h(x + k alpha), found by Euclid over K.  N_k
-is built from power sums: its roots are beta_j + k alpha_i.  Roots are
-re-verified by exact evaluation in K; "absent" is always proven.
+Whether an irreducible quintic f has a root in K is decided at a totally
+split prime (Cohen, "A Course in Computational Algebraic Number Theory",
+ch. 3-4; Belabas, J. Theor. Nombres Bordeaux 16, 2004).  f has a root in K
+exactly when Q[x]/(f) and K are isomorphic, so at every prime not dividing
+the discriminants f and g have equally many roots: one prime where the
+root counts differ proves absence.  The scan, batched over blocks of
+primes, stops at the first prime p where g splits completely; there the
+roots of f and g are lifted p-adically past a proven coefficient bound,
+and each of the 120 matchings of the roots gives a candidate root by
+interpolation.  Candidates are verified by exact evaluation in K, and when
+none verifies, "absent" is proven.  Of several roots (K cyclic) the one of
+least height is returned, ties broken by coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qpoly import UniPoly, count_real_roots
-from .factor import factor_over_Q
+from .qpoly import UniPoly, count_real_roots, discriminant
+from .factor import (_gf_root_counts_batch, _lift_roots, _z_mul, factor_mod_p, factor_over_Q,
+                     primes_below)
 
 
 def multiplication_matrix_mod(g: UniPoly, coords: Sequence[Fraction]):
@@ -268,7 +274,7 @@ def has_root_in_field(f: UniPoly, K: NumberField) -> RootSearchResult:
     factor gives a rational root, a factor of degree 2, 3 or 4 has no
     root in a quintic field, an irreducible quintic whose real/complex
     signature differs from K's has none, and any other quintic is
-    decided by the norm criterion.  Certificates re-verify by exact
+    decided at a totally split prime.  Certificates are verified by exact
     evaluation in K before being returned.
     """
     if f.degree < 1 or f.degree > 5:
@@ -296,90 +302,146 @@ def _root_of_irreducible(f: UniPoly, K: NumberField) -> RootSearchResult:
         return RootSearchResult(
             "absent", None,
             detail=f"signature mismatch: {r_f} real roots vs {r_g} real embeddings")
-    k, beta = _norm_criterion(f, K)
-    if beta is None:
-        return RootSearchResult(
-            "absent", None, detail=f"norm N_{k} has no irreducible factor of degree 5")
-    return RootSearchResult("certified", beta, detail="verified exactly")
+    return _decide_at_split_prime(f, K)
 
 
-def trager_norm(f: UniPoly, g: UniPoly, k: int) -> UniPoly:
-    """N_k(x) = Res_y(g(y), f(x - k y)) = Norm f(x - k alpha), alpha a root of g.
-
-    f and g must be monic.  The roots of N_k are beta_j + k alpha_i, so
-    its power sums are P_m = sum_r C(m, r) k^(m-r) s_f(r) s_g(m-r), and
-    Newton's identities turn them into coefficients.
-    """
-    n = f.degree * g.degree
-    sf, sg = f.power_sums(n), g.power_sums(n)
-    return _monic_from_power_sums(
-        [sum(math.comb(m, r) * k ** (m - r) * sf[r] * sg[m - r] for r in range(m + 1))
-         for m in range(n + 1)])
-
-
-def _integral_scale(p: UniPoly) -> int:
-    """A positive integer D with D^n p(x / D) in Z[x] (p monic of degree n)."""
+def _integral_coeffs(p: UniPoly) -> Tuple[int, List[int]]:
+    """(d, coefficients of d^n p(x / d)), d > 0 making that integral, for monic p of degree n."""
     n = p.degree
     d = 1
     for i in range(1, n + 1):
         den = p[n - i].denominator
         d *= den // math.gcd(den, d ** i)
-    return d
+    return d, [int(c * d ** (n - i)) for i, c in enumerate(p.coeffs)]
 
 
-def _norm_criterion(f: UniPoly, K: NumberField) -> Tuple[int, Optional[FieldElement]]:
-    """(k, root of f in K or None) for a monic irreducible quintic f, by Trager's criterion.
+def _scan_primes(bad: int):
+    """Primes p > 5 not dividing bad, ascending, from sieves of doubling length."""
+    low, high = 7, 1 << 12
+    while True:
+        yield from (p for p in primes_below(high) if p >= low and bad % p)
+        low, high = high, 2 * high
 
-    f and the generator are first scaled to algebraic integers, D beta and
-    E alpha, so N_k is a monic integer polynomial.
+
+def _blocks(items):
+    """Consecutive lists of items of lengths 8, 16, ..., 256, 256, ...
+
+    Most absent roots show within a few primes; a split prime of an S5
+    field comes after about 120.
     """
-    d = _integral_scale(f)
-    e = _integral_scale(K.defining_poly)
-    f_int = f.scale_argument(Fraction(1, d)) * d ** 5
-    g_int = K.defining_poly.scale_argument(Fraction(1, e)) * e ** 5
-    theta = K.generator * e
-    k = 0
+    size = 8
     while True:
+        yield list(itertools.islice(items, size))
+        size = min(2 * size, 256)
+
+
+def _decide_at_split_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
+    """Root of a monic irreducible quintic f in K, or a proof that there is none.
+
+    f has a root in K exactly when Q[x]/(f) and K are isomorphic.  With F
+    and G the monic integer rescalings of f and g, a prime p not dividing
+    disc(F) disc(G) then splits alike in both, so F and G have equally
+    many roots mod p: a prime where the counts differ proves absence.  The
+    scan stops at the first prime where G (and so F) has five roots.
+    """
+    d, F = _integral_coeffs(f)
+    e, G = _integral_coeffs(K.defining_poly)
+    disc_g = int(discriminant(UniPoly(G)))
+    bad = int(discriminant(UniPoly(F))) * disc_g
+    for block in _blocks(_scan_primes(bad)):
+        counts = _gf_root_counts_batch([F, G], block)
+        for p, count_f, count_g in zip(block, counts[0].tolist(), counts[1].tolist()):
+            if count_f != count_g:
+                return RootSearchResult(
+                    "absent", None,
+                    detail=f"root counts mod {p} differ: {count_f} for f, "
+                           f"{count_g} for the field polynomial")
+            if count_g == 5:
+                roots = [K.element([Fraction(c * e ** j, disc_g * d) for j, c in enumerate(h)])
+                         for h in _interpolated_roots(F, G, disc_g, p)]
+                if not roots:
+                    return RootSearchResult(
+                        "absent", None,
+                        detail=f"no root interpolated at the split prime {p} verifies")
+                return RootSearchResult("certified", min(roots, key=_height_key),
+                                        detail="verified exactly")
+
+
+def _lifted_roots(ints: List[int], p: int, k: int) -> List[int]:
+    """The roots mod p^k of a monic integer polynomial with five simple roots mod p."""
+    factors = factor_mod_p(ints, p)
+    if len(factors) != 5:
+        raise ArithmeticError(f"split prime invariant broken: {ints} does not split mod {p}")
+    return _lift_roots(ints, [-g[0] % p for g, _ in factors], p, k)
+
+
+def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List[List[int]]:
+    """Every h in Z[x] of degree < 5 with F(h(theta) / disc_g) = 0, theta a root of G.
+
+    F and G are monic integer quintics that split into distinct linear
+    factors mod p, and disc_g = disc(G).  A root of F in Q(theta) is
+    sum c_j theta^j; by Cramer D c_j = det(V) det(V_j) with D = disc(G) =
+    det(V)^2 for the Vandermonde V of G's roots, a rational integer (D O_K
+    lies in Z[theta]), and Hadamard's bound gives |D c_j| <= B = 5^5 M^40
+    with M the larger Cauchy root bound.  Each of the 120 matchings of the
+    roots mod p^k gives D c_j by Lagrange interpolation; once p^k > 2B the
+    symmetric residues of a true matching are the D c_j.  The extra factor
+    2^64 leaves a false matching a chance of about 2^-64 per coordinate to
+    pass the bound, and every candidate is verified exactly.
+    """
+    cauchy = 1 + max(abs(c) for c in F[:-1] + G[:-1])
+    bound = 5 ** 5 * cauchy ** 40
+    k = 1
+    while p ** k <= (2 * bound) << 64:
         k += 1
-        fac = factor_over_Q(trager_norm(f_int, g_int, k))
-        if all(m == 1 for _, m in fac.factors):
-            break
-    for h, _ in fac.factors:
-        if h.degree == 5:
-            shifted = _compose_shift(h, theta * k)
-            gcd = _gcd_over_field([K.rational(c) for c in f_int.coeffs], shifted)
-            beta = -gcd[0] * Fraction(1, d)
-            if len(gcd) != 2 or not f(beta).is_zero:
-                raise ArithmeticError(f"norm factor {h} of {f} gave no root in {K}")
-            return k, beta
-    return k, None
+    q = p ** k
+    thetas, phis = _lifted_roots(G, p, k), _lifted_roots(F, p, k)
+    # D times the Lagrange basis at the thetas, ascending coefficients mod q
+    basis = []
+    for i, ti in enumerate(thetas):
+        num, den = [1], 1
+        for j, tj in enumerate(thetas):
+            if j != i:
+                num = [(a - tj * b) % q for a, b in zip([0] + num, num + [0])]
+                den = den * (ti - tj) % q
+        scale = disc_g * pow(den, -1, q) % q
+        basis.append([c * scale % q for c in num])
+    terms = [[[phi * c % q for c in b] for phi in phis] for b in basis]
+    roots = []
+    for match in itertools.permutations(range(5)):
+        coords = []
+        for j in range(5):
+            c = sum(terms[i][m][j] for i, m in enumerate(match)) % q
+            c = c - q if 2 * c > q else c
+            if abs(c) > bound:
+                break
+            coords.append(c)
+        else:
+            if _vanishes(F, G, coords, disc_g):
+                roots.append(coords)
+    return roots
 
 
-def _compose_shift(h: UniPoly, c: FieldElement) -> List[FieldElement]:
-    """Coefficients of h(x + c) over K, ascending, by Horner's rule."""
-    out: List[FieldElement] = []
-    for coeff in reversed(h.coeffs):
-        out = [c.field.rational(0)] + out  # times x ...
-        for i in range(len(out) - 1):
-            out[i] = out[i] + c * out[i + 1]  # ... plus c times the old value
-        out[0] = out[0] + coeff
-    return out
+def _vanishes(F: List[int], G: List[int], h: List[int], scale: int) -> bool:
+    """Whether F(h(theta) / scale) = 0 in Z[theta] = Z[x]/(G), F and G monic integer.
+
+    Horner's rule on scale^n F(h / scale) = sum F_i scale^(n-i) h^i, with
+    every product reduced modulo G: an exact evaluation in K.
+    """
+    n = len(G) - 1
+    acc = [1]
+    for i in range(len(F) - 2, -1, -1):
+        prod = _z_mul(acc, h)
+        for top in range(len(prod) - 1, n - 1, -1):  # x^top = x^(top-n) (x^n - G) mod G
+            c = prod.pop()
+            for j in range(n):
+                prod[top - n + j] -= c * G[j]
+        acc = prod
+        acc[0] += F[i] * scale ** (len(F) - 1 - i)
+    return not any(acc)
 
 
-def _gcd_over_field(a: List[FieldElement], b: List[FieldElement]) -> List[FieldElement]:
-    """Monic gcd of two nonzero polynomials over K (ascending coefficient lists)."""
-    a = a[:]
-    while True:
-        if b[-1] != 1:
-            inv = b[-1].inverse()
-            b = [c * inv for c in b]
-        while len(a) >= len(b):  # a <- a mod b, b monic
-            c = a.pop()
-            shift = len(a) - len(b) + 1
-            for i in range(len(b) - 1):
-                a[shift + i] = a[shift + i] - c * b[i]
-            while a and a[-1].is_zero:
-                a.pop()
-        if not a:
-            return b
-        a, b = b, a
+def _height_key(beta: FieldElement):
+    """Order roots by height max(den, |den c_j|) (den the common denominator), then coordinates."""
+    den = math.lcm(*(c.denominator for c in beta.coords))
+    return max(den, *(abs(c.numerator) * (den // c.denominator) for c in beta.coords)), beta.coords

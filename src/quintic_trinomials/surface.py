@@ -204,7 +204,8 @@ def consistency_with_curve(point: SurfacePoint) -> Optional[Tuple[Fraction, Curv
     curve = curve_from_t(t)
     cpt = CurvePoint(point.coords)
     if not curve.contains(cpt):
-        raise AssertionError(f"{point} fails the curve forms at t = {t}")
+        raise ArithmeticError(
+            f"surface-curve invariant broken: {point} fails the curve forms at t = {t}")
     return t, cpt
 
 
@@ -226,11 +227,11 @@ def eliminate_t_from_curve_forms() -> MultiPoly:
     res = resultant_in("t", quadric, cubic)
     quotient = res.divide_by_variable("a")
     if quotient is None:
-        raise AssertionError("resultant is not divisible by a")
+        raise ArithmeticError("elimination invariant broken: the resultant is not divisible by a")
     # drop the now-unused t slot
     terms = {}
     for e, coeff in quotient.terms.items():
         if e[4] != 0:
-            raise AssertionError("t failed to eliminate")
+            raise ArithmeticError("elimination invariant broken: t survives in the resultant")
         terms[e[:4]] = coeff
     return MultiPoly(SURFACE_VARS, terms)

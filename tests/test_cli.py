@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE
+from quintic_trinomials import cli
+from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE, EXIT_INTERNAL
 
 
 def run_cli(capsys, *argv):
@@ -105,13 +106,24 @@ def test_root_in_field_certificate(capsys):
 
 
 def test_root_in_field_inconclusive_exits_3(capsys):
-    # x^5 - 2 matches the field's signature; the norm criterion proves absence
+    # x^5 - 2 matches the field's signature; a root count mod 7 proves absence
     code, out, _ = run_cli(capsys, "root-in-field",
                            "--g", "12,-5,0,0,0,1", "--f", "-2,0,0,0,0,1")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["status"] == "absent" and "root" not in doc
     assert "parameters" not in doc
+
+
+def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
+    def broken(f, field):
+        raise ArithmeticError("lift invariant broken modulo 7")
+
+    monkeypatch.setattr(cli, "has_root_in_field", broken)
+    code, out, err = run_cli(capsys, "root-in-field",
+                             "--g", "-18,0,0,0,0,1", "--f", "-324,0,0,0,0,1")
+    assert code == EXIT_INTERNAL and code not in (0, 1, 2)
+    assert out == "" and err == "internal error: lift invariant broken modulo 7\n"
 
 
 def test_root_in_field_absent(capsys):

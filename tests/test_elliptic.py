@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quintic_trinomials import elliptic
 from quintic_trinomials.elliptic import (WeierstrassCurve, ECPoint, E0,
                                          E_TWIST_MINUS10, j_invariant,
                                          quadratic_twist, quadratic_twist_factor,
@@ -114,3 +115,9 @@ def test_long_form_invariants():
     assert curve.c4 == 40000
     assert curve.c6 == -94400000
     assert curve.discriminant != 0
+
+
+def test_broken_twist_invariant_raises_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(elliptic, "is_isomorphic_over_Q", lambda e1, e2: False)
+    with pytest.raises(ArithmeticError, match="twist invariant broken"):
+        quadratic_twist_factor(E0, E_TWIST_MINUS10)

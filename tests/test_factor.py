@@ -11,7 +11,7 @@ from quintic_trinomials import factor
 from quintic_trinomials.factor import (factor_over_Q, is_irreducible, factor_int,
                                        fifth_power_class, cycle_type_mod_p, factor_mod_p,
                                        is_prime, primes_below)
-from quintic_trinomials.numberfield import trager_norm
+from trager_oracle import trager_norm
 
 
 def test_cyclotomic_split():
@@ -160,6 +160,57 @@ def test_hensel_lift_rejects_a_non_factorization():
     lifted, modulus = factor._hensel_lift([1, 0, 1], [[2, 1], [3, 1]], 5, 3)
     assert modulus == 125
     assert [c % 125 for c in factor._z_mul(*lifted)] == [1, 0, 1]
+
+
+def test_batched_xpow_p_matches_powmod():
+    rng = random.Random(31)
+    primes = primes_below(400)[1:] + [(1 << 30) - 35]
+    polys = [[rng.randint(-10 ** 30, 10 ** 30) for _ in range(5)] + [1] for _ in range(2)]
+    powers = factor._BatchMod(polys, primes).xpow_p()
+    for lane, poly in enumerate(polys):
+        for i, p in enumerate(primes):
+            expected = factor._gf_powmod([0, 1], p, [c % p for c in poly], p)
+            assert factor._gf_trim(powers[lane, i].tolist()) == expected, (poly, p)
+    with pytest.raises(ValueError):
+        factor._BatchMod(polys, [1 << 30])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-200, 200), min_size=5, max_size=5), min_size=1, max_size=3))
+def test_root_counts_by_frobenius_trace_match_gcd(lows):
+    polys = [low + [1] for low in lows]
+    primes = [p for p in primes_below(300) if p > 5 and all(
+        factor._gf_is_squarefree([c % p for c in poly], p) for poly in polys)]
+    assume(primes)
+    counts = factor._gf_root_counts_batch(polys, primes)
+    for lane, poly in enumerate(polys):
+        for i, p in enumerate(primes):
+            xp = factor._gf_powmod([0, 1], p, poly, p)
+            roots = len(factor._gf_gcd(poly, factor._gf_sub(xp, [0, 1], p), p)) - 1
+            assert counts[lane, i] == roots, (poly, p)
+
+
+def test_lift_roots_doubles_to_the_target_precision():
+    # x^5 - 18 splits into five linear factors mod 131
+    ints = [-18, 0, 0, 0, 0, 1]
+    roots = [-g[0] % 131 for g, _ in factor_mod_p(ints, 131)]
+    assert len(roots) == 5
+    lifted = factor._lift_roots(ints, roots, 131, 20)
+    assert [r % 131 for r in lifted] == roots
+    assert all(factor._z_eval(ints, r) % 131 ** 20 == 0 for r in lifted)
+    with pytest.raises(ArithmeticError, match="lift invariant broken"):
+        factor._lift_roots(ints, [3], 131, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                min_size=2, max_size=11))
+def test_factor_over_Q_expands_back(coeffs):
+    assume(coeffs[-1] != 0)
+    p = UniPoly(coeffs)
+    fac = factor_over_Q(p)
+    assert fac.expand() == p
+    assert all(f.lc == 1 and m >= 1 for f, m in fac.factors)
 
 
 def _sympy_factors(poly):

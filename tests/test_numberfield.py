@@ -1,17 +1,20 @@
 """Quintic field arithmetic, characteristic polynomials, root certificates."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from quintic_trinomials.qpoly import UniPoly, count_real_roots
-from quintic_trinomials.factor import factor_over_Q
+from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant
+from quintic_trinomials.factor import _gf_root_counts_batch, factor_over_Q, primes_below
 from quintic_trinomials.roots import ComplexBall, complex_roots
-from quintic_trinomials.numberfield import (NumberField, has_root_in_field,
-                                            charpoly_mod, trager_norm)
+from quintic_trinomials.numberfield import (NumberField, has_root_in_field, charpoly_mod,
+                                            _interpolated_roots)
+
+from trager_oracle import trager_has_root, trager_norm
 
 K18 = NumberField(UniPoly([-18, 0, 0, 0, 0, 1]))
 
@@ -174,11 +177,12 @@ def test_rational_root_certificate():
 
 def test_inconclusive_never_wrong():
     # x^5 - 2 has the same signature as the dihedral field, so only the
-    # norm criterion can prove that it has no root there
+    # prime scan can prove that it has no root there: x^5 - 2 has a root
+    # mod 7 and x^5 - 5x + 12 has none
     field = NumberField(UniPoly([12, -5, 0, 0, 0, 1]))
     res = has_root_in_field(UniPoly([-2, 0, 0, 0, 0, 1]), field)
     assert res.status == "absent" and res.witness is None
-    assert "norm" in res.detail
+    assert res.detail == "root counts mod 7 differ: 1 for f, 0 for the field polynomial"
 
 
 def test_charpoly_mod_matches_field_elements():
@@ -318,3 +322,91 @@ def test_char_poly_of_any_element_is_certified(field, coords):
     res = has_root_in_field(f, field)
     assert res.certified and _is_root(f, res.witness)
     assert res.witness.char_poly() == f
+
+
+def _common_split_prime(F, G):
+    primes = [p for p in primes_below(5000) if p > 5 and discriminant(UniPoly(F))
+              * discriminant(UniPoly(G)) % p]
+    counts = _gf_root_counts_batch([F, G], primes)
+    return next(p for i, p in enumerate(primes) if counts[0, i] == counts[1, i] == 5)
+
+
+def test_interpolation_at_a_split_prime_finds_the_root_or_proves_none():
+    G = [-18, 0, 0, 0, 0, 1]
+    disc = int(discriminant(UniPoly(G)))
+    # alpha^2 is the root of x^5 - 324: h = disc * x^2
+    F = [-324, 0, 0, 0, 0, 1]
+    assert _interpolated_roots(F, G, disc, _common_split_prime(F, G)) == [[0, 0, disc, 0, 0]]
+    # Q(2^(1/5)) is not Q(18^(1/5)): no matching survives at a prime where both split
+    F = [-2, 0, 0, 0, 0, 1]
+    assert _interpolated_roots(F, G, disc, _common_split_prime(F, G)) == []
+
+
+# minimal polynomial of 2cos(2pi/11): a cyclic field, whose automorphisms
+# are generated by alpha -> alpha^2 - 2 (2cos(2t) = (2cos t)^2 - 2)
+_CYCLIC = UniPoly([1, 3, -3, -4, 1, 1])
+
+
+def _conjugates(beta):
+    """The images of beta under the five automorphisms of the cyclic field."""
+    field = beta.field
+    images, image_of_alpha = [], field.generator
+    for _ in range(5):
+        acc = field.rational(0)
+        for c in reversed(beta.coords):
+            acc = acc * image_of_alpha + c
+        images.append(acc)
+        image_of_alpha = image_of_alpha ** 2 - 2
+    return images
+
+
+def _height(beta):
+    den = math.lcm(*(c.denominator for c in beta.coords))
+    return max([den] + [abs(c * den) for c in beta.coords])
+
+
+def _least_height(elements):
+    return min(elements, key=lambda b: (_height(b), b.coords))
+
+
+def test_cyclic_field_witness_is_the_least_height_root():
+    field = NumberField(_CYCLIC)
+    rng = random.Random(47)
+    for _ in range(10):
+        coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
+        coords[1] = coords[1] or F(1)
+        beta = field.element(coords)
+        roots = _conjugates(beta)
+        assert len(set(roots)) == 5 and all(_is_root(beta.char_poly(), r) for r in roots)
+        res = has_root_in_field(beta.char_poly(), field)
+        assert res.certified and res.witness == _least_height(roots)
+
+
+_ORACLE_FIELDS = [K18.defining_poly, UniPoly([105, 75, 0, 0, 0, 1]),
+                  UniPoly([12, -5, 0, 0, 0, 1]), _CYCLIC]
+
+
+@st.composite
+def _oracle_fields(draw):
+    if draw(st.booleans()):
+        return NumberField(draw(st.sampled_from(_ORACLE_FIELDS)))
+    g = UniPoly(draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5)) + [1])
+    assume(factor_over_Q(g).is_irreducible)
+    return NumberField(g, check_irreducible=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_oracle_fields(),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                min_size=5, max_size=5),
+       st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+       st.booleans())
+def test_decision_agrees_with_trager_oracle(field, coords, low, from_element):
+    f = field.element(coords).char_poly() if from_element else UniPoly(low + [1])
+    res = has_root_in_field(f, field)
+    assert res.certified == trager_has_root(f, field.defining_poly), res.detail
+    if res.certified:
+        assert _is_root(f, res.witness)
+        if field.defining_poly == _CYCLIC:
+            roots = [b for b in _conjugates(res.witness) if _is_root(f, b)]
+            assert res.witness == _least_height(roots)

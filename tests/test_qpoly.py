@@ -9,6 +9,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import (UniPoly, resultant, discriminant,
                                       count_real_roots, is_rational_square,
@@ -177,3 +178,50 @@ def test_rational_serialization_roundtrip():
         parse_rational("1.5")
     p = UniPoly([F(1, 2), 0, -3])
     assert poly_from_strings(poly_to_strings(p)) == p
+
+
+# degree 1..6, integer or rational coefficients, nonzero leading coefficient
+_COEFFS = st.one_of(st.integers(-40, 40).map(F),
+                    st.fractions(min_value=-12, max_value=12, max_denominator=9))
+_POLYS = st.lists(_COEFFS, min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0).map(UniPoly)
+
+
+def _to_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy, x, sympy.Poly(coeffs, x)
+
+
+def _from_sympy(value):
+    return F(int(value.p), int(value.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLYS)
+def test_discriminant_matches_sympy(p):
+    sympy, x, ps = _to_sympy(p)
+    assert discriminant(p) == _from_sympy(sympy.discriminant(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLYS, _POLYS)
+def test_resultant_matches_sympy(p, q):
+    # sympy.resultant(p, q) drops the sign (-1)^(mn) of the Sylvester
+    # determinant when deg p < deg q (sympy 1.14), so compare with deg p >= deg q
+    if p.degree < q.degree:
+        p, q = q, p
+    sympy, x, ps = _to_sympy(p)
+    _, _, qs = _to_sympy(q)
+    assert resultant(p, q) == _from_sympy(sympy.resultant(ps, qs))
+    assert resultant(q, p) == (-1) ** (p.degree * q.degree) * resultant(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLYS, st.lists(st.integers(-3, 3), max_size=3))
+def test_count_real_roots_matches_sympy(p, repeated_roots):
+    # repeated rational roots exercise the squarefree part of the Sturm chain
+    for r in repeated_roots:
+        p = p * UniPoly([-r, 1]) ** 2
+    sympy, x, ps = _to_sympy(p)
+    assert count_real_roots(p) == ps.count_roots()

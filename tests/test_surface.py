@@ -10,7 +10,9 @@ from quintic_trinomials.surface import (SurfacePoint, SURFACE_FORM, on_surface,
                                         consistency_with_curve,
                                         eliminate_t_from_curve_forms,
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
+from quintic_trinomials import surface
 from quintic_trinomials.curve import curve_from_t, point_search
+from quintic_trinomials.multipoly import MultiPoly
 
 
 def test_transcription_against_elimination():
@@ -121,3 +123,17 @@ def test_consistency_with_curve():
 def test_t_zero_line_is_degenerate_for_consistency():
     pt = line_point("t0-a", 2, 3)
     assert consistency_with_curve(pt) is None
+
+
+def test_broken_invariants_raise_arithmetic_error(monkeypatch):
+    class OffCurve:
+        def contains(self, point):
+            return False
+
+    monkeypatch.setattr(surface, "curve_from_t", lambda t: OffCurve())
+    with pytest.raises(ArithmeticError, match="surface-curve invariant broken"):
+        consistency_with_curve(rational_curve("R1", F(1, 2)))
+    monkeypatch.setattr(surface, "resultant_in",
+                        lambda name, p, q: MultiPoly.constant(p.vars, 1))
+    with pytest.raises(ArithmeticError, match="elimination invariant broken"):
+        eliminate_t_from_curve_forms()

@@ -1,0 +1,33 @@
+"""Trager's norm criterion, kept as an independent oracle for root-in-field decisions.
+
+For monic f and g with alpha a root of g, N_k(x) = Norm f(x - k alpha) =
+Res_y(g(y), f(x - k y)).  When N_k is squarefree, the irreducible factors
+of f over K = Q(alpha) correspond to those of N_k over Q, with degrees
+multiplied by 5; so f has a root in K exactly when N_k has an
+irreducible factor of degree 5 (Trager, SYMSAC 1976).
+"""
+
+import math
+
+from quintic_trinomials.factor import factor_over_Q
+from quintic_trinomials.numberfield import _monic_from_power_sums
+
+
+def trager_norm(f, g, k):
+    """N_k(x) for monic f and g, from power sums: its roots are beta_j + k alpha_i."""
+    n = f.degree * g.degree
+    sf, sg = f.power_sums(n), g.power_sums(n)
+    return _monic_from_power_sums(
+        [sum(math.comb(m, r) * k ** (m - r) * sf[r] * sg[m - r] for r in range(m + 1))
+         for m in range(n + 1)])
+
+
+def trager_has_root(f, g):
+    """Whether f has a root in Q[x]/(g), by the first k = 1, 2, ... with N_k squarefree."""
+    f = f.squarefree_part().monic()
+    k = 1
+    while True:
+        fac = factor_over_Q(trager_norm(f, g.monic(), k))
+        if all(m == 1 for _, m in fac.factors):
+            return any(h.degree == 5 for h, _ in fac.factors)
+        k += 1
