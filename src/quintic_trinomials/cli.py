@@ -39,6 +39,10 @@ EXIT_INTERNAL = 4  # a broken internal invariant (ArithmeticError), never a fail
 
 ENV_JOBS = "QUINTRIN_JOBS"
 
+# the prime sieve takes one byte per integer below the bound; the limit also
+# keeps every prime inside the int64 lanes of the batched mod-p kernel
+MAX_PRIME_BOUND = 1 << 20
+
 
 @dataclass
 class RunConfig:
@@ -56,6 +60,8 @@ class RunConfig:
         for name in ("height_bound", "prime_bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.prime_bound > MAX_PRIME_BOUND:
+            raise ValueError(f"prime_bound must be at most {MAX_PRIME_BOUND}")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means the CPU count)")
 

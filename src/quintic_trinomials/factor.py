@@ -20,10 +20,13 @@ the factors.  A cycle type needs only degrees, so a squarefree reduction
 stops after distinct-degree splitting.  Recombination divides candidate
 factors exactly in Z[x], after a constant-term divisibility test.
 
-Root counts over many primes at once run in numpy int64 lanes, one per
-(polynomial, prime): x^p mod f by square-and-multiply, then the count as
-the trace of the Frobenius matrix.  Simple roots mod p lift to p^k by
-Newton's iteration.
+Root counts and cycle types over many primes p > deg f at once run in
+numpy int64 lanes, one per (polynomial, prime): x^p mod f by
+square-and-multiply gives the Frobenius matrix Q, and trace(Q^k) is the
+number of roots in GF(p^k).  The k = 1 trace is the root count; the
+traces for k <= deg f / 2 give the cycle type of a squarefree reduction
+by Moebius inversion.  Simple roots mod p lift to p^k by Newton's
+iteration.
 """
 
 from __future__ import annotations
@@ -316,24 +319,69 @@ class _BatchMod:
         return acc
 
 
-def _gf_root_counts_batch(polys: Sequence[Sequence[int]], primes: Sequence[int]) -> np.ndarray:
-    """Number of roots mod p of every monic P of one degree n, squarefree mod p > n.
+def _frobenius_traces_batch(polys: Sequence[Sequence[int]], primes: Sequence[int],
+                            k: int) -> np.ndarray:
+    """trace(Q^j) mod p for j = 1..k, Q the Frobenius matrix of each monic P mod each p > deg P.
 
-    It is the trace of the Frobenius matrix, whose rows are x^(ip) mod P:
-    GF(p)[x]/(P) is a product of fields GF(p^d), and h -> h^p permutes a
-    normal basis of each cyclically, so the trace counts the factors with
-    d = 1, modulo p; p > n makes the count exact.  Shape (len(polys),
-    len(primes)).
+    Q has the rows x^(ip) mod P.  For P squarefree mod p, GF(p)[x]/(P) is
+    a product of fields GF(p^d), and h -> h^p permutes a normal basis of
+    each cyclically, so trace(Q^j) = N_j, the number of roots of P in
+    GF(p^j), modulo p; N_j <= deg P < p makes it exact.  Every product of
+    two matrices sums n terms below p^2, inside the int64 bound of
+    `_BatchMod`.  Shape (len(polys), len(primes), k).
     """
     ring = _BatchMod(polys, primes)
     if min(primes) <= ring.n:
-        raise ValueError("root counts by trace need p > deg P")
-    row = xp = ring.xpow_p()
-    trace = 1 + xp[..., 1]
+        raise ValueError("Frobenius traces need p > deg P")
+    xp = ring.xpow_p()
+    frob = np.zeros(xp.shape + (ring.n,), dtype=np.int64)
+    frob[..., 0, 0] = 1
+    frob[..., 1, :] = xp
     for i in range(2, ring.n):
-        row = ring.mul(row, xp)
-        trace = trace + row[..., i]
-    return trace % ring.mod[..., 0]
+        frob[..., i, :] = ring.mul(frob[..., i - 1, :], xp)
+    traces = np.empty(xp.shape[:-1] + (k,), dtype=np.int64)
+    power = frob
+    for j in range(k):
+        if j:
+            power = (power @ frob) % ring.mod[..., None]
+        traces[..., j] = np.einsum("...ii->...", power)
+    return traces % ring.mod
+
+
+def _gf_root_counts_batch(polys: Sequence[Sequence[int]], primes: Sequence[int]) -> np.ndarray:
+    """Number of roots mod p of every monic P of one degree, squarefree mod p > deg P.
+
+    The k = 1 trace of `_frobenius_traces_batch`; shape (len(polys), len(primes)).
+    """
+    return _frobenius_traces_batch(polys, primes, 1)[..., 0]
+
+
+def _cycle_types_batch(polys: Sequence[Sequence[int]],
+                       primes: Sequence[int]) -> List[List[Tuple[int, ...]]]:
+    """Cycle types of every monic P of one degree n, squarefree mod every p > n.
+
+    With c_d the number of degree-d factors mod p, the root counts N_j =
+    sum of d c_d over d | j give c_d for d <= n/2 by Moebius inversion;
+    what is left is no factor or a single one of larger degree.  The
+    result is indexed [polynomial][prime], as `cycle_type_mod_p` sorts.
+    """
+    n = len(polys[0]) - 1
+    half = n // 2
+    counts = _frobenius_traces_batch(polys, primes, half)
+    c = {}
+    left, broken = n, False
+    for d in range(1, half + 1):
+        rest = counts[..., d - 1] - sum(e * c[e] for e in c if d % e == 0)
+        broken = broken | (rest < 0) | (rest % d != 0)
+        c[d] = rest // d
+        left = left - rest
+    if (broken | (left < 0) | ((left > 0) & (left <= half))).any():
+        raise ArithmeticError("cycle type invariant broken: root counts "
+                              "do not come from a factorization")
+    factors = np.stack(list(c.values()), axis=-1).tolist()
+    return [[tuple(d for d, cd in enumerate(cs, 1) for _ in range(cd)) + ((r,) if r else ())
+             for cs, r in zip(per_poly, left_poly)]
+            for per_poly, left_poly in zip(factors, left.tolist())]
 
 
 def _frobenius_apply(rows, h, p):
@@ -674,6 +722,16 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
+def _monic_rescaling(ints: Sequence[int]) -> List[int]:
+    """lc^(n-1) f(x / lc) for f of degree n with leading coefficient lc: monic, integral.
+
+    Its roots are lc times those of f, so modulo a prime p not dividing lc
+    it factors with the same degrees as f.
+    """
+    n, lc = len(ints) - 1, ints[-1]
+    return [ints[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
+
+
 def _squarefree_mod_small_prime(ints: Sequence[int]) -> bool:
     """Squarefree modulo a small prime not dividing the lc, hence squarefree over Q."""
     return any(ints[-1] % p and _gf_is_squarefree([c % p for c in ints], p)
@@ -718,10 +776,7 @@ def factor_over_Q(p: UniPoly) -> Factorization:
         _, ints = sqfree.content_and_primitive()
         lc = ints[-1]
         if lc != 1:
-            # x -> x/lc rescaling produces a monic integer polynomial
-            n = len(ints) - 1
-            hat = [ints[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
-            for fac in _factor_squarefree_monic_int(hat):
+            for fac in _factor_squarefree_monic_int(_monic_rescaling(ints)):
                 back = UniPoly.from_int_coeffs(fac).scale_argument(Fraction(lc)).monic()
                 collected.append((back, mult))
         else:

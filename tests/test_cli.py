@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from quintic_trinomials import cli
+from quintic_trinomials import cli, factor
 from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE, EXIT_INTERNAL
 
 
@@ -205,6 +205,33 @@ def test_negative_jobs_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "--config", str(cfg), *search)[0] == EXIT_USAGE
     monkeypatch.setenv("QUINTRIN_JOBS", "-2")
     assert run_cli(capsys, *search)[0] == EXIT_USAGE
+
+
+def test_prime_bound_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    limit = cli.MAX_PRIME_BOUND
+    assert limit == 1 << 20 and limit <= factor._BATCH_PRIME_LIMIT
+    parser = cli.build_parser()
+    classify = ("classify", "--a", "-5", "--b", "12")
+    cli.build_config(parser.parse_args(["--prime-bound", str(limit), *classify]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"prime_bound = {limit + 1}\n")
+    for argv in (["--prime-bound", str(limit + 1), *classify],
+                 ["--prime-bound", str(10 ** 11), "verify", "paper"],
+                 ["--config", str(cfg), "verify", "paper"]):
+        with pytest.raises(ValueError, match="prime_bound must be at most"):
+            cli.build_config(parser.parse_args(argv))
+    with pytest.raises(ValueError, match="prime_bound must be at most"):
+        cli.RunConfig(prime_bound=limit + 1).validate()
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran at a rejected bound")
+
+    monkeypatch.setattr(cli, "run_acceptance", no_sieve)
+    monkeypatch.setattr(cli, "galois_type_heuristic", no_sieve)
+    code, out, err = run_cli(capsys, "--prime-bound", str(10 ** 11), "verify", "paper")
+    assert code == EXIT_USAGE and out == "" and "prime_bound" in err
+    code, out, err = run_cli(capsys, "--config", str(cfg), *classify)
+    assert code == EXIT_USAGE and out == "" and "prime_bound" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -8,9 +8,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, is_rational_square
+from quintic_trinomials.factor import factor_over_Q
 from quintic_trinomials.multipoly import MultiPoly
 from quintic_trinomials.numberfield import NumberField, charpoly_mod, has_root_in_field
 from quintic_trinomials.trinomial import EquivClass
@@ -351,6 +352,37 @@ def test_pure_field_search_finds_all_five_classes():
     assert EquivClass("pure", F(24)) in classes
     assert EquivClass("pure", F(432)) in classes
     assert EquivClass("generic", T65) in classes
+
+
+@st.composite
+def _small_quintic_fields(draw):
+    """(g, s): a monic quintic g with coefficients in [-3, 3] and s = None, or
+    g = T(x - s) for a trinomial T = x^5 + ax + b with |a|, |b|, |s| <= 3,
+    whose root alpha gives the point (-s : 1 : 0 : 0 : 0), beta = alpha - s."""
+    small = st.integers(-3, 3)
+    shift = draw(st.none() | small)
+    if shift is None:
+        low = draw(st.lists(small, min_size=5, max_size=5))
+        return UniPoly(low + [1]), None
+    a, b = draw(small), draw(small)
+    x_minus_s = UniPoly([-shift, 1])
+    return x_minus_s ** 5 + x_minus_s * a + b, shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_quintic_fields(), st.sampled_from([None, "a"]), st.integers(1, 3))
+def test_general_points_have_vanishing_trace_power_sums(field, eliminate, H):
+    # every point gives beta with Tr(beta) = Tr(beta^2) = Tr(beta^3) = 0,
+    # that is a characteristic polynomial without x^4, x^3 and x^2 terms
+    g, shift = field
+    assume(g[0] != 0 and factor_over_Q(g).is_irreducible)
+    points = general_point_search(curve_from_field(g, eliminate=eliminate), H)
+    for pt in points:
+        assert pt.height <= H
+        cp = charpoly_mod(g, [F(v) for v in pt.coords])
+        assert cp[4] == cp[3] == cp[2] == 0, (g, eliminate, pt)
+    if shift is not None and abs(shift) <= H:
+        assert CurvePoint.from_rationals((-shift, 1, 0, 0, 0)) in points
 
 
 def test_point_search_against_brute_force_oracle():

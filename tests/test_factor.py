@@ -190,6 +190,83 @@ def test_root_counts_by_frobenius_trace_match_gcd(lows):
             assert counts[lane, i] == roots, (poly, p)
 
 
+def _good_primes(ints, primes):
+    """Primes p > deg at which the integer polynomial stays squarefree of full degree."""
+    return [p for p in primes if p > len(ints) - 1 and ints[-1] % p
+            and factor._gf_is_squarefree([c % p for c in ints], p)]
+
+
+def _assert_batch_matches_per_prime(ints, primes):
+    """Batched cycle types of the monic rescaling equal `cycle_type_mod_p` of ints."""
+    n, monic = len(ints) - 1, factor._monic_rescaling(ints)
+    types = factor._cycle_types_batch([monic], primes)[0]
+    traces = factor._frobenius_traces_batch([monic], primes, n)[0]
+    for p, batched, row in zip(primes, types, traces.tolist()):
+        expected = cycle_type_mod_p(ints, p)
+        assert batched == expected, (ints, p)
+        # trace(Q^k) counts the roots in GF(p^k) for every k, not only k <= n/2
+        assert row == [sum(d for d in expected if k % d == 0) for k in range(1, n + 1)], (ints, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
+def test_batched_cycle_types_match_per_prime_on_monic_polys(low):
+    ints = low + [1]
+    primes = _good_primes(ints, primes_below(200))
+    assume(primes)
+    _assert_batch_matches_per_prime(ints, primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70),
+       st.integers(-2 ** 70, 2 ** 70))
+def test_batched_cycle_types_match_per_prime_on_rescaled_trinomials(lead, a, b):
+    # x -> x/lc turns lead x^5 + a x + b into a monic polynomial whose
+    # coefficients far exceed int64; the kernel reduces them mod p first
+    assume(lead and b)
+    ints = [b, a, 0, 0, 0, lead]
+    primes = _good_primes(ints, primes_below(400))
+    assume(primes)
+    _assert_batch_matches_per_prime(ints, primes)
+
+
+def test_batched_cycle_types_near_the_lane_limit():
+    # Q Q sums n products below p^2: the int64 bound at n = 7 and p just below 2^30
+    primes = []
+    p = factor._BATCH_PRIME_LIMIT - 1
+    while len(primes) < 4:
+        if is_prime(p):
+            primes.append(p)
+        p -= 2
+    rng = random.Random(41)
+    polys = [[-18, 0, 0, 0, 0, 1], [105, 75, 0, 0, 0, 1]]
+    polys += [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)] + [1] for n in (2, 5, 7, 7)]
+    for ints in polys:
+        _assert_batch_matches_per_prime(ints, _good_primes(ints, primes))
+
+
+def test_batched_cycle_types_need_primes_above_the_degree():
+    with pytest.raises(ValueError, match="p > deg P"):
+        factor._cycle_types_batch([[-18, 0, 0, 0, 0, 1]], [7, 5])
+    with pytest.raises(ValueError, match="p > deg P"):
+        factor._frobenius_traces_batch([[1, 1, 0, 1]], [3], 1)
+    with pytest.raises(ValueError, match="p > deg P"):
+        factor._gf_root_counts_batch([[1, 0, 1]], [2])
+    assert factor._cycle_types_batch([[1, 0, 1]], [3, 5]) == [[(2,), (1, 1)]]
+
+
+def test_batched_cycle_types_reject_a_repeated_factor():
+    # (x - 1)^2 (x - 2)^2 (x - 3) is not squarefree: Frobenius has trace 3 and
+    # trace 3 on its square, which leaves degree 2 to no factor of degree <= 2
+    ints = [1]
+    for root in (1, 1, 2, 2, 3):
+        ints = factor._z_mul(ints, [-root, 1])
+    assert factor._frobenius_traces_batch([ints], [7], 2).tolist() == [[[3, 3]]]
+    with pytest.raises(ArithmeticError, match="cycle type invariant broken"):
+        factor._cycle_types_batch([ints], [7])
+
+
 def test_lift_roots_doubles_to_the_target_precision():
     # x^5 - 18 splits into five linear factors mod 131
     ints = [-18, 0, 0, 0, 0, 1]

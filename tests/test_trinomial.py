@@ -4,14 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from quintic_trinomials.qpoly import UniPoly, discriminant
-from quintic_trinomials.factor import factor_over_Q
+from quintic_trinomials.qpoly import UniPoly, discriminant, is_rational_square
+from quintic_trinomials.factor import factor_over_Q, cycle_type_mod_p, primes_below
 from quintic_trinomials.numberfield import NumberField, has_root_in_field
 from quintic_trinomials.trinomial import (Trinomial, ScaledTrinomial, EquivClass,
                                           NotTForm, equiv_class, normalize_t_form,
-                                          trinomial_disc, galois_type_heuristic,
+                                          trinomial_disc, galois_type_heuristic, GaloisEvidence,
                                           weber_family, dihedral_family,
                                           sw2_family, two_trinomial_family)
 
@@ -94,6 +94,38 @@ def test_galois_heuristic_anchors():
 def test_galois_heuristic_generic_s5():
     group, ev = galois_type_heuristic(Trinomial(2, 2))
     assert group == "S5" and not ev.disc_is_square
+
+
+def _reference_evidence(f, prime_bound):
+    """The per-prime loop over every good prime, kept as the oracle of the batched kernel."""
+    disc = trinomial_disc(f)
+    _, ints = f.as_unipoly().content_and_primitive()
+    observed = set()
+    used = 0
+    for p in primes_below(prime_bound):
+        if ints[-1] % p == 0 or disc.numerator % p == 0 or disc.denominator % p == 0:
+            continue
+        observed.add(cycle_type_mod_p(ints, p))
+        used += 1
+    return GaloisEvidence(is_rational_square(disc), tuple(sorted(observed)), used)
+
+
+_RATIONAL = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_RATIONAL, _RATIONAL.filter(bool), st.sampled_from([30, 500, 1800]))
+def test_galois_heuristic_matches_per_prime_reference(a, b, prime_bound):
+    f = Trinomial(a, b)
+    assume(factor_over_Q(f.as_unipoly()).is_irreducible)
+    # 1800 gives more than 256 primes above 5: two blocks of the kernel
+    assert galois_type_heuristic(f, prime_bound)[1] == _reference_evidence(f, prime_bound)
+
+
+def test_galois_heuristic_matches_per_prime_reference_on_families():
+    for f in (Trinomial(-5, 12), Trinomial(0, -18), Trinomial(75, 105), Trinomial(2, 2),
+              weber_family(2), dihedral_family(3), two_trinomial_family(F(2)).f.monic()):
+        assert galois_type_heuristic(f)[1] == _reference_evidence(f, 500), f
 
 
 def test_weber_family_values():
