@@ -23,12 +23,17 @@ other three are enumerated in a half box as row, column and slice, and a
 rational v exists iff the integer discriminant of the quadric in v is a
 perfect square.  (A quadric linear in v, as on pure quintics, gives v by
 one division, or every v where both its coefficients vanish.)  The
-engine sieves the discriminant modulo small moduli, takes exact square
-roots of the survivors (int64 when a precomputed bound allows, Python
-ints otherwise), tests the cubic modulo a prime, and confirms the few
-remaining candidates in exact integer arithmetic on the curve's output
-coordinates.  Its integer coefficient tables are the curve's own forms
-with denominators cleared.
+engine sieves the discriminant modulo eleven small moduli with bit-packed
+rows, as M. Stoll's `ratpoints` does: once per search, for every modulus,
+z residue and x residue it packs "disc is a square mod m" over the columns
+y into 64-bit words, and a row (z, x) of the box is then the AND of eleven
+packed rows.  Rows are sieved in tiles of bounded size, so working memory
+grows as O(H), not with the (2H+1)^2 cells of a slice.  Survivors of many
+slices are confirmed in one block: exact square roots (int64 when a
+precomputed bound allows, Python ints otherwise), the cubic modulo a
+prime, and exact integer arithmetic on the curve's output coordinates for
+the few remaining candidates.  Its integer coefficient tables are the
+curve's own forms with denominators cleared.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -337,6 +342,15 @@ _Table = Tuple[Tuple[Tuple[int, ...], int], ...]
 # Sieve moduli, and _SQUARES[k][r] for r < m^2 + 2m: is r a square mod m = _MODULI[k]
 _MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
 _SQUARES = tuple(np.isin(np.arange(m * m + 2 * m) % m, np.arange(m) ** 2 % m) for m in _MODULI)
+# The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
+_OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
+
+# A tile of the search gathers at most this many bytes of packed rows, and
+# the rows are packed in groups of at most as many cells: working memory is
+# the packed rows, O(H), plus O(_TILE_BYTES).  About _BLOCK sieve survivors
+# are confirmed at once.
+_TILE_BYTES = 2 ** 18
+_BLOCK = 4096
 
 # The cubic prefilter modulus: a product of two residues stays below 2^62.
 _CUBIC_PRIME = 2 ** 31 - 1
@@ -420,14 +434,15 @@ def _form_value(table: _Table, coords) -> int:
     total = 0
     for exps, k in table:
         for x, e in zip(coords, exps):
-            if e:
-                k = k * x ** e
+            for _ in range(e):
+                k = k * x
         total += k
     return total
 
 
 def _form_residues(table: _Table, coords, modulus: int):
-    """The form at residue arrays in [0, modulus), reduced after every product."""
+    """The form modulo `modulus` < 2^31 at int64 arrays of absolute value
+    below 2^32, reduced after every product."""
     total = 0
     for exps, k in table:
         k %= modulus
@@ -438,25 +453,55 @@ def _form_residues(table: _Table, coords, modulus: int):
     return total
 
 
-def _sieve_tables(disc: _Table, layers: int) -> Tuple[np.ndarray, ...]:
-    """tables[k][r, x, y] = (disc(x, y, r) is a square mod m), m = _MODULI[k],
-    for residues x, y and r <= m / 2, r < layers.
-
-    disc is a quadratic form, so disc(-x, -y, -z) = disc(x, y, z): a slice
-    whose z has residue r > m / 2 reads layer m - r at (-x, -y).
-    """
+def _sieve_tables(disc: _Table, layers: int) -> Iterator[np.ndarray]:
+    """For each m of _MODULI in turn, the table T with T[r, x, y] = (disc(x, y, r)
+    is a square mod m), for residues x, y and r < min(m, layers)."""
     coeffs = {e[1:]: k for e, k in disc}
-    tables = []
     for m, squares in zip(_MODULI, _SQUARES):
         kxx, kxy, kyy, kxz, kyz, kzz = (
             coeffs.get(e, 0) % m
             for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))
         x, y = np.arange(m)[:, None], np.arange(m)[None, :]
         fixed, by_z = ((kxx * x + kxy * y) * x + kyy * y * y) % m, (kxz * x + kyz * y) % m
-        # each part is reduced before the sum, which stays below len(squares)
-        tables.append(np.array([squares[fixed + kzz * r * r % m + r * by_z]
-                                for r in range(min(m // 2 + 1, layers))]))
-    return tuple(tables)
+        table = np.empty((min(m, layers), m, m), dtype=bool)
+        for r in range(len(table)):
+            # each part is reduced before the sum, which stays below len(squares)
+            table[r] = squares[fixed + kzz * r * r % m + r * by_z]
+        yield table
+
+
+def _packed_rows(disc: _Table, height_bound: int) -> np.ndarray:
+    """The packed sieve: rows[_OFFSETS[k] + r * m + a] has bit j of word w set iff
+    disc(a, y, r) is a square mod m = _MODULI[k], at y = 64 w + j - H, for
+    every x residue a and every z residue r <= H (rows of larger r, which no
+    slice reads, stay zero); the bits past column 2H are zero.
+
+    The cells take one byte each before packing, in groups of at most
+    _TILE_BYTES.
+    """
+    H = height_bound
+    width = 2 * H + 1
+    words, nbytes = -(-width // 64), -(-width // 8)
+    rows = np.zeros((int(_OFFSETS[-1]), words), dtype=np.uint64)
+    group = max(1, _TILE_BYTES // width)
+    for m, table, start in zip(_MODULI, _sieve_tables(disc, H + 1), _OFFSETS):
+        # column j of a row reads y residue (j - H) mod m, a period of m columns
+        table, columns = table.reshape(-1, m), np.arange(-H, m - H) % m
+        for i in range(0, len(table), group):
+            bits = np.tile(table[i:i + group, columns], -(-width // m))[:, :width]
+            packed = np.zeros((len(bits), 8 * words), dtype=np.uint8)
+            packed[:, :nbytes] = np.packbits(bits, axis=1, bitorder="little")
+            rows[start + i:start + i + len(bits)] = packed.view("<u8")
+    return rows
+
+
+@dataclass(frozen=True)
+class _Sieve:
+    """A search's forms, height bound and packed sieve rows, built once per search."""
+
+    forms: _SearchForms
+    height_bound: int
+    rows: np.ndarray
 
 
 def _mod_p(values) -> np.ndarray:
@@ -471,82 +516,133 @@ def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> 
         out.add(pt)
 
 
-def _add_roots(forms: _SearchForms, height_bound: int, out: set, x, y, z: int, scale, roots):
+def _add_roots(forms: _SearchForms, height_bound: int, out: set, x, y, z, scale, roots):
     """The candidates (v : scale x : scale y : scale z), v in each array of `roots`.
 
-    The cubic is homogeneous, so the scaling keeps its zeros.  It is tested
-    modulo a prime, by Horner in v, and the few survivors exactly.
+    x, y, z are int64 arrays, |x|, |y|, |z| <= height_bound.  The cubic is
+    homogeneous, so at a candidate it is the sum of v^n scale^(3 - n)
+    c_n(x, y, z), c_n its coefficient of v^n.  The sum is taken modulo a
+    prime by Horner in v, and the few candidates where it vanishes are
+    checked exactly.
     """
     P = _CUBIC_PRIME
-    pscale = _mod_p(scale)
-    scaled = (0, *(pscale * w % P for w in (_mod_p(x), _mod_p(y), z % P)))
-    coeffs = [_form_residues(k, scaled, P) for k in reversed(forms.cubic_in_v)]
+    # the c_n are exact in int64 below this bound, else taken by residues
+    exact = ((height_bound + 1) ** 3 * sum(abs(k) for table in forms.cubic_in_v for _, k in table)
+             < 2 ** 63)
+    cell, pscale = (0, x, y, z), _mod_p(scale)
+    terms, power = [], 1
+    for table in reversed(forms.cubic_in_v):
+        c = _mod_p(x * 0 + _form_value(table, cell)) if exact else _form_residues(table, cell, P)
+        terms.append(c * power % P)
+        power = power * pscale % P
     for v in roots:
         pv = _mod_p(v)
         value = 0
-        for k in coeffs:
-            value = (value * pv + k) % P
+        for term in terms:
+            value = (value * pv + term) % P
         for i in np.flatnonzero(value == 0):
             s = int(scale[i])
             _add_if_on_curve(forms, height_bound,
-                             (int(v[i]), s * int(x[i]), s * int(y[i]), s * z), out)
+                             (int(v[i]), s * int(x[i]), s * int(y[i]), s * int(z[i])), out)
 
 
-def _search_chunk(forms: _SearchForms, height_bound: int, z_lo: int, z_hi: int) -> set:
-    """Points from the half-box cells with z_lo <= z < z_hi; exact everywhere.
+def _confirm(forms: _SearchForms, height_bound: int, dtype, x, y, z, out: set) -> None:
+    """Solve the quadric for v at the sieve survivors (x, y, z) and test the cubic.
 
     Half box: z >= 0, with y >= 0 when z = 0 and x > 0 when y = z = 0;
-    negated cells give the same projective points.  The zero cell (0, 0, 0)
-    can only hold the unit point of v, which the z = 0 slice checks once.
+    negated cells give the same projective points.
     """
     H = height_bound
-    xs = np.arange(-H, H + 1, dtype=np.int64)
-    residues = xs % np.array(_MODULI)[:, None]
-    tables = _sieve_tables(forms.disc, z_hi)
-    # every exact value below fits int64 when this bound does
+    keep = (z > 0) | (y > 0) | ((y == 0) & (x > 0))
+    x, y, z = x[keep], y[keep], z[keep]
+    cell = (0, *(w.astype(dtype) for w in (x, y, z)))
+    zero = cell[1] * 0
+    lin = zero + _form_value(forms.linear, cell)
+    if forms.lead:
+        disc = zero + _form_value(forms.disc, cell)
+        keep = disc >= 0
+        x, y, z, lin, disc = x[keep], y[keep], z[keep], lin[keep], disc[keep]
+        if dtype is object:
+            s = np.array([math.isqrt(v) for v in disc], dtype=object)
+        else:
+            # for disc = n^2 < 2^61 the float root is within 2^-22 of n, so
+            # rounding recovers n; a non-square fails the test below either way
+            s = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
+        keep = s * s == disc
+        x, y, z, lin, s = x[keep], y[keep], z[keep], lin[keep], s[keep] * forms.root_scale
+        _add_roots(forms, H, out, x, y, z, lin * 0 + 2 * forms.lead, (s - lin, -s - lin))
+    else:
+        # a quadric linear in v: v = -rest / lin, and every v where both vanish
+        rest = zero + _form_value(forms.rest, cell)
+        solved, free = lin != 0, (lin == 0) & (rest == 0)
+        _add_roots(forms, H, out, x[solved], y[solved], z[solved], lin[solved],
+                   (-rest[solved],))
+        n, width = int(free.sum()), 2 * H + 1
+        _add_roots(forms, H, out, *(np.repeat(w[free], width) for w in (x, y, z)),
+                   np.ones(n * width, dtype=dtype),
+                   (np.tile(np.arange(-H, H + 1).astype(dtype), n),))
+
+
+def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
+    """Points from the half-box cells with z_lo <= z < z_hi; exact everywhere.
+
+    The rows (z, x) of the chunk are sieved in tiles: a row is the AND of
+    its eleven packed rows, one per modulus, and only its nonzero bytes are
+    unpacked.  Survivors of consecutive tiles are confirmed together, in
+    blocks of about _BLOCK cells.  The zero cell (0, 0, 0) can only hold
+    the unit point of v, which the chunk holding z = 0 checks once.
+    """
+    forms, H, rows = sieve.forms, sieve.height_bound, sieve.rows
+    width, words = 2 * H + 1, rows.shape[1]
+    # every exact value of `_confirm` fits int64 when this bound does
     bound = (H + 1) ** 2 * (forms.root_scale ** 2 * sum(abs(k) for _, k in forms.disc)
                             + sum(abs(k) for _, k in forms.linear + forms.rest)
                             + 2 * abs(forms.lead))
     dtype = np.int64 if bound < 2 ** 61 else object
     out = set()
-    for z in range(z_lo, z_hi):
-        lo = H if z == 0 else 0
-        mask = np.ones((xs.size, xs.size - lo), dtype=bool)
-        # the residues of -xs are those of xs reversed
-        for m, table, pos, neg in zip(_MODULI, tables, residues, residues[:, ::-1]):
-            r = z % m
-            layer, row = (table[r], pos) if 2 * r <= m else (table[m - r], neg)
-            mask &= np.take(layer[:, row[lo:]], row, axis=0)
-        xi, yi = np.divmod(np.flatnonzero(mask), xs.size - lo)
-        x, y = xs[xi].astype(dtype), xs[lo:][yi].astype(dtype)
-        if z == 0:
-            keep = (y > 0) | (x > 0)
-            x, y = x[keep], y[keep]
-            _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
-        cell, zero = (0, x, y, z), x * 0
-        lin = zero + _form_value(forms.linear, cell)
-        if forms.lead:
-            disc = zero + _form_value(forms.disc, cell)
-            keep = disc >= 0
-            x, y, lin, disc = x[keep], y[keep], lin[keep], disc[keep]
-            if dtype is object:
-                s = np.array([math.isqrt(v) for v in disc], dtype=object)
-            else:
-                # for disc = n^2 < 2^61 the float root is within 2^-22 of n, so
-                # rounding recovers n; a non-square fails the test below either way
-                s = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
-            keep = s * s == disc
-            x, y, lin, s = x[keep], y[keep], lin[keep], s[keep] * forms.root_scale
-            _add_roots(forms, H, out, x, y, z, x * 0 + 2 * forms.lead, (s - lin, -s - lin))
-        else:
-            # a quadric linear in v: v = -rest / lin, and every v where both vanish
-            rest = zero + _form_value(forms.rest, cell)
-            solved, free = lin != 0, (lin == 0) & (rest == 0)
-            _add_roots(forms, H, out, x[solved], y[solved], z, lin[solved], (-rest[solved],))
-            n = int(free.sum())
-            _add_roots(forms, H, out, np.repeat(x[free], xs.size), np.repeat(y[free], xs.size), z,
-                       np.ones(n * xs.size, dtype=dtype), (np.tile(xs.astype(dtype), n),))
+    if z_lo == 0 < z_hi:
+        _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
+    # the packed row of modulus k at (z, x) is rows[by_z[k, z] + by_x[k, x + H]]
+    moduli = np.array(_MODULI)[:, None]
+    by_z = np.arange(z_hi) % moduli * moduli
+    by_x = _OFFSETS[:-1, None] + np.arange(-H, H + 1) % moduli
+    # a tile is a rectangle of rows: whole slices, or part of one slice
+    tile = max(1, _TILE_BYTES // (8 * len(_MODULI) * words))
+    z_step, x_step = max(1, tile // width), min(tile, width)
+    block, count = [], 0
+    for z0 in range(z_lo, z_hi, z_step):
+        for x0 in range(0, width, x_step):
+            index = by_z[:, z0:z0 + z_step, None] + by_x[:, None, x0:x0 + x_step]
+            acc = np.bitwise_and.reduce(rows[index.reshape(len(_MODULI), -1)], axis=0)
+            # the nonzero words of the AND, their nonzero bytes, and their bits
+            hits = np.flatnonzero(acc)
+            octets = acc.ravel()[hits].astype("<u8", copy=False).view(np.uint8)
+            hit = np.flatnonzero(octets)
+            if hit.size:
+                j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
+                k = hit[j >> 3]
+                row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
+                dz, dx = np.divmod(row, index.shape[2])
+                block.append((x0 + dx - H, column - H, z0 + dz))
+                count += row.size
+            if count >= _BLOCK or (block and z0 + z_step >= z_hi and x0 + x_step >= width):
+                _confirm(forms, H, dtype, *(np.concatenate(w) for w in zip(*block)), out)
+                block, count = [], 0
     return out
+
+
+# The sieve of the search that a pool worker serves, set in the worker by
+# the pool's initializer
+_worker_sieve: Optional[_Sieve] = None
+
+
+def _set_worker_sieve(sieve: _Sieve) -> None:
+    global _worker_sieve
+    _worker_sieve = sieve
+
+
+def _worker_chunk(z_lo: int, z_hi: int) -> set:
+    return _search_chunk(_worker_sieve, z_lo, z_hi)
 
 
 def _worker_count(jobs: int, chunks: int) -> int:
@@ -560,18 +656,20 @@ def _search(curve, height_bound: int, jobs: int) -> set:
         raise ValueError("height bound must be >= 0")
     H = height_bound
     forms = _search_forms(curve)
-    # one chunk when serial, as each chunk builds its sieve tables; else four
-    # per worker, so that a worker on a slower CPU does not hold up the rest
+    sieve = _Sieve(forms, H, _packed_rows(forms.disc, H))
+    # one chunk when serial; else four per worker, so that a worker on a
+    # slower CPU does not hold up the rest.  The sieve is built once, here,
+    # and reaches each worker once, through the pool's initializer.
     workers = _worker_count(jobs, H + 1)
     n_chunks = 4 * workers if workers > 1 else 1
     edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
-    ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    columns = ([forms] * len(ranges), [H] * len(ranges), *zip(*ranges))
+    lows, highs = zip(*((lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_search_chunk, *columns))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_sieve,
+                                 initargs=(sieve,)) as pool:
+            partials = list(pool.map(_worker_chunk, lows, highs))
     else:
-        partials = list(map(_search_chunk, *columns))
+        partials = [_search_chunk(sieve, lo, hi) for lo, hi in zip(lows, highs)]
     return set().union(*partials)
 
 

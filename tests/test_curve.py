@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,12 +16,15 @@ from quintic_trinomials.factor import factor_over_Q
 from quintic_trinomials.multipoly import MultiPoly
 from quintic_trinomials.numberfield import NumberField, charpoly_mod, has_root_in_field
 from quintic_trinomials.trinomial import EquivClass
-from quintic_trinomials.curve import (CurvePoint, curve_from_t, curve_from_field,
+from quintic_trinomials import curve as curve_module
+from quintic_trinomials.curve import (CurvePoint, GeneralCurve, curve_from_t, curve_from_field,
                                       point_search, general_point_search,
                                       point_to_trinomial, trinomial_to_point,
                                       field_L_polynomial, FULL_VARS, SearchResult,
                                       _normal_form_mod_quadric, _search_chunk,
-                                      _search_forms, _sieve_tables, _worker_count, _MODULI)
+                                      _search_forms, _sieve_tables, _worker_count, _MODULI,
+                                      _Sieve, _packed_rows, _form_residues, _form_value,
+                                      _CUBIC_PRIME)
 
 T65 = F(6, 5)
 
@@ -72,7 +76,7 @@ def test_point_search_small_heights():
     assert res.degenerate == ()
 
 
-def test_point_search_partition_invariance():
+def _partition_searches():
     # T65 runs the int64 square roots, the large t the Python-int ones; the
     # pure field's quadric is linear in the solved variable, and the dense
     # field's discriminant has a b*c term
@@ -80,14 +84,50 @@ def test_point_search_partition_invariance():
                 for t in (T65, F(2 ** 66 + 1, 7))]
     searches += [(curve_from_field(UniPoly(g)), 6, general_point_search)
                  for g in ([-18, 0, 0, 0, 0, 1], [-20, 5, -5, -10, -5, 1])]
-    for curve, H, search in searches:
-        forms = _search_forms(curve)
-        full = _search_chunk(forms, H, 0, H + 1)
+    return searches
+
+
+def _sieve(curve, H):
+    forms = _search_forms(curve)
+    return _Sieve(forms, H, _packed_rows(forms.disc, H))
+
+
+def _pieces(H):
+    return (0, 1), (1, H // 3), (H // 3, H), (H, H + 1)
+
+
+def test_point_search_partition_invariance():
+    for curve, H, search in _partition_searches():
+        sieve = _sieve(curve, H)
+        full = _search_chunk(sieve, 0, H + 1)
         pieces = set()
-        for lo, hi in ((0, 1), (1, H // 3), (H // 3, H), (H, H + 1)):
-            pieces |= _search_chunk(forms, H, lo, hi)
+        for lo, hi in _pieces(H):
+            pieces |= _search_chunk(sieve, lo, hi)
         assert pieces == full
         assert full == set(search(curve, H))
+
+
+@pytest.mark.parametrize("tile_rows, block", [(1, 1), (7, 64)])
+def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows, block):
+    # tiles of 1 and 7 rows cut slices at every row and mid-slice, and small
+    # blocks confirm the survivors of a tile in several passes.  At H = 88 the
+    # point (88 : 70 : 75 : -60) of T65 has no multiple in the box, and its
+    # cell lies in the middle of a slice (run with 7-row tiles only, for time).
+    searches = [(curve, H) for curve, H, _ in _partition_searches()]
+    if tile_rows > 1:
+        searches.append((curve_from_t(T65), 88))
+    for curve, H in searches:
+        sieve = _sieve(curve, H)
+        expected = [_search_chunk(sieve, lo, hi) for lo, hi in ((0, H + 1), *_pieces(H))]
+        words = sieve.rows.shape[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(curve_module, "_TILE_BYTES", tile_rows * 8 * len(_MODULI) * words)
+            patch.setattr(curve_module, "_BLOCK", block)
+            tiled = _sieve(curve, H)
+            assert np.array_equal(tiled.rows, sieve.rows)
+            got = [_search_chunk(tiled, lo, hi) for lo, hi in ((0, H + 1), *_pieces(H))]
+        assert got == expected
+        assert H != 88 or CurvePoint((88, 70, 75, -60)) in expected[0]
 
 
 def test_point_search_parallel_matches_serial():
@@ -105,6 +145,19 @@ def test_point_search_python_path_on_large_t():
     assert (0, 1, 0, 0) in {pt.coords for pt in res.points}
 
 
+def test_form_residues_match_exact_values():
+    # the cubic prefilter reads c_n(x, y, z) by residues when the exact value
+    # may exceed int64; coefficients here exceed 2^63, coordinates reach 2^31
+    rng = np.random.default_rng(3)
+    forms = _search_forms(curve_from_t(F(123456789012345, 987654321098765)))
+    cell = (0, *(rng.integers(-2 ** 31, 2 ** 31, 200) for _ in range(3)))
+    exact_cell = (0, *(w.astype(object) for w in cell[1:]))
+    for table in forms.cubic_in_v:
+        assert max(abs(k) for _, k in table) > 2 ** 63
+        got = cell[1] * 0 + _form_residues(table, cell, _CUBIC_PRIME)
+        assert (got == (exact_cell[1] * 0 + _form_value(table, exact_cell)) % _CUBIC_PRIME).all()
+
+
 def test_sieve_tables_pass_every_square():
     # the table entry of a residue triple is True exactly when its
     # discriminant is a square mod m; the coefficients include b*c terms and
@@ -118,12 +171,36 @@ def test_sieve_tables_pass_every_square():
         for m, table in zip(_MODULI, _sieve_tables(disc, 200)):
             squares = list({r * r % m for r in range(m)})
             x, y = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+            assert len(table) == m
             for z in range(m):
                 value = sum(k % m * x ** e[1] * y ** e[2] * z ** e[3] for e, k in disc) % m
-                # residues above m / 2 read the layer of -z at (-x, -y)
-                sign = 1 if 2 * z <= m else -1
-                assert (table[sign * z % m][sign * x % m, sign * y % m]
-                        == np.isin(value, squares)).all()
+                assert (table[z] == np.isin(value, squares)).all()
+
+
+@pytest.mark.parametrize("H", [31, 70])
+def test_packed_rows_are_square_residues(H):
+    # bit y + H of the row (r, a) of modulus m is set exactly when disc(a, y, r)
+    # is a square mod m, for every z residue r <= H (r > m / 2 included) and
+    # every x residue a; the bits past column 2H are zero.  2H + 1 = 63 and
+    # 141 leave 1 and 51 padding bits.
+    rng = random.Random(5)
+    discs = [_search_forms(curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1]))).disc,
+             _search_forms(curve_from_t(T65)).disc,
+             tuple(((0, *e), rng.randint(-2 ** 70, 2 ** 70)) for e in
+                   ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))]
+    width = 2 * H + 1
+    for disc in discs:
+        rows = _packed_rows(disc, H)
+        bits = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, width:].any()
+        for m, start in zip(_MODULI, itertools.accumulate((m * m for m in _MODULI), initial=0)):
+            squares = list({r * r % m for r in range(m)})
+            layers = min(m, H + 1)
+            r, a, y = np.meshgrid(np.arange(layers), np.arange(m), np.arange(-H, H + 1) % m,
+                                  indexing="ij")
+            value = sum(k % m * a ** e[1] * y ** e[2] * r ** e[3] for e, k in disc) % m
+            got = bits[start:start + layers * m, :width].reshape(layers, m, width)
+            assert (got == np.isin(value, squares)).all()
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -182,6 +259,70 @@ def test_point_search_points_are_normalized_curve_points(p, q, H):
         assert pt.height <= H
         assert curve.contains(pt)
         point_to_trinomial(curve, pt)
+
+
+def _unsieved_reference(curve, H):
+    """Brute force without a sieve: the quadric is solved for its first live
+    variable with a square term at every cell of the other three in
+    [-H, H]^3, with an exact perfect-square test of the integer
+    discriminant on all cells; the roots are taken in Fractions, normalized,
+    and checked against the height bound and every form of the curve.  Only
+    for curves whose discriminant stays below 2^61 on the box."""
+    general = isinstance(curve, GeneralCurve)
+    live = curve.live_vars if general else curve.quadric.vars
+    v = next(n for n in live if curve.quadric.coefficient_of(n, 2))
+    others = [n for n in live if n != v]
+    quadric = curve.quadric * math.lcm(*(k.denominator for k in curve.quadric.terms.values()))
+    grid = dict(zip(others, np.meshgrid(*[np.arange(-H, H + 1)] * 3, indexing="ij")))
+    coeffs, sizes = [], []
+    for n in range(3):
+        terms = quadric.coefficient_of(v, n).terms.items()
+        sizes.append(sum(abs(int(k)) for _, k in terms) * H ** (2 - n))
+        coeff = np.zeros_like(grid[others[0]])
+        for e, k in terms:
+            coeff = coeff + int(k) * math.prod(grid[name] ** x for name, x in zip(quadric.vars, e)
+                                               if x and name != v)
+        coeffs.append(coeff)
+    assert sizes[1] ** 2 + 4 * sizes[2] * sizes[0] < 2 ** 61
+    c0, c1, c2 = coeffs
+    disc = c1 * c1 - 4 * c2 * c0
+    # below 2^61 the float root is off by less than 1: n^2 = disc for n = root or root + 1
+    root = np.floor(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+    root += (root + 1) ** 2 <= disc
+    found = set()
+    for i in np.flatnonzero((disc >= 0) & (root * root == disc)):
+        cell = {name: F(int(grid[name].flat[i])) for name in others}
+        b, a, s = int(c1.flat[i]), int(c2.flat[i]), int(root.flat[i])
+        for value in (F(-b + s, 2 * a), F(-b - s, 2 * a)):
+            values = {**cell, v: value}
+            coords = (curve.full_coords(values) if general
+                      else tuple(values[name] for name in curve.quadric.vars))
+            if any(coords):
+                pt = CurvePoint.from_rationals(coords)
+                if pt.height <= H and curve.contains(pt.coords if general else pt):
+                    found.add(pt)
+    return found
+
+
+def test_unsieved_reference_matches_the_fraction_references():
+    for t in (F(19, 14), T65):
+        curve = curve_from_t(t)
+        expected = _reference_search(curve, 6)
+        assert _unsieved_reference(curve, 6) == set(expected.points + expected.degenerate)
+    curve = curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1]))
+    assert _unsieved_reference(curve, 3) == set(_general_reference(curve, 3))
+
+
+@pytest.mark.parametrize("H", [31, 32, 63, 64])
+def test_searches_match_reference_across_word_boundaries(H):
+    # 2H + 1 = 63, 65, 127, 129: one column short of, or one past, a 64-bit word
+    curve = curve_from_t(F(19, 14))
+    result = point_search(curve, H)
+    assert set(result.points + result.degenerate) == _unsieved_reference(curve, H)
+    assert result.points and not result.degenerate
+    curve = curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1]))
+    expected = sorted(_unsieved_reference(curve, H), key=lambda pt: (pt.height, pt.coords))
+    assert general_point_search(curve, H) == expected
 
 
 def test_point_to_trinomial_base_point():
@@ -323,6 +464,32 @@ def test_general_point_search_matches_fraction_reference(g, eliminate, H):
     curve = curve_from_field(UniPoly(g), eliminate=eliminate)
     for h in (0, H):
         assert general_point_search(curve, h) == _general_reference(curve, h)
+
+
+def _traced_peaks(search, heights):
+    peaks = []
+    for H in heights:
+        tracemalloc.start()
+        try:
+            search(H)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_search_memory_grows_linearly_with_height():
+    # The packed rows grow as O(H), and tiles and confirmation blocks are
+    # bounded.  A (2H+1)^2 mask per slice would grow the peak as H^2: the growth
+    # from H = 200 to 400 would be about four times that from 100 to 200, not
+    # two.  x^5 + 75x + 105 has many survivors, t = 19/14 few, so there the
+    # sieve's own memory shows.
+    curve = curve_from_field(UniPoly([105, 75, 0, 0, 0, 1]))
+    low, high = _traced_peaks(lambda H: general_point_search(curve, H), (200, 400))
+    assert high < 3 * low
+    curve = curve_from_t(F(19, 14))
+    p100, p200, p400 = _traced_peaks(lambda H: point_search(curve, H), (100, 200, 400))
+    assert p400 - p200 < 3 * (p200 - p100)
 
 
 def test_height_bound_is_validated_alike_by_both_entry_points():
