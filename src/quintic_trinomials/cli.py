@@ -28,7 +28,7 @@ from .trinomial import (Trinomial, equiv_class, trinomial_disc,
                         sw2_family, two_trinomial_family)
 from .curve import (curve_from_t, curve_from_field, point_search,
                     point_to_trinomial, field_L_polynomial, DegeneratePoint)
-from .surface import (SurfacePoint, on_surface, recover_t, rational_curve,
+from .surface import (SurfacePoint, on_surface, recover_t, t_parts, rational_curve,
                       consistency_with_curve, CURVE_NAMES)
 from .elliptic import (WeierstrassCurve, j_invariant, quadratic_twist_factor)
 from .report import run_acceptance
@@ -258,10 +258,13 @@ def _cmd_surface(args, cfg, out) -> int:
     doc = {"point": pt.to_json(), "on_surface": member}
     if member:
         t = recover_t(pt)
-        doc["t"] = "infinity" if t is None else format_rational(t)
-        if t is not None and t not in (0, Fraction(-3125, 256)):
-            curve_view = consistency_with_curve(pt)
-            doc["on_curve"] = curve_view is not None
+        if t is None:
+            doc["t"] = "infinity" if t_parts(pt)[0] else "undetermined"
+        else:
+            doc["t"] = format_rational(t)
+            if t not in (0, Fraction(-3125, 256)):
+                curve_view = consistency_with_curve(pt)
+                doc["on_curve"] = curve_view is not None
     _emit(doc, out)
     return EXIT_OK
 

@@ -10,6 +10,8 @@ is fixed, so serialized output is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import getitem
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
@@ -166,17 +168,34 @@ class MultiPoly:
         return out
 
     def evaluate(self, values: Dict[str, Fraction]) -> Fraction:
+        """Exact value at a rational point, summed in integers.
+
+        With x_i = n_i/d_i, D_i the degree in x_i and L the lcm of the
+        coefficient denominators, the value is
+        sum(c*L * prod n_i^e_i * d_i^(D_i - e_i)) / (L * prod d_i^D_i):
+        each variable's weighted powers n_i^k * d_i^(D_i - k) are built
+        once, and only the final quotient is a Fraction.
+        """
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
-            for name, k in zip(self.vars, e):
-                if k:
-                    prod *= Fraction(values[name]) ** k
-            total += prod
-        return total
+        if not self.terms:
+            return Fraction(0)
+        ratios = [c.as_integer_ratio() for c in self.terms.values()]
+        scale = lcm(*(d for _, d in ratios))
+        denominator = scale
+        weighted = []
+        for name, deg in zip(self.vars, map(max, zip(*self.terms))):
+            n, d = Fraction(values[name]).as_integer_ratio()
+            nums, dens = [1], [1]
+            for _ in range(deg):
+                nums.append(nums[-1] * n)
+                dens.append(dens[-1] * d)
+            weighted.append([p * q for p, q in zip(nums, reversed(dens))])
+            denominator *= dens[-1]
+        total = sum(n * (scale // d) * prod(map(getitem, weighted, e))
+                    for e, (n, d) in zip(self.terms, ratios))
+        return Fraction(total, denominator)
 
     def partial_evaluate(self, values: Dict[str, Fraction]) -> "MultiPoly":
         terms: Dict[Tuple[int, ...], Fraction] = {}
@@ -206,7 +225,6 @@ class MultiPoly:
         """Positive generator of the coefficient fractional ideal (gcd-like)."""
         if not self.terms:
             return Fraction(0)
-        from math import gcd, lcm
         nums = [abs(c.numerator) for c in self.terms.values()]
         dens = [c.denominator for c in self.terms.values()]
         g = 0

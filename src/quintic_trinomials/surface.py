@@ -99,18 +99,27 @@ def on_surface(point: SurfacePoint) -> bool:
     return SURFACE_FORM.evaluate(point.values()) == 0
 
 
+def t_parts(point: SurfacePoint) -> Tuple[int, int]:
+    """Numerator 5a^2 - 50ab and denominator 32bd + 16c^2 + 40cd of t.
+
+    Where both vanish (the base locus: all of R4 and R5, for instance)
+    t is 0/0 and no single value is attached to the point.
+    """
+    a, b, c, d = point.coords
+    return 5 * a * a - 50 * a * b, 32 * b * d + 16 * c * c + 40 * c * d
+
+
 def recover_t(point: SurfacePoint) -> Optional[Fraction]:
-    """t = (5a^2 - 50ab)/(32bd + 16c^2 + 40cd); None when t = infinity.
+    """t = (5a^2 - 50ab)/(32bd + 16c^2 + 40cd); None when t is infinity or undetermined.
 
     Only defined on the surface (usage error otherwise).
     """
     if not on_surface(point):
         raise ValueError(f"{point} is not on the surface")
-    a, b, c, d = (Fraction(v) for v in point.coords)
-    denom = 32 * b * d + 16 * c * c + 40 * c * d
-    if denom == 0:
+    num, den = t_parts(point)
+    if den == 0:
         return None
-    return (5 * a * a - 50 * a * b) / denom
+    return Fraction(num, den)
 
 
 # five lines; each entry maps two projective parameters (u : v) to a point

@@ -168,6 +168,27 @@ def test_surface_curve(capsys):
     assert doc["point"] == [0, 7, -4, -4] and doc["on_surface"] is True
 
 
+def test_surface_t_undetermined_on_base_locus(capsys):
+    # numerator and denominator of t both vanish: t is 0/0, not infinity
+    code, out, _ = run_cli(capsys, "surface", "curve", "--name", "R5", "--s", "1")
+    doc = json.loads(out)
+    assert code == EXIT_OK
+    assert doc["point"] == [70, 7, -4, -4] and doc["t"] == "undetermined"
+    code, out, _ = run_cli(capsys, "surface", "check", "--point", "10,1,0,0")
+    doc = json.loads(out)
+    assert doc["on_surface"] is True and doc["t"] == "undetermined"
+    assert "on_curve" not in doc
+
+
+def test_surface_t_infinity_only_with_nonzero_numerator(capsys):
+    # the t-infinity line (a : 21d/32 : -3d/4 : d) and the singular line c = d = 0
+    for point in ("32,21,-24,32", "3,5,0,0"):
+        code, out, _ = run_cli(capsys, "surface", "check", "--point", point)
+        doc = json.loads(out)
+        assert code == EXIT_OK and doc["on_surface"] is True
+        assert doc["t"] == "infinity", point
+
+
 def test_elliptic_info_and_twist(capsys):
     code, out, _ = run_cli(capsys, "elliptic", "info", "--curve", "0,0,0,-675,-79650")
     assert json.loads(out)["j"] == "-25/2"

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quintic_trinomials.multipoly import MultiPoly, resultant_in
 
@@ -71,3 +72,53 @@ def test_resultant_in_low_degrees():
 def test_mixed_variable_sets_rejected():
     with pytest.raises(ValueError):
         MultiPoly.variable(V, "x") + MultiPoly.variable(("a", "b"), "a")
+
+
+def reference_evaluate(poly, values):
+    """Per-term Fraction evaluation, the definition the integer kernel must match."""
+    xs = [F(values[name]) for name in poly.vars]
+    total = F(0)
+    for e, c in poly.terms.items():
+        prod = c
+        for x, k in zip(xs, e):
+            if k:
+                prod *= x ** k
+        total += prod
+    return total
+
+
+_coefficients = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 4).filter(lambda c: abs(c) < 10 ** 6))
+_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 5) for _ in V)), _coefficients, max_size=12,
+).map(lambda terms: MultiPoly(V, terms))
+_values = st.one_of(
+    st.integers(-50, 50),
+    st.just(F(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50),
+    st.builds(F, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, st.fixed_dictionaries({n: _values for n in V}))
+def test_evaluate_matches_per_term_reference(poly, values):
+    assert poly.evaluate(values) == reference_evaluate(poly, values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_coefficients, st.fixed_dictionaries({n: _values for n in V}))
+def test_evaluate_zero_and_constants(c, values):
+    assert MultiPoly.zero(V).evaluate(values) == 0
+    assert MultiPoly.constant(V, c).evaluate(values) == F(c)
+
+
+def test_evaluate_returns_fraction_and_checks_variables():
+    x, y, z = (MultiPoly.variable(V, n) for n in V)
+    p = F(1, 6) * x ** 2 * y - F(3, 4) * z + 2
+    value = p.evaluate({"x": 3, "y": F(-2, 5), "z": F(8, 9)})
+    assert isinstance(value, F) and value == F(-3, 5) - F(2, 3) + 2
+    with pytest.raises(ValueError, match="missing values"):
+        p.evaluate({"x": 1, "y": 2})
+    with pytest.raises(ValueError, match="missing values"):
+        MultiPoly.zero(V).evaluate({"x": 1})

@@ -6,13 +6,15 @@ from fractions import Fraction as F
 import pytest
 
 from quintic_trinomials.surface import (SurfacePoint, SURFACE_FORM, on_surface,
-                                        recover_t, rational_curve, line_point,
+                                        recover_t, t_parts, rational_curve, line_point,
                                         consistency_with_curve,
                                         eliminate_t_from_curve_forms,
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
 from quintic_trinomials import surface
 from quintic_trinomials.curve import curve_from_t, point_search
 from quintic_trinomials.multipoly import MultiPoly
+
+from test_multipoly import reference_evaluate
 
 
 def test_transcription_against_elimination():
@@ -36,6 +38,36 @@ def test_homogeneity():
         lam = F(rng.randint(1, 9), rng.randint(1, 9))
         scaled = {v: lam * x for v, x in values.items()}
         assert SURFACE_FORM.evaluate(scaled) == lam ** 6 * SURFACE_FORM.evaluate(values)
+
+
+def _criterion_7_samples():
+    """The sample points of verify-paper criterion 7, as their parametrizations give them."""
+    for name in CURVE_NAMES:
+        for k in range(1, 51):
+            yield surface._CURVES[name](F(k, 3))
+    for name in LINE_NAMES:
+        for k in range(1, 51):
+            yield surface._LINES[name](F(k), F(k + 1))
+
+
+def test_membership_agrees_with_reference_near_criterion_7_samples():
+    # each sample and its 8 neighbours (one coordinate moved by +-1), at
+    # the parametrization's rational coordinates: exact values must match
+    # the per-term reference, and membership of the primitive point too
+    checked = off = 0
+    for coords in _criterion_7_samples():
+        for i, shift in [(None, 0)] + [(i, s) for i in range(4) for s in (-1, 1)]:
+            moved = [x + shift if j == i else x for j, x in enumerate(coords)]
+            if not any(moved):
+                continue
+            values = dict(zip(surface.SURFACE_VARS, moved))
+            expected = reference_evaluate(SURFACE_FORM, values)
+            assert SURFACE_FORM.evaluate(values) == expected, moved
+            assert on_surface(SurfacePoint.from_rationals(moved)) == (expected == 0), moved
+            assert i is not None or expected == 0, coords
+            checked += 1
+            off += expected != 0
+    assert checked == 500 * 9 and off > 3000
 
 
 def test_lines_vanish_and_recover_annotated_t():
@@ -117,7 +149,8 @@ def test_consistency_with_curve():
     assert verified >= 25
     for name in ("R4", "R5"):
         for k in range(1, 11):
-            assert recover_t(rational_curve(name, F(k, 2))) is None
+            pt = rational_curve(name, F(k, 2))
+            assert recover_t(pt) is None and t_parts(pt) == (0, 0)
 
 
 def test_t_zero_line_is_degenerate_for_consistency():
