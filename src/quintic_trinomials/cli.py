@@ -26,9 +26,9 @@ from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc,
                         galois_type_heuristic, weber_family, dihedral_family,
                         sw2_family, two_trinomial_family)
-from .curve import (curve_from_t, curve_from_field, point_search,
+from .curve import (CurvePoint, curve_from_t, curve_from_field, point_search,
                     point_to_trinomial, field_L_polynomial, DegeneratePoint)
-from .surface import (SurfacePoint, on_surface, recover_t, t_parts, rational_curve,
+from .surface import (on_surface, recover_t, t_parts, rational_curve,
                       consistency_with_curve, CURVE_NAMES)
 from .elliptic import (WeierstrassCurve, j_invariant, quadratic_twist_factor)
 from .report import run_acceptance
@@ -156,7 +156,7 @@ def _cmd_curve(args, cfg, out) -> int:
             "t": format_rational(t),
             "field": poly_to_strings(curve.defining_poly),
             "elimination": {"variable": "e",
-                            "coefficient_of_a": format_rational(Fraction(5, 4) / t)},
+                            "coefficient_of_a": format_rational(curve.e_coordinate(1))},
             "quadric": _form_json(curve.quadric),
             "cubic": _form_json(curve.cubic),
             "field_L": poly_to_strings(field_L_polynomial(t)),
@@ -251,7 +251,7 @@ def _cmd_family(args, cfg, out) -> int:
 def _cmd_surface(args, cfg, out) -> int:
     if args.surface_cmd == "check":
         values = _parse_tuple(args.point, 4)
-        pt = SurfacePoint.from_rationals(values)
+        pt = CurvePoint.from_rationals(values)
     else:
         pt = rational_curve(args.name, parse_rational(args.s))
     member = on_surface(pt)
@@ -262,9 +262,8 @@ def _cmd_surface(args, cfg, out) -> int:
             doc["t"] = "infinity" if t_parts(pt)[0] else "undetermined"
         else:
             doc["t"] = format_rational(t)
-            if t not in (0, Fraction(-3125, 256)):
-                curve_view = consistency_with_curve(pt)
-                doc["on_curve"] = curve_view is not None
+        if consistency_with_curve(pt) is not None:
+            doc["on_curve"] = True
     _emit(doc, out)
     return EXIT_OK
 

@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .qpoly import UniPoly
-from .factor import factor_over_Q
+from .factor import factor_int, factor_over_Q
 from .multipoly import MultiPoly
 from .numberfield import NumberField, FieldElement, charpoly_mod
 from .trinomial import Trinomial, EquivClass, equiv_class
@@ -58,6 +58,21 @@ CURVE_VARS = ("a", "b", "c", "d")
 FULL_VARS = ("a", "b", "c", "d", "e")
 
 T_EXCLUDED = Fraction(-3125, 256)
+
+# The t-form curve's quadric and (reduced) cubic for every t at once, over
+# (a, b, c, d, t); curve_from_t puts in a value of t, and eliminating t
+# gives the surface of fields with an extra trinomial.
+T_FORM_VARS = CURVE_VARS + ("t",)
+T_FORM_QUADRIC = MultiPoly.from_spec(T_FORM_VARS, [
+    (-5, {"a": 2}), (50, {"a": 1, "b": 1}),
+    (32, {"b": 1, "d": 1, "t": 1}), (16, {"c": 2, "t": 1}), (40, {"c": 1, "d": 1, "t": 1}),
+])
+T_FORM_CUBIC = MultiPoly.from_spec(T_FORM_VARS, [
+    (-10, {"a": 3}), (25, {"a": 2, "b": 1}), (-125, {"a": 2, "c": 1}),
+    (-160, {"a": 1, "c": 1, "d": 1, "t": 1}), (-100, {"a": 1, "d": 2, "t": 1}),
+    (64, {"b": 2, "c": 1, "t": 1}), (80, {"b": 2, "d": 1, "t": 1}), (80, {"b": 1, "c": 2, "t": 1}),
+    (-64, {"c": 1, "d": 2, "t": 2}), (-48, {"d": 3, "t": 2}),
+])
 
 
 class DegeneratePoint(Exception):
@@ -156,16 +171,9 @@ def curve_from_t(t: Fraction) -> TrinomialCurve:
         raise ValueError("t = 0 degenerates the trace elimination")
     if t == T_EXCLUDED:
         raise ValueError("t = -3125/256: the defining quintic has a repeated root")
-    quadric = MultiPoly.from_spec(CURVE_VARS, [
-        (-5, {"a": 2}), (50, {"a": 1, "b": 1}),
-        (32 * t, {"b": 1, "d": 1}), (16 * t, {"c": 2}), (40 * t, {"c": 1, "d": 1}),
-    ])
-    cubic = MultiPoly.from_spec(CURVE_VARS, [
-        (-10, {"a": 3}), (25, {"a": 2, "b": 1}), (-125, {"a": 2, "c": 1}),
-        (-160 * t, {"a": 1, "c": 1, "d": 1}), (-100 * t, {"a": 1, "d": 2}),
-        (64 * t, {"b": 2, "c": 1}), (80 * t, {"b": 2, "d": 1}), (80 * t, {"b": 1, "c": 2}),
-        (-64 * t ** 2, {"c": 1, "d": 2}), (-48 * t ** 2, {"d": 3}),
-    ])
+    # no two terms of a t-form share their (a, b, c, d) part
+    quadric, cubic = (MultiPoly(CURVE_VARS, {e[:4]: c * t ** e[4] for e, c in form.terms.items()})
+                      for form in (T_FORM_QUADRIC, T_FORM_CUBIC))
     return TrinomialCurve(t=t, quadric=quadric, cubic=cubic)
 
 
@@ -341,6 +349,7 @@ _Table = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 # Sieve moduli, and _SQUARES[k][r] for r < m^2 + 2m: is r a square mod m = _MODULI[k]
 _MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
+_MODULI_PRIMES = {p for m in _MODULI for p in factor_int(m)}
 _SQUARES = tuple(np.isin(np.arange(m * m + 2 * m) % m, np.arange(m) ** 2 % m) for m in _MODULI)
 # The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
 _OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
@@ -413,7 +422,7 @@ def _search_forms(curve) -> _SearchForms:
     # engine sieves disc / root_scale^2 and scales its square roots back.
     content = math.gcd(*(k for _, k in disc))
     root_scale = 1
-    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):  # primes of the moduli
+    for ell in _MODULI_PRIMES:
         while content % (root_scale * ell) ** 2 == 0:
             root_scale *= ell
     # live -> output coordinates, scaled by the elimination's denominator;

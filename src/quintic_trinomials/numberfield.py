@@ -73,10 +73,10 @@ def _monic_from_power_sums(psums: Sequence[Fraction]) -> UniPoly:
 class NumberField:
     """K = Q[alpha] with alpha a root of a monic irreducible quintic."""
 
-    def __init__(self, defining_poly: UniPoly, check_irreducible: bool = True):
+    def __init__(self, defining_poly: UniPoly):
         if defining_poly.degree != 5 or defining_poly.lc != 1:
             raise ValueError("defining polynomial must be monic of degree 5")
-        if check_irreducible and not factor_over_Q(defining_poly).is_irreducible:
+        if not factor_over_Q(defining_poly).is_irreducible:
             raise ValueError(f"defining polynomial {defining_poly} is reducible over Q")
         self.defining_poly = defining_poly
         # reduction table: coordinates of alpha^k for k = 0..8

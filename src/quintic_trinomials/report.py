@@ -21,9 +21,9 @@ from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc, weber_family,
                         dihedral_family, two_trinomial_family, EquivClass,
                         galois_type_heuristic)
-from .curve import curve_from_t, point_search, point_to_trinomial, CurvePoint
+from .curve import curve_from_t, point_search, point_to_trinomial, CurvePoint, T_EXCLUDED
 from .numberfield import charpoly_mod
-from .surface import (SurfacePoint, on_surface, recover_t, rational_curve,
+from .surface import (on_surface, recover_t, rational_curve,
                       line_point, SURFACE_FORM, eliminate_t_from_curve_forms,
                       LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
 from .elliptic import E0, E_TWIST_MINUS10, j_invariant, quadratic_twist_factor
@@ -131,8 +131,7 @@ def _c5_discriminant_form() -> CriterionResult:
         f = Trinomial(a, b)
         if trinomial_disc(f) == discriminant(f.as_unipoly()):
             agree += 1
-    t = Fraction(-3125, 256)
-    vanish = trinomial_disc(Trinomial(t, t)) == 0
+    vanish = trinomial_disc(Trinomial(T_EXCLUDED, T_EXCLUDED)) == 0
     return CriterionResult(
         5, "discriminant closed form 256a^5 + 3125b^4",
         agree == 200 and vanish,
@@ -187,12 +186,15 @@ def _c7_surface() -> CriterionResult:
     for name in LINE_NAMES:
         for k in range(1, 51):
             pt = line_point(name, Fraction(k), Fraction(k + 1))
-            if not on_surface(pt):
-                samples_ok = False
-            expected_t = LINE_T_VALUES.get(name, "skip")
-            if expected_t != "skip" and name != "singular":
-                if recover_t(pt) != expected_t:
+            if name not in LINE_T_VALUES:
+                if not on_surface(pt):
+                    samples_ok = False
+                continue
+            try:  # recover_t checks membership itself
+                if recover_t(pt) != LINE_T_VALUES[name]:
                     line_t_ok = False
+            except ValueError:  # off the surface
+                samples_ok = False
     ratio = eliminate_t_from_curve_forms().proportionality(SURFACE_FORM)
     return CriterionResult(
         7, "surface form on lines and curves; t recovery; elimination",

@@ -1,31 +1,32 @@
 """The degree-6 surface indexing fields with extra trinomials.
 
-Eliminating the parameter t from the curve's quadric and cubic yields a
-projective surface X in (a : b : c : d): a point of X determines (when
-the denominator is nonzero) a t value via
-t = (5a^2 - 50ab)/(32bd + 16c^2 + 40cd), and the point then lies on the
+Eliminating the parameter t from the curve's quadric and cubic
+(`curve.T_FORM_QUADRIC` and `curve.T_FORM_CUBIC`, over (a, b, c, d, t))
+yields a projective surface X in (a : b : c : d).  The quadric is linear
+in t, so a point of X determines (when the t coefficient is nonzero) the
+t value where the quadric vanishes, and the point then lies on the
 corresponding curve, so the field Q[x]/(x^5+tx+t) carries a second
-trinomial class.  The surface is very singular; it contains five lines
-(three of them carrying the degenerate t values 0, infinity and
--3125/256, one inside the singular locus) and at least five explicit
-rational curves.
+trinomial class.  Points of X are `CurvePoint`s with four coordinates.
+The surface is very singular; it contains five lines (three of them
+carrying the degenerate t values 0, infinity and -3125/256, one inside
+the singular locus) and at least five explicit rational curves.
 
 The 30-term sextic form is transcribed once below and guarded by a
-transcription test: the resultant in t of the two curve forms, divided
-by the common factor 5a, must reproduce it up to a rational unit.
+transcription test against `curve.T_FORM_*`: the resultant in t of the
+two curve forms, divided by the common factor 5a, must reproduce it up
+to a rational unit.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .multipoly import MultiPoly, resultant_in
-from .curve import CurvePoint, TrinomialCurve, curve_from_t, T_EXCLUDED
+from .curve import (CURVE_VARS, CurvePoint, T_EXCLUDED, T_FORM_CUBIC, T_FORM_QUADRIC,
+                    _form_value, _table, curve_from_t)
 
-SURFACE_VARS = ("a", "b", "c", "d")
+SURFACE_VARS = CURVE_VARS
 
 # the sextic form cutting out X, one monomial per row
 SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
@@ -62,55 +63,38 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
 ])
 
 
-@dataclass(frozen=True, order=True)
-class SurfacePoint:
-    """Primitive integer tuple (a : b : c : d), first nonzero coordinate positive."""
+# points of the surface are points of P^3, as on the curves
+SurfacePoint = CurvePoint
 
-    coords: Tuple[int, int, int, int]
-
-    @staticmethod
-    def from_rationals(values) -> "SurfacePoint":
-        vals = [Fraction(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError("need 4 coordinates")
-        if all(v == 0 for v in vals):
-            raise ValueError("all coordinates vanish")
-        den = math.lcm(*(v.denominator for v in vals))
-        ints = [int(v * den) for v in vals]
-        g = math.gcd(*(abs(v) for v in ints))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        return SurfacePoint(tuple(ints))
-
-    def values(self) -> Dict[str, Fraction]:
-        return dict(zip(SURFACE_VARS, (Fraction(v) for v in self.coords)))
-
-    def to_json(self):
-        return list(self.coords)
-
-    def __str__(self):
-        return "(" + " : ".join(str(v) for v in self.coords) + ")"
+# the quadric is den*t - num, so t = num/den at a point of the surface;
+# its t^0 and t^1 coefficients as integer tables over (a, b, c, d)
+_T_COEFFICIENTS = tuple(_table(T_FORM_QUADRIC.coefficient_of("t", k), CURVE_VARS) for k in (0, 1))
 
 
-def on_surface(point: SurfacePoint) -> bool:
+def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
+    if len(point.coords) != 4:
+        raise ValueError(f"{point} is not a point of P^3: need 4 coordinates")
+    return point.coords
+
+
+def on_surface(point: CurvePoint) -> bool:
     """Exact evaluation of the sextic form."""
-    return SURFACE_FORM.evaluate(point.values()) == 0
+    return SURFACE_FORM.evaluate(dict(zip(SURFACE_VARS, _coordinates(point)))) == 0
 
 
-def t_parts(point: SurfacePoint) -> Tuple[int, int]:
-    """Numerator 5a^2 - 50ab and denominator 32bd + 16c^2 + 40cd of t.
+def t_parts(point: CurvePoint) -> Tuple[int, int]:
+    """Integer numerator and denominator of t, read off the curve quadric.
 
     Where both vanish (the base locus: all of R4 and R5, for instance)
     t is 0/0 and no single value is attached to the point.
     """
-    a, b, c, d = point.coords
-    return 5 * a * a - 50 * a * b, 32 * b * d + 16 * c * c + 40 * c * d
+    coords = _coordinates(point)
+    minus_num, den = (_form_value(table, coords) for table in _T_COEFFICIENTS)
+    return -minus_num, den
 
 
-def recover_t(point: SurfacePoint) -> Optional[Fraction]:
-    """t = (5a^2 - 50ab)/(32bd + 16c^2 + 40cd); None when t is infinity or undetermined.
+def recover_t(point: CurvePoint) -> Optional[Fraction]:
+    """The t where the curve quadric vanishes; None when t is infinity or undetermined.
 
     Only defined on the surface (usage error otherwise).
     """
@@ -143,12 +127,12 @@ LINE_T_VALUES = {"t0-a": Fraction(0), "t0-b": Fraction(0),
                  "t-inf": None, "t-reducible": T_EXCLUDED}
 
 
-def line_point(name: str, u, v) -> SurfacePoint:
+def line_point(name: str, u, v) -> CurvePoint:
     """A point of one of the five lines; (u, v) projective on the line."""
     if name not in _LINES:
         raise ValueError(f"unknown line {name!r}; choose from {LINE_NAMES}")
     coords = _LINES[name](Fraction(u), Fraction(v))
-    return SurfacePoint.from_rationals(coords)
+    return CurvePoint.from_rationals(coords)
 
 
 # five explicit rational curves, by parametrization degree in s
@@ -188,7 +172,7 @@ _CURVES = {
 CURVE_NAMES = ("R1", "R2", "R3", "R4", "R5")
 
 
-def rational_curve(name: str, s) -> SurfacePoint:
+def rational_curve(name: str, s) -> CurvePoint:
     """Point of one of the five rational curves on X at parameter s.
 
     Raises when every coordinate vanishes (finitely many excluded s).
@@ -198,10 +182,10 @@ def rational_curve(name: str, s) -> SurfacePoint:
     coords = _CURVES[name](Fraction(s))
     if all(v == 0 for v in coords):
         raise ValueError(f"parameter s = {s} excluded on {name}: all coordinates vanish")
-    return SurfacePoint.from_rationals(coords)
+    return CurvePoint.from_rationals(coords)
 
 
-def consistency_with_curve(point: SurfacePoint) -> Optional[Tuple[Fraction, CurvePoint]]:
+def consistency_with_curve(point: CurvePoint) -> Optional[Tuple[Fraction, CurvePoint]]:
     """View a surface point on its curve; None for degenerate t.
 
     For t = recover_t outside {0, infinity, -3125/256} the point
@@ -210,12 +194,10 @@ def consistency_with_curve(point: SurfacePoint) -> Optional[Tuple[Fraction, Curv
     t = recover_t(point)
     if t is None or t == 0 or t == T_EXCLUDED:
         return None
-    curve = curve_from_t(t)
-    cpt = CurvePoint(point.coords)
-    if not curve.contains(cpt):
+    if not curve_from_t(t).contains(point):
         raise ArithmeticError(
             f"surface-curve invariant broken: {point} fails the curve forms at t = {t}")
-    return t, cpt
+    return t, point
 
 
 def eliminate_t_from_curve_forms() -> MultiPoly:
@@ -225,22 +207,11 @@ def eliminate_t_from_curve_forms() -> MultiPoly:
     cubic is 5a times the surface form; the quotient is returned for
     comparison against the transcription.
     """
-    variables = SURFACE_VARS + ("t",)
-    v = lambda n: MultiPoly.variable(variables, n)
-    a, b, c, d, t = (v(n) for n in ("a", "b", "c", "d", "t"))
-    quadric = (-5) * a * a + 50 * a * b + 32 * t * b * d + 16 * t * c * c + 40 * t * c * d
-    cubic = ((-10) * a ** 3 + 25 * a * a * b - 125 * a * a * c
-             - 160 * t * a * c * d - 100 * t * a * d * d
-             + 64 * t * b * b * c + 80 * t * b * b * d + 80 * t * b * c * c
-             - 64 * t * t * c * d * d - 48 * t * t * d ** 3)
-    res = resultant_in("t", quadric, cubic)
+    res = resultant_in("t", T_FORM_QUADRIC, T_FORM_CUBIC)
     quotient = res.divide_by_variable("a")
     if quotient is None:
         raise ArithmeticError("elimination invariant broken: the resultant is not divisible by a")
+    if quotient.degree_in("t") > 0:
+        raise ArithmeticError("elimination invariant broken: t survives in the resultant")
     # drop the now-unused t slot
-    terms = {}
-    for e, coeff in quotient.terms.items():
-        if e[4] != 0:
-            raise ArithmeticError("elimination invariant broken: t survives in the resultant")
-        terms[e[:4]] = coeff
-    return MultiPoly(SURFACE_VARS, terms)
+    return MultiPoly(SURFACE_VARS, {e[:4]: c for e, c in quotient.terms.items()})

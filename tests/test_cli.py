@@ -51,7 +51,14 @@ def test_curve_t_form(capsys):
     doc = json.loads(out)
     assert doc["field"] == ["6/5", "6/5", "0", "0", "0", "1"]
     assert doc["elimination"] == {"variable": "e", "coefficient_of_a": "25/24"}
-    assert ["-5", [2, 0, 0, 0]] in doc["quadric"]["terms"]
+    assert doc["quadric"] == {"variables": ["a", "b", "c", "d"], "terms": [
+        ["-5", [2, 0, 0, 0]], ["50", [1, 1, 0, 0]], ["192/5", [0, 1, 0, 1]],
+        ["96/5", [0, 0, 2, 0]], ["48", [0, 0, 1, 1]]]}
+    assert doc["cubic"] == {"variables": ["a", "b", "c", "d"], "terms": [
+        ["-10", [3, 0, 0, 0]], ["25", [2, 1, 0, 0]], ["-125", [2, 0, 1, 0]],
+        ["-192", [1, 0, 1, 1]], ["-120", [1, 0, 0, 2]], ["384/5", [0, 2, 1, 0]],
+        ["96", [0, 2, 0, 1]], ["96", [0, 1, 2, 0]], ["-2304/25", [0, 0, 1, 2]],
+        ["-1728/25", [0, 0, 0, 3]]]}
     assert doc["field_L"][-1] == "1" and len(doc["field_L"]) == 11
 
 

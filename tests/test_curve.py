@@ -44,6 +44,14 @@ def test_curve_from_t_quadric_coefficients():
         (-5, {"a": 2}), (50, {"a": 1, "b": 1}), (F(192, 5), {"b": 1, "d": 1}),
         (F(96, 5), {"c": 2}), (48, {"c": 1, "d": 1})])
     assert curve.quadric == expected
+    # an independent transcription of the cubic at t = 6/5, since curve_from_t
+    # reads the shared t-forms
+    expected_cubic = MultiPoly.from_spec(("a", "b", "c", "d"), [
+        (-10, {"a": 3}), (25, {"a": 2, "b": 1}), (-125, {"a": 2, "c": 1}),
+        (-192, {"a": 1, "c": 1, "d": 1}), (-120, {"a": 1, "d": 2}),
+        (F(384, 5), {"b": 2, "c": 1}), (96, {"b": 2, "d": 1}), (96, {"b": 1, "c": 2}),
+        (F(-2304, 25), {"c": 1, "d": 2}), (F(-1728, 25), {"d": 3})])
+    assert curve.cubic == expected_cubic
 
 
 def test_base_point_on_every_t_form_curve():

@@ -392,7 +392,7 @@ def _oracle_fields(draw):
         return NumberField(draw(st.sampled_from(_ORACLE_FIELDS)))
     g = UniPoly(draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5)) + [1])
     assume(factor_over_Q(g).is_irreducible)
-    return NumberField(g, check_irreducible=False)
+    return NumberField(g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ from quintic_trinomials.surface import (SurfacePoint, SURFACE_FORM, on_surface,
                                         consistency_with_curve,
                                         eliminate_t_from_curve_forms,
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
-from quintic_trinomials import surface
+from quintic_trinomials import report, surface
 from quintic_trinomials.curve import curve_from_t, point_search
 from quintic_trinomials.multipoly import MultiPoly
 
@@ -119,6 +119,15 @@ def test_recover_t_rejects_off_surface():
         recover_t(SurfacePoint((1, 1, 1, 1)))
 
 
+@pytest.mark.parametrize("coords", [(1, 2, 3), (0, 1, 0, 0, 1)])
+def test_points_need_four_coordinates(coords):
+    # a 5-tuple must not be silently truncated to its first four coordinates
+    with pytest.raises(ValueError, match="need 4 coordinates"):
+        on_surface(SurfacePoint(coords))
+    with pytest.raises(ValueError, match="need 4 coordinates"):
+        t_parts(SurfacePoint(coords))
+
+
 def test_search_points_lie_on_surface_with_matching_t():
     checked = 0
     for t, bound in ((F(6, 5), 100), (F(-3125, 20736), 40), (F(7, 3), 40)):
@@ -151,6 +160,16 @@ def test_consistency_with_curve():
         for k in range(1, 11):
             pt = rational_curve(name, F(k, 2))
             assert recover_t(pt) is None and t_parts(pt) == (0, 0)
+
+
+def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
+    # 250 curve samples and 250 line samples; recover_t checks membership itself
+    calls = []
+    evaluate = MultiPoly.evaluate
+    monkeypatch.setattr(MultiPoly, "evaluate",
+                        lambda self, values: calls.append(self) or evaluate(self, values))
+    assert report._c7_surface().passed
+    assert len(calls) == 500 and all(form is SURFACE_FORM for form in calls)
 
 
 def test_t_zero_line_is_degenerate_for_consistency():
