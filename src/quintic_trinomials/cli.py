@@ -5,8 +5,8 @@ floating point; polynomials are ascending-degree coefficient lists.
 Search output streams one JSON object per line; everything else emits a
 single JSON document.  Exit codes: 0 success, 1 a `verify` criterion
 failed, 2 malformed input, 4 an internal error (a broken invariant of the
-exact arithmetic).  Root-in-field answers are exact: a verified root or a
-proof of absence.
+exact arithmetic), 141 the reader closed stdout early.  Root-in-field
+answers are exact: a verified root or a proof of absence.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .report import run_acceptance
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTERNAL = 4  # a broken internal invariant (ArithmeticError), never a failed check
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
 ENV_JOBS = "QUINTRIN_JOBS"
 
@@ -398,7 +399,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, cfg, out)
+        code = args.func(args, cfg, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`quintrin search ... | head`): point stdout at
+        # the null device so that the flush at interpreter exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,10 +23,12 @@ factors exactly in Z[x], after a constant-term divisibility test.
 Root counts and cycle types over many primes p > deg f at once run in
 numpy int64 lanes, one per (polynomial, prime): x^p mod f by
 square-and-multiply gives the Frobenius matrix Q, and trace(Q^k) is the
-number of roots in GF(p^k).  The k = 1 trace is the root count; the
-traces for k <= deg f / 2 give the cycle type of a squarefree reduction
-by Moebius inversion.  Simple roots mod p lift to p^k by Newton's
-iteration.
+number of roots in GF(p^k).  Each product of two residues is reduced by
+one matrix product with a per-lane table of x^k mod (f, p) for k = n..2n-2.
+The k = 1 trace is the root count; the traces for k <= deg f / 2 give
+the cycle type of a squarefree reduction by Moebius inversion.  The roots
+themselves come from evaluating f at every residue mod p, and simple
+roots mod p lift to p^k by Newton's iteration.
 """
 
 from __future__ import annotations
@@ -294,15 +296,20 @@ class _BatchMod:
         for i in range(n):
             for j in range(n):
                 self.conv[i * n + j, i + j] = 1
+        # per lane, row k - n holds x^k mod (P, p) for k = n..2n-2
+        self.red = np.empty(self.low.shape[:-1] + (n - 1, n), dtype=np.int64)
+        power = -self.low % self.mod  # x^n = -(P - x^n)
+        for row in range(n - 1):
+            self.red[..., row, :] = power
+            power = self.times_x(power)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a * b mod (P, p); a product sums at most n terms below p^2."""
+        """a * b mod (P, p); each matrix product sums at most n terms below p^2."""
         n = self.n
         outer = (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (n * n,))
         prod = (outer @ self.conv) % self.mod
-        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) * (x^n - P)
-            prod[..., k - n:k] = (prod[..., k - n:k] - prod[..., k, None] * self.low) % self.mod
-        return prod[..., :n]
+        high = prod[..., None, n:] @ self.red
+        return (prod[..., :n] + high[..., 0, :]) % self.mod
 
     def times_x(self, a: np.ndarray) -> np.ndarray:
         shifted = np.concatenate((np.zeros_like(a[..., :1]), a[..., :-1]), axis=-1)
@@ -382,6 +389,28 @@ def _cycle_types_batch(polys: Sequence[Sequence[int]],
     return [[tuple(d for d, cd in enumerate(cs, 1) for _ in range(cd)) + ((r,) if r else ())
              for cs, r in zip(per_poly, left_poly)]
             for per_poly, left_poly in zip(factors, left.tolist())]
+
+
+_ROOT_SCAN_CHUNK = 1 << 16
+
+
+def _gf_roots(int_coeffs: Sequence[int], p: int) -> List[int]:
+    """Ascending roots mod p < 2^30 of an integer polynomial, by evaluation at every residue.
+
+    One int64 Horner pass over at most 2^16 residues at a time: every
+    step multiplies two residues below p and adds one, below 2^61.
+    """
+    if p >= _BATCH_PRIME_LIMIT:
+        raise ValueError(f"need a prime below {_BATCH_PRIME_LIMIT}")
+    coeffs = [c % p for c in reversed(int_coeffs)]
+    roots: List[int] = []
+    for start in range(0, p, _ROOT_SCAN_CHUNK):
+        x = np.arange(start, min(start + _ROOT_SCAN_CHUNK, p), dtype=np.int64)
+        acc = np.zeros_like(x)
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        roots.extend((start + np.flatnonzero(acc == 0)).tolist())
+    return roots
 
 
 def _frobenius_apply(rows, h, p):

@@ -12,16 +12,20 @@ ch. 3-4; Belabas, J. Theor. Nombres Bordeaux 16, 2004).  f has a root in K
 exactly when Q[x]/(f) and K are isomorphic, so at every prime not dividing
 the discriminants f and g have equally many roots: one prime where the
 root counts differ proves absence.  The scan, batched over blocks of
-primes, stops at the first prime p where g splits completely; there the
-roots of f and g are lifted p-adically past a proven coefficient bound,
-and each of the 120 matchings of the roots gives a candidate root by
-interpolation.  Candidates are verified by exact evaluation in K, and when
-none verifies, "absent" is proven.  Of several roots (K cyclic) the one of
-least height is returned, ties broken by coordinates.
+primes, stops at the first prime p where g splits completely.  There the
+roots of f and g are found by evaluating at every residue mod p, lifted
+p-adically past a proven coefficient bound, and each of the 120 matchings
+of the roots gives a candidate root by interpolation.  The bound is
+sqrt|disc g| times Hadamard's bound on the columns of a Cramer
+determinant (see `_interpolated_roots`).  Candidates are verified by
+exact evaluation in K, and when none verifies, "absent" is proven.  Of
+several roots (K cyclic) the one of least height is returned, ties broken
+by coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .qpoly import UniPoly, count_real_roots, discriminant
-from .factor import (_gf_root_counts_batch, _lift_roots, _z_mul, factor_mod_p, factor_over_Q,
+from .factor import (_gf_roots, _gf_root_counts_batch, _lift_roots, _z_mul, factor_over_Q,
                      primes_below)
 
 
@@ -105,9 +109,9 @@ class NumberField:
     def rational(self, q) -> "FieldElement":
         return self.element((q, 0, 0, 0, 0))
 
-    @property
+    @functools.cached_property
     def signature(self) -> Tuple[int, int]:
-        """(real embeddings, conjugate pairs)."""
+        """(real embeddings, conjugate pairs), counted once per field."""
         r = count_real_roots(self.defining_poly)
         return r, (5 - r) // 2
 
@@ -368,29 +372,55 @@ def _decide_at_split_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
 
 
 def _lifted_roots(ints: List[int], p: int, k: int) -> List[int]:
-    """The roots mod p^k of a monic integer polynomial with five simple roots mod p."""
-    factors = factor_mod_p(ints, p)
-    if len(factors) != 5:
+    """The roots mod p^k of a monic integer polynomial with deg-many simple roots mod p.
+
+    The roots mod p are found by evaluation at every residue (`_gf_roots`),
+    which costs O(p), no more than the prime scan that reached p; their
+    number equal to the degree proves that they are simple.  Newton's
+    iteration lifts them.
+    """
+    roots = _gf_roots(ints, p)
+    if len(roots) != len(ints) - 1:
         raise ArithmeticError(f"split prime invariant broken: {ints} does not split mod {p}")
-    return _lift_roots(ints, [-g[0] % p for g, _ in factors], p, k)
+    return _lift_roots(ints, roots, p, k)
+
+
+def _root_bound(F: List[int], G: List[int], disc_g: int) -> int:
+    """B >= |disc_g c_j| for every root sum c_j theta^j of F in Q(theta), theta a root of G.
+
+    Derived in `_interpolated_roots`: (isqrt|D| + 1) 56 M_G^10 M_F with the
+    Cauchy root bounds M_F, M_G of the monic integer quintics F and G.
+    """
+    cauchy_f = 1 + max(abs(c) for c in F[:-1])
+    cauchy_g = 1 + max(abs(c) for c in G[:-1])
+    return (math.isqrt(abs(disc_g)) + 1) * 56 * cauchy_g ** 10 * cauchy_f
 
 
 def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List[List[int]]:
     """Every h in Z[x] of degree < 5 with F(h(theta) / disc_g) = 0, theta a root of G.
 
     F and G are monic integer quintics that split into distinct linear
-    factors mod p, and disc_g = disc(G).  A root of F in Q(theta) is
-    sum c_j theta^j; by Cramer D c_j = det(V) det(V_j) with D = disc(G) =
-    det(V)^2 for the Vandermonde V of G's roots, a rational integer (D O_K
-    lies in Z[theta]), and Hadamard's bound gives |D c_j| <= B = 5^5 M^40
-    with M the larger Cauchy root bound.  Each of the 120 matchings of the
-    roots mod p^k gives D c_j by Lagrange interpolation; once p^k > 2B the
-    symmetric residues of a true matching are the D c_j.  The extra factor
-    2^64 leaves a false matching a chance of about 2^-64 per coordinate to
-    pass the bound, and every candidate is verified exactly.
+    factors mod p, and disc_g = D = disc(G).  A root phi of F in Q(theta)
+    is sum c_j theta^j, so V c = (phi_i) for the Vandermonde matrix V of
+    the roots theta_i of G and the conjugates phi_i.  Cramer's rule gives
+    D c_j = det(V) det(V_j), with V_j the matrix V whose column j is
+    replaced by (phi_i), and D c_j is a rational integer because phi lies
+    in O_K and D O_K lies in Z[theta].  Both factors are bounded:
+
+    - det(V)^2 = D exactly, so |det V| = sqrt|D| <= isqrt|D| + 1;
+    - Hadamard's inequality on the columns of V_j: column m of V has norm
+      at most sqrt(5) M_G^m and the column of the phi_i at most sqrt(5) M_F,
+      with M_G and M_F the Cauchy root bounds 1 + max |coefficient| of G
+      and F, so |det V_j| <= 5^(5/2) M_G^(10 - j) M_F <= 56 M_G^10 M_F.
+
+    Hence |D c_j| <= B = (isqrt|D| + 1) 56 M_G^10 M_F (`_root_bound`).
+    Each of the 120 matchings of the roots mod p^k gives D c_j by
+    Lagrange interpolation; once p^k > 2B the symmetric residues of a true
+    matching are the D c_j.  The extra factor 2^64 leaves a false matching
+    a chance of about 2^-64 per coordinate to pass the bound, and every
+    candidate is verified exactly.
     """
-    cauchy = 1 + max(abs(c) for c in F[:-1] + G[:-1])
-    bound = 5 ** 5 * cauchy ** 40
+    bound = _root_bound(F, G, disc_g)
     k = 1
     while p ** k <= (2 * bound) << 64:
         k += 1

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from quintic_trinomials import cli, factor
-from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE, EXIT_INTERNAL
+from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE, EXIT_INTERNAL, EXIT_BROKEN_PIPE
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +134,25 @@ def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
                              "--g", "-18,0,0,0,0,1", "--f", "-324,0,0,0,0,1")
     assert code == EXIT_INTERNAL and code not in (0, 1, 2)
     assert out == "" and err == "internal error: lift invariant broken modulo 7\n"
+
+
+def test_closed_stdout_exits_quietly_with_its_own_code():
+    # the reader of the pipe is gone before the run starts, as after `| head -1`
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from quintic_trinomials.cli import main; "
+             "sys.exit(main())", "--jobs", "1", "search", "--t", "6/5", "--height", "60"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert EXIT_BROKEN_PIPE not in (EXIT_OK, 1, EXIT_USAGE, EXIT_INTERNAL)
+    assert proc.stderr == b""
 
 
 def test_root_in_field_absent(capsys):

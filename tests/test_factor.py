@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -173,6 +174,48 @@ def test_batched_xpow_p_matches_powmod():
             assert factor._gf_trim(powers[lane, i].tolist()) == expected, (poly, p)
     with pytest.raises(ValueError):
         factor._BatchMod(polys, [1 << 30])
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_batched_mul_matches_gf_mul_at_the_lane_limit(n):
+    # one reduction matrix product sums n - 1 products below p^2 plus one
+    # residue: the int64 bound at n = 7 and p = 2^30 - 35
+    rng = random.Random(n)
+    primes = [(1 << 30) - 35, 1009, 11]
+    polys = [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)] + [1] for _ in range(3)]
+    polys.append([rng.randint(0, 1) * ((1 << 30) - 36) for _ in range(n)] + [1])
+    a = np.array([[[rng.randrange(p) for _ in range(n)] for p in primes] for _ in polys])
+    b = np.array([[[rng.choice((p - 1, rng.randrange(p))) for _ in range(n)] for p in primes]
+                  for _ in polys])
+    prod = factor._BatchMod(polys, primes).mul(a, b)
+    for lane, poly in enumerate(polys):
+        for i, p in enumerate(primes):
+            expected = factor._gf_mod(factor._gf_mul(a[lane, i].tolist(), b[lane, i].tolist(), p),
+                                      [c % p for c in poly], p)
+            assert factor._gf_trim(prod[lane, i].tolist()) == expected, (poly, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=7),
+       st.sampled_from([p for p in primes_below(300) if p > 2]))
+def test_roots_by_evaluation_match_linear_factors(low, p):
+    ints = low + [1]
+    expected = sorted(-g[0] % p for g, _ in factor_mod_p(ints, p) if len(g) == 2)
+    assert factor._gf_roots(ints, p) == expected
+
+
+def test_roots_by_evaluation_cross_residue_chunks():
+    # p > 2^16 takes two evaluation chunks; roots on both sides of the seam
+    p = 131071
+    ints = [1]
+    for root in (0, 5, 65535, 65536, 131070):
+        ints = factor._z_mul(ints, [-root, 1])
+    ints = factor._z_mul(ints, [1, 0, 1])  # p = 3 mod 4: x^2 + 1 has no root mod p
+    assert factor._gf_roots(ints, p) == [0, 5, 65535, 65536, 131070]
+    assert factor._gf_roots(ints, p) == sorted(-g[0] % p for g, _ in factor_mod_p(ints, p)
+                                              if len(g) == 2)
+    with pytest.raises(ValueError):
+        factor._gf_roots(ints, 1 << 30)
 
 
 @settings(max_examples=40, deadline=None)

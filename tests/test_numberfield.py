@@ -9,10 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant
-from quintic_trinomials.factor import _gf_root_counts_batch, factor_over_Q, primes_below
+from quintic_trinomials.factor import (_gf_root_counts_batch, factor_mod_p, factor_over_Q,
+                                       primes_below)
 from quintic_trinomials.roots import ComplexBall, complex_roots
+from quintic_trinomials import numberfield
 from quintic_trinomials.numberfield import (NumberField, has_root_in_field, charpoly_mod,
-                                            _interpolated_roots)
+                                            _integral_coeffs, _interpolated_roots,
+                                            _lifted_roots, _root_bound)
 
 from trager_oracle import trager_has_root, trager_norm
 
@@ -325,8 +328,8 @@ def test_char_poly_of_any_element_is_certified(field, coords):
 
 
 def _common_split_prime(F, G):
-    primes = [p for p in primes_below(5000) if p > 5 and discriminant(UniPoly(F))
-              * discriminant(UniPoly(G)) % p]
+    bad = discriminant(UniPoly(F)) * discriminant(UniPoly(G))
+    primes = [p for p in primes_below(5000) if p > 5 and bad % p]
     counts = _gf_root_counts_batch([F, G], primes)
     return next(p for i, p in enumerate(primes) if counts[0, i] == counts[1, i] == 5)
 
@@ -340,6 +343,60 @@ def test_interpolation_at_a_split_prime_finds_the_root_or_proves_none():
     # Q(2^(1/5)) is not Q(18^(1/5)): no matching survives at a prime where both split
     F = [-2, 0, 0, 0, 0, 1]
     assert _interpolated_roots(F, G, disc, _common_split_prime(F, G)) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_PROPERTY_FIELDS), st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+def test_root_coordinates_lie_within_the_interpolation_bound(field, coords):
+    # beta has the integers disc(G) c_j in the basis of theta = e alpha, the
+    # root of the rescaled G; they must lie within B, and interpolation at
+    # the least precision p^k > 2B 2^64 must give them back
+    assume(any(coords[1:]))
+    beta = field.element(coords)
+    d, F = _integral_coeffs(beta.char_poly())
+    e, G = _integral_coeffs(field.defining_poly)
+    disc = int(discriminant(UniPoly(G)))
+    scaled = [disc * d * c / e ** j for j, c in enumerate(beta.coords)]
+    assert all(c.denominator == 1 for c in scaled)
+    h = [int(c) for c in scaled]
+    assert max(map(abs, h)) <= _root_bound(F, G, disc)
+    assert h in _interpolated_roots(F, G, disc, _common_split_prime(F, G))
+
+
+def test_split_prime_roots_by_evaluation_match_factorization():
+    for field in _PROPERTY_FIELDS:
+        _, G = _integral_coeffs(field.defining_poly)
+        disc = discriminant(UniPoly(G))
+        primes = [p for p in primes_below(3000) if p > 5 and disc % p]
+        counts = _gf_root_counts_batch([G], primes)[0]
+        split = [p for p, c in zip(primes, counts.tolist()) if c == 5][:4]
+        assert split
+        for p in split:
+            expected = sorted(-g[0] % p for g, _ in factor_mod_p(G, p))
+            assert sorted(_lifted_roots(G, p, 1)) == expected
+
+
+def test_lifted_roots_need_a_split_prime():
+    G = [-18, 0, 0, 0, 0, 1]
+    primes = [p for p in primes_below(100) if p > 5]
+    counts = _gf_root_counts_batch([G], primes)[0].tolist()
+    p = next(p for p, c in zip(primes, counts) if c not in (0, 5))
+    with pytest.raises(ArithmeticError, match="does not split mod"):
+        _lifted_roots(G, p, 3)
+    with pytest.raises(ArithmeticError, match="does not split mod"):
+        _lifted_roots(G, primes[counts.index(0)], 3)
+
+
+def test_signature_is_counted_once_per_field(monkeypatch):
+    field = NumberField(UniPoly([105, 75, 0, 0, 0, 1]))
+    calls = []
+    monkeypatch.setattr(numberfield, "count_real_roots",
+                        lambda g: calls.append(g) or count_real_roots(g))
+    assert field.signature == (1, 2)
+    for f in (UniPoly([465, -75, 0, 0, 0, 1]), UniPoly([-2, 0, 0, 0, 0, 1])):
+        has_root_in_field(f, field)
+    assert field.signature == (1, 2)
+    assert calls.count(field.defining_poly) == 1
 
 
 # minimal polynomial of 2cos(2pi/11): a cyclic field, whose automorphisms
