@@ -5,8 +5,9 @@ floating point; polynomials are ascending-degree coefficient lists.
 Search output streams one JSON object per line; everything else emits a
 single JSON document.  Exit codes: 0 success, 1 a `verify` criterion
 failed, 2 malformed input, 4 an internal error (a broken invariant of the
-exact arithmetic), 141 the reader closed stdout early.  Root-in-field
-answers are exact: a verified root or a proof of absence.
+exact arithmetic, or a worker process that died), 141 the reader closed
+stdout early.  Root-in-field answers are exact: a verified root or a
+proof of absence.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -28,14 +30,16 @@ from .trinomial import (Trinomial, equiv_class, trinomial_disc,
                         sw2_family, two_trinomial_family)
 from .curve import (CurvePoint, curve_from_t, curve_from_field, point_search,
                     point_to_trinomial, field_L_polynomial, DegeneratePoint)
-from .surface import (on_surface, recover_t, t_parts, rational_curve,
-                      consistency_with_curve, CURVE_NAMES)
+from .surface import (recover_t, t_parts, rational_curve, consistency_with_curve,
+                      CURVE_NAMES)
 from .elliptic import (WeierstrassCurve, j_invariant, quadratic_twist_factor)
 from .report import run_acceptance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_INTERNAL = 4  # a broken internal invariant (ArithmeticError), never a failed check
+# a broken internal invariant (ArithmeticError) or a worker process that died
+# (BrokenProcessPool), never a failed check
+EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
 ENV_JOBS = "QUINTRIN_JOBS"
@@ -255,15 +259,18 @@ def _cmd_surface(args, cfg, out) -> int:
         pt = CurvePoint.from_rationals(values)
     else:
         pt = rational_curve(args.name, parse_rational(args.s))
-    member = on_surface(pt)
+    try:  # recover_t checks membership itself: one evaluation of the sextic
+        t = recover_t(pt)
+        member = True
+    except ValueError:  # off the surface
+        member = False
     doc = {"point": pt.to_json(), "on_surface": member}
     if member:
-        t = recover_t(pt)
         if t is None:
             doc["t"] = "infinity" if t_parts(pt)[0] else "undetermined"
         else:
             doc["t"] = format_rational(t)
-        if consistency_with_curve(pt) is not None:
+        if consistency_with_curve(pt, t) is not None:
             doc["on_curve"] = True
     _emit(doc, out)
     return EXIT_OK
@@ -412,7 +419,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:
+    except (ArithmeticError, BrokenProcessPool) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

@@ -654,9 +654,13 @@ def _worker_chunk(z_lo: int, z_hi: int) -> set:
     return _search_chunk(_worker_sieve, z_lo, z_hi)
 
 
-def _worker_count(jobs: int, chunks: int) -> int:
-    """Worker processes for `chunks` tasks at parallelism `jobs`, capped at the CPU count."""
-    return max(1, min(jobs, chunks, os.cpu_count() or 1))
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for `tasks` tasks at parallelism `jobs`, capped at the CPU count.
+
+    The one helper for every process pool: search chunks here, and the
+    criterion tasks of `report`.
+    """
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 def _search(curve, height_bound: int, jobs: int) -> set:

@@ -5,15 +5,27 @@ report is byte-identical across runs and parallelism degrees (timings
 are enforced against their budgets but never printed).  The final
 criterion recomputes the entire suite a second time and compares the
 rendered bytes.
+
+One computation of the suite is nine independent tasks: criteria 1
+through 8, and the extra point search of criterion 9 (t = -3125/20736
+at height 100).  At jobs = 1 they run in this process, in that order,
+and `run_acceptance` calls `run_criteria` twice.  At jobs >= 2 the
+tasks of both computations go through one process pool of
+min(jobs, tasks, CPUs) workers, opened and closed inside the call; the
+searches in those tasks run serially, so no pool is ever nested.  The
+parent puts the results back in criterion order and computes criterion
+9 from the criterion-2 search and the extra search.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from functools import partial
+from typing import List
 
 from .qpoly import UniPoly, discriminant, format_rational
 from .factor import fifth_power_class
@@ -21,7 +33,8 @@ from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc, weber_family,
                         dihedral_family, two_trinomial_family, EquivClass,
                         galois_type_heuristic)
-from .curve import curve_from_t, point_search, point_to_trinomial, CurvePoint, T_EXCLUDED
+from .curve import (curve_from_t, point_search, point_to_trinomial, CurvePoint, T_EXCLUDED,
+                    _worker_count)
 from .numberfield import charpoly_mod
 from .surface import (on_surface, recover_t, rational_curve,
                       line_point, SURFACE_FORM, eliminate_t_from_curve_forms,
@@ -59,10 +72,10 @@ _EXPECTED_POINTS = {
 }
 
 
-def _c2_point_recovery(jobs: int):
+def _c2_point_recovery():
     start = time.monotonic()
     curve = curve_from_t(Fraction(6, 5))
-    result = point_search(curve, 200, jobs=jobs)
+    result = point_search(curve, 200)
     elapsed_ok = (time.monotonic() - start) < 600.0
     found = {}
     for pt in result.points:
@@ -211,6 +224,11 @@ def _c8_elliptic() -> CriterionResult:
         f"j = {format_rational(j_invariant(E0))}, twist class {twist}")
 
 
+def _c9_extra_search():
+    curve = curve_from_t(Fraction(-3125, 20736))
+    return curve, point_search(curve, 100)
+
+
 def _c9_power_sum_conditions(search_results) -> CriterionResult:
     checked = 0
     ok = True
@@ -226,23 +244,40 @@ def _c9_power_sum_conditions(search_results) -> CriterionResult:
         f"{checked} points checked exactly")
 
 
+def _tasks(prime_bound: int) -> list:
+    """The nine tasks of one computation of the suite, in criterion order."""
+    return [_c1_equivalence_parameter, _c2_point_recovery, _c3_root_certificates,
+            _c4_pair_identity, _c5_discriminant_form,
+            partial(_c6_family_cycle_types, prime_bound), _c7_surface, _c8_elliptic,
+            _c9_extra_search]
+
+
+def _call(task):
+    return task()
+
+
+def _assemble(outputs) -> List[CriterionResult]:
+    """Criteria 1 through 9 from the outputs of one computation's tasks."""
+    c1, (c2, search65, curve65), c3, c4, c5, c6, c7, c8, (other_curve, other) = outputs
+    c9 = _c9_power_sum_conditions([(curve65, search65), (other_curve, other)])
+    return [c1, c2, c3, c4, c5, c6, c7, c8, c9]
+
+
+def _run_suites(count: int, jobs: int, prime_bound: int) -> List[List[CriterionResult]]:
+    """`count` computations of criteria 1 through 9, their tasks in one pool at jobs >= 2."""
+    tasks = _tasks(prime_bound)
+    workers = _worker_count(jobs, count * len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_call, tasks * count))
+    else:
+        outputs = [task() for task in tasks * count]
+    return [_assemble(outputs[i:i + len(tasks)]) for i in range(0, len(outputs), len(tasks))]
+
+
 def run_criteria(jobs: int = 1, prime_bound: int = 500) -> List[CriterionResult]:
     """Criteria 1 through 9, in order."""
-    results: List[CriterionResult] = []
-    results.append(_c1_equivalence_parameter())
-    c2, search65, curve65 = _c2_point_recovery(jobs)
-    results.append(c2)
-    results.append(_c3_root_certificates())
-    results.append(_c4_pair_identity())
-    results.append(_c5_discriminant_form())
-    results.append(_c6_family_cycle_types(prime_bound))
-    results.append(_c7_surface())
-    results.append(_c8_elliptic())
-    other_curve = curve_from_t(Fraction(-3125, 20736))
-    other = point_search(other_curve, 100, jobs=jobs)
-    results.append(_c9_power_sum_conditions(
-        [(curve65, search65), (other_curve, other)]))
-    return results
+    return _run_suites(1, jobs, prime_bound)[0]
 
 
 def render_report(results: List[CriterionResult]) -> str:
@@ -257,8 +292,11 @@ def render_report(results: List[CriterionResult]) -> str:
 
 def run_acceptance(jobs: int = 1, prime_bound: int = 500) -> str:
     """All ten criteria; the tenth recomputes everything and compares bytes."""
-    first = run_criteria(jobs=jobs, prime_bound=prime_bound)
-    second = run_criteria(jobs=jobs, prime_bound=prime_bound)
+    if jobs > 1:
+        first, second = _run_suites(2, jobs, prime_bound)
+    else:
+        first = run_criteria(jobs=1, prime_bound=prime_bound)
+        second = run_criteria(jobs=1, prime_bound=prime_bound)
     identical = render_report(first) == render_report(second)
     tenth = CriterionResult(
         10, "byte-identical report on recomputation",

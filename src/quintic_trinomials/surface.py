@@ -185,13 +185,14 @@ def rational_curve(name: str, s) -> CurvePoint:
     return CurvePoint.from_rationals(coords)
 
 
-def consistency_with_curve(point: CurvePoint) -> Optional[Tuple[Fraction, CurvePoint]]:
+def consistency_with_curve(point: CurvePoint,
+                           t: Optional[Fraction]) -> Optional[Tuple[Fraction, CurvePoint]]:
     """View a surface point on its curve; None for degenerate t.
 
-    For t = recover_t outside {0, infinity, -3125/256} the point
-    satisfies both forms of curve_from_t(t) exactly (checked).
+    `t` is recover_t(point), which has checked that the point lies on the
+    surface.  For t outside {0, infinity, -3125/256} the point satisfies
+    both forms of curve_from_t(t) exactly (checked).
     """
-    t = recover_t(point)
     if t is None or t == 0 or t == T_EXCLUDED:
         return None
     if not curve_from_t(t).contains(point):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quintic_trinomials import cli, factor
+from quintic_trinomials import cli, curve, factor, report
 from quintic_trinomials.cli import main, EXIT_OK, EXIT_USAGE, EXIT_INTERNAL, EXIT_BROKEN_PIPE
 
 
@@ -134,6 +134,23 @@ def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
                              "--g", "-18,0,0,0,0,1", "--f", "-324,0,0,0,0,1")
     assert code == EXIT_INTERNAL and code not in (0, 1, 2)
     assert out == "" and err == "internal error: lift invariant broken modulo 7\n"
+
+
+def _die(*args):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("search", "--t", "6/5", "--height", "40"), curve, "_search_chunk"),
+    (("verify", "paper"), report, "j_invariant"),
+])
+def test_dead_worker_is_an_internal_error(capsys, monkeypatch, argv, module, name):
+    # forked workers inherit the patch and exit at once; the pool breaks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(module, name, _die)
+    code, out, err = run_cli(capsys, "--jobs", "2", *argv)
+    assert code == EXIT_INTERNAL
+    assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_closed_stdout_exits_quietly_with_its_own_code():

@@ -1,5 +1,6 @@
 """Surface membership, t recovery, lines, rational curves, elimination."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ from quintic_trinomials.surface import (SurfacePoint, SURFACE_FORM, on_surface,
                                         consistency_with_curve,
                                         eliminate_t_from_curve_forms,
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
-from quintic_trinomials import report, surface
+from quintic_trinomials import cli, report, surface
 from quintic_trinomials.curve import curve_from_t, point_search
 from quintic_trinomials.multipoly import MultiPoly
 
@@ -149,7 +150,7 @@ def test_consistency_with_curve():
     for name in ("R1", "R2", "R3"):
         for k in range(1, 11):
             pt = rational_curve(name, F(k, 2))
-            view = consistency_with_curve(pt)
+            view = consistency_with_curve(pt, recover_t(pt))
             if view is None:
                 continue  # t in {0, infinity, -3125/256}
             t, cpt = view
@@ -172,9 +173,24 @@ def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
     assert len(calls) == 500 and all(form is SURFACE_FORM for form in calls)
 
 
+@pytest.mark.parametrize("argv, on_curve", [
+    (("curve", "--name", "R1", "--s", "1/2"), True),  # a generic t
+    (("check", "--point", "10,1,-3/5,0"), False),  # t = 0
+    (("check", "--point", "1,1,1,1"), False),  # off the surface
+])
+def test_surface_command_evaluates_the_sextic_once(monkeypatch, capsys, argv, on_curve):
+    calls = []
+    evaluate = MultiPoly.evaluate
+    monkeypatch.setattr(MultiPoly, "evaluate",
+                        lambda self, values: calls.append(self) or evaluate(self, values))
+    assert cli.main(["surface", *argv]) == 0
+    assert ("on_curve" in json.loads(capsys.readouterr().out)) == on_curve
+    assert [form is SURFACE_FORM for form in calls].count(True) == 1
+
+
 def test_t_zero_line_is_degenerate_for_consistency():
     pt = line_point("t0-a", 2, 3)
-    assert consistency_with_curve(pt) is None
+    assert consistency_with_curve(pt, recover_t(pt)) is None
 
 
 def test_broken_invariants_raise_arithmetic_error(monkeypatch):
@@ -183,8 +199,9 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
             return False
 
     monkeypatch.setattr(surface, "curve_from_t", lambda t: OffCurve())
+    pt = rational_curve("R1", F(1, 2))
     with pytest.raises(ArithmeticError, match="surface-curve invariant broken"):
-        consistency_with_curve(rational_curve("R1", F(1, 2)))
+        consistency_with_curve(pt, recover_t(pt))
     monkeypatch.setattr(surface, "resultant_in",
                         lambda name, p, q: MultiPoly.constant(p.vars, 1))
     with pytest.raises(ArithmeticError, match="elimination invariant broken"):
