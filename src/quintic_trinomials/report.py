@@ -8,9 +8,9 @@ rendered bytes.
 
 One computation of the suite is nine independent tasks: criteria 1
 through 8, and the extra point search of criterion 9 (t = -3125/20736
-at height 100).  At jobs = 1 they run in this process, in that order,
-and `run_acceptance` calls `run_criteria` twice.  At jobs >= 2 the
-tasks of both computations go through one process pool of
+at height 100).  `run_acceptance` computes the suite twice, so it has
+18 tasks.  With one worker (jobs = 1, or a single CPU) they run in this
+process, in that order.  Otherwise they go through one process pool of
 min(jobs, tasks, CPUs) workers, opened and closed inside the call; the
 searches in those tasks run serially, so no pool is ever nested.  The
 parent puts the results back in criterion order and computes criterion
@@ -292,11 +292,7 @@ def render_report(results: List[CriterionResult]) -> str:
 
 def run_acceptance(jobs: int = 1, prime_bound: int = 500) -> str:
     """All ten criteria; the tenth recomputes everything and compares bytes."""
-    if jobs > 1:
-        first, second = _run_suites(2, jobs, prime_bound)
-    else:
-        first = run_criteria(jobs=1, prime_bound=prime_bound)
-        second = run_criteria(jobs=1, prime_bound=prime_bound)
+    first, second = _run_suites(2, jobs, prime_bound)
     identical = render_report(first) == render_report(second)
     tenth = CriterionResult(
         10, "byte-identical report on recomputation",

@@ -85,6 +85,13 @@ def test_criterion_10_determinism():
     assert (time.monotonic() - start) < 1200
 
 
+# A patch made in the test reaches the pool's workers only if they are
+# forked from it (the Linux default before Python 3.14).
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers are not forked, so they do not see the test's patches")
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     # the pool path needs two workers, whatever the machine has
@@ -96,6 +103,7 @@ def test_parallel_criteria_match_the_serial_report(criteria, two_cpus):
     assert render_report(run_criteria(jobs=2)) == render_report(serial)
 
 
+@forked_workers
 def test_searches_inside_the_pool_start_no_pool_of_their_own(monkeypatch, two_cpus):
     # forked workers inherit the patched module, so a nested pool would raise
     def no_pool(*args, **kwargs):
@@ -105,6 +113,7 @@ def test_searches_inside_the_pool_start_no_pool_of_their_own(monkeypatch, two_cp
     assert run_acceptance(jobs=2).endswith("10/10 criteria passed\n")
 
 
+@forked_workers
 def test_one_pool_per_acceptance_run_and_none_at_one_job(monkeypatch, two_cpus):
     built = []
 
@@ -123,7 +132,7 @@ def test_one_pool_per_acceptance_run_and_none_at_one_job(monkeypatch, two_cpus):
     assert built == [2]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=forked_workers)])
 def test_arithmetic_error_in_a_criterion_exits_internal(monkeypatch, capsys, two_cpus, jobs):
     def broken(f, field):
         raise ArithmeticError("lift invariant broken modulo 7")

@@ -1,6 +1,7 @@
 """Command-line surface: JSON shapes, exit codes, determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -140,6 +141,8 @@ def _die(*args):
     os._exit(1)
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers are not forked, so they do not see the patch")
 @pytest.mark.parametrize("argv, module, name", [
     (("search", "--t", "6/5", "--height", "40"), curve, "_search_chunk"),
     (("verify", "paper"), report, "j_invariant"),
