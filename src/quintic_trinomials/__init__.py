@@ -1,17 +1,18 @@
 """Exact tools for quintic trinomials x^5 + ax + b with a root in a given field.
 
 Layers, bottom up: exact rational polynomials (qpoly), factorization
-over Q (factor), certified complex roots (roots, standalone), quintic
-field arithmetic and exact root-in-field decisions (numberfield),
-trinomial equivalence and families (trinomial), the classifying
-projective curve and its point search (curve), the sextic surface of
-fields with extra trinomials (surface), and Weierstrass curve
-utilities (elliptic).
+over Q (factor), quintic field arithmetic and exact root-in-field
+decisions (numberfield), trinomial equivalence and families (trinomial),
+the classifying projective curve and its point search (curve), the
+sextic surface of fields with extra trinomials (surface), and
+Weierstrass curve utilities (elliptic).  Certified complex roots (roots)
+stand alone: no other module uses them, and the package does not import
+them, so that importing it does not load mpmath.  Import
+`quintic_trinomials.roots` by its own path.
 """
 
 from .qpoly import UniPoly, resultant, discriminant, count_real_roots
 from .factor import Factorization, factor_over_Q, is_irreducible, fifth_power_class
-from .roots import ComplexBall, PrecisionExhausted, complex_roots, rational_reconstruct
 from .numberfield import (NumberField, FieldElement, RootSearchResult,
                           has_root_in_field, charpoly_mod)
 from .trinomial import (Trinomial, ScaledTrinomial, EquivClass, TrinomialPair,

@@ -47,6 +47,9 @@ ENV_JOBS = "QUINTRIN_JOBS"
 # the prime sieve takes one byte per integer below the bound; the limit also
 # keeps every prime inside the int64 lanes of the batched mod-p kernel
 MAX_PRIME_BOUND = 1 << 20
+# the packed search sieve takes 18442 rows of ceil((2H + 1) / 64) 64-bit
+# words: 76 MB at this bound
+MAX_HEIGHT_BOUND = 1 << 14
 
 
 @dataclass
@@ -67,6 +70,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.prime_bound > MAX_PRIME_BOUND:
             raise ValueError(f"prime_bound must be at most {MAX_PRIME_BOUND}")
+        if self.height_bound > MAX_HEIGHT_BOUND:
+            raise ValueError(f"height_bound must be at most {MAX_HEIGHT_BOUND}")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means the CPU count)")
 

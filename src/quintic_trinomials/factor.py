@@ -9,16 +9,15 @@ squarefreeness proof modulo a small prime skips the rational gcd of the
 squarefree decomposition.
 
 Everything modulo p starts from the Frobenius matrix of f: its rows are
-x^(ip) mod f, built from one x^p mod f.  Berlekamp's count deg f -
-rank(Q - I) gives the number of irreducible factors of a squarefree f
-mod p, so the Hensel prime (fewest factors among the first five good odd
-primes, smallest p on a tie) is chosen without factoring, a count of one
-proves irreducibility at once, and only the chosen prime is factored in
-full.  Distinct-degree splitting gets each x^(p^k) by one product with
-the matrix; equal-degree splitting (Cantor-Zassenhaus) then separates
-the factors.  A cycle type needs only degrees, so a squarefree reduction
-stops after distinct-degree splitting.  Recombination divides candidate
-factors exactly in Z[x], after a constant-term divisibility test.
+x^(ip) mod f, built from one x^p mod f.  Distinct-degree splitting gets
+each x^(p^k) by one product with the matrix; its parts, the products of
+the degree-d factors, give the cycle type and the number of factors of a
+squarefree f mod p.  So the Hensel prime (fewest factors among the first
+five good odd primes, smallest p on a tie) is chosen from one split per
+prime, a count of one proves irreducibility at once, and at the chosen
+prime equal-degree splitting (Cantor-Zassenhaus) of the stored parts
+separates the factors.  Recombination divides candidate factors exactly
+in Z[x], after a constant-term divisibility test.
 
 Root counts and cycle types over many primes p > deg f at once run in
 numpy int64 lanes, one per (polynomial, prime): x^p mod f by
@@ -423,34 +422,6 @@ def _frobenius_apply(rows, h, p):
     return _gf_trim([c % p for c in out])
 
 
-def _gf_rank(matrix, p) -> int:
-    """Rank over GF(p) of a list of equal-length integer rows, by Gaussian elimination."""
-    rows = [[c % p for c in row] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        top = [c * inv % p for c in rows[rank]]
-        rows[rank] = top
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col]
-            if c:
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
-def _berlekamp_count(f, p) -> int:
-    """Number of irreducible factors of monic squarefree f mod p: deg f - rank(Q - I)."""
-    n = len(f) - 1
-    rows = _frobenius_rows(f, p)
-    return n - _gf_rank([[(row[j] if j < len(row) else 0) - (i == j) for j in range(n)]
-                         for i, row in enumerate(rows)], p)
-
-
 def _distinct_degree(f, p):
     """Split monic squarefree f into (product of its degree-d factors, d) parts.
 
@@ -673,20 +644,23 @@ def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
     if n == 1:
         return [ints]
     # among the first few good odd primes, lift at the one with the fewest
-    # factors, counted by Berlekamp rank; one factor proves irreducibility
+    # factors, counted from the distinct-degree split; one factor proves
+    # irreducibility, and only the chosen prime's parts are split further
     candidates = []
     p = 3
     while len(candidates) < 5:
         if is_prime(p):
             fbar = [c % p for c in ints]
             if _gf_is_squarefree(fbar, p):
-                count = _berlekamp_count(fbar, p)
+                parts = _distinct_degree(fbar, p)
+                count = sum((len(part) - 1) // d for part, d in parts)
                 if count == 1:
                     return [ints]
-                candidates.append((count, p))
+                candidates.append((count, p, parts))
         p += 2
-    _, p = min(candidates)
-    factors_mod = [g for g, _ in factor_mod_p(ints, p)]
+    _, p, parts = min(candidates, key=lambda c: c[:2])
+    rng = random.Random(_EDF_SEED)
+    factors_mod = [irr for part, d in parts for irr in _equal_degree_split(part, d, p, rng)]
     bound = _mignotte_bound(ints)
     k = 1
     while p ** k < 2 * bound + 1:

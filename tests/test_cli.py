@@ -156,11 +156,15 @@ def test_dead_worker_is_an_internal_error(capsys, monkeypatch, argv, module, nam
     assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1
 
 
+def _fresh_interpreter_env():
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_closed_stdout_exits_quietly_with_its_own_code():
     # the reader of the pipe is gone before the run starts, as after `| head -1`
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = _fresh_interpreter_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -173,6 +177,17 @@ def test_closed_stdout_exits_quietly_with_its_own_code():
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert EXIT_BROKEN_PIPE not in (EXIT_OK, 1, EXIT_USAGE, EXIT_INTERNAL)
     assert proc.stderr == b""
+
+
+def test_importing_the_command_line_does_not_load_mpmath():
+    # only the standalone `roots` module uses mpmath, and the package does
+    # not import it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quintic_trinomials.cli; "
+         "print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_root_in_field_absent(capsys):
@@ -302,6 +317,32 @@ def test_prime_bound_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert code == EXIT_USAGE and out == "" and "prime_bound" in err
     code, out, err = run_cli(capsys, "--config", str(cfg), *classify)
     assert code == EXIT_USAGE and out == "" and "prime_bound" in err
+
+
+def test_height_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    limit = cli.MAX_HEIGHT_BOUND
+    assert limit == 1 << 14
+    parser = cli.build_parser()
+    search = ("search", "--t", "6/5")
+    cli.build_config(parser.parse_args([*search, "--height", str(limit)]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"height_bound = {limit + 1}\n")
+    for argv in ([*search, "--height", str(limit + 1)],
+                 [*search, "--height", str(10 ** 7)],
+                 ["--config", str(cfg), *search]):
+        with pytest.raises(ValueError, match="height_bound must be at most"):
+            cli.build_config(parser.parse_args(argv))
+    with pytest.raises(ValueError, match="height_bound must be at most"):
+        cli.RunConfig(height_bound=limit + 1).validate()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran at a rejected bound")
+
+    monkeypatch.setattr(cli, "point_search", no_search)
+    code, out, err = run_cli(capsys, *search, "--height", str(10 ** 7))
+    assert code == EXIT_USAGE and out == "" and "height_bound" in err
+    code, out, err = run_cli(capsys, "--config", str(cfg), *search)
+    assert code == EXIT_USAGE and out == "" and "height_bound" in err
 
 
 def test_output_file(tmp_path, capsys):

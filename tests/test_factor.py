@@ -128,14 +128,50 @@ def test_cycle_types():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=1, max_size=25),
        st.sampled_from(primes_below(102)[1:]))
-def test_berlekamp_count_and_distinct_degree_match_full_factorization(low, p):
+def test_distinct_degree_count_and_cycle_type_match_full_factorization(low, p):
     ints = low + [1]
     fbar = [c % p for c in ints]
     assume(factor._gf_is_squarefree(fbar, p))
     full = factor_mod_p(ints, p)
     assert all(m == 1 for _, m in full)
-    assert factor._berlekamp_count(fbar, p) == len(full)
+    parts = factor._distinct_degree(fbar, p)
+    assert sum((len(part) - 1) // d for part, d in parts) == len(full)
     assert cycle_type_mod_p(ints, p) == tuple(sorted(len(g) - 1 for g, _ in full))
+
+
+def test_hensel_prime_has_fewest_factors_from_one_split_per_prime(monkeypatch):
+    # (x^2 - 3x - 3)(x^3 - 2x^2 - 3x - 3) has 3, 2, 4, 5 and 3 factors mod
+    # the first five good odd primes 5, 11, 13, 17, 19; mod 17 all five
+    # factors have degree 1, so the distinct-degree split has one part
+    quad, cubic = [-3, -3, 1], [-3, -3, -2, 1]
+    ints = factor._z_mul(quad, cubic)
+    good = [p for p in primes_below(30)[1:] if factor._gf_is_squarefree(ints, p)][:5]
+    assert good == [5, 11, 13, 17, 19]
+    assert len(factor._distinct_degree([c % 17 for c in ints], 17)) == 1
+    best = min((len(cycle_type_mod_p(ints, p)), p) for p in good)[1]
+    assert best == 11
+    frobenius, lifted_at = [], []
+    frobenius_rows, hensel_lift = factor._frobenius_rows, factor._hensel_lift
+
+    def rows_spy(f, p):
+        frobenius.append(p)
+        return frobenius_rows(f, p)
+
+    def lift_spy(f_ints, factors_p, p, k):
+        lifted_at.append(p)
+        return hensel_lift(f_ints, factors_p, p, k)
+
+    def no_full_factorization(*args):
+        raise AssertionError("factor_mod_p ran on a squarefree input")
+
+    monkeypatch.setattr(factor, "_frobenius_rows", rows_spy)
+    monkeypatch.setattr(factor, "_hensel_lift", lift_spy)
+    monkeypatch.setattr(factor, "factor_mod_p", no_full_factorization)
+    fac = factor_over_Q(UniPoly.from_int_coeffs(ints))
+    assert [f.coeffs for f, _ in fac.factors] == [tuple(map(F, quad)), tuple(map(F, cubic))]
+    # one Frobenius matrix per prime tried, none again at the Hensel prime
+    assert frobenius == good
+    assert lifted_at == [best]
 
 
 def test_cycle_type_of_non_squarefree_reduction_uses_full_factorization(monkeypatch):
