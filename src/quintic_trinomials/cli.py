@@ -28,7 +28,7 @@ from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc,
                         galois_type_heuristic, weber_family, dihedral_family,
                         sw2_family, two_trinomial_family)
-from .curve import (CurvePoint, curve_from_t, curve_from_field, point_search,
+from .curve import (MAX_HEIGHT_BOUND, CurvePoint, curve_from_t, curve_from_field, point_search,
                     point_to_trinomial, field_L_polynomial, DegeneratePoint)
 from .surface import (recover_t, t_parts, rational_curve, consistency_with_curve,
                       CURVE_NAMES)
@@ -47,9 +47,6 @@ ENV_JOBS = "QUINTRIN_JOBS"
 # the prime sieve takes one byte per integer below the bound; the limit also
 # keeps every prime inside the int64 lanes of the batched mod-p kernel
 MAX_PRIME_BOUND = 1 << 20
-# the packed search sieve takes 18442 rows of ceil((2H + 1) / 64) 64-bit
-# words: 76 MB at this bound
-MAX_HEIGHT_BOUND = 1 << 14
 
 
 @dataclass

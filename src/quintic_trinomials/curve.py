@@ -22,18 +22,20 @@ v, with a square term if any has one, is solved from the quadric; the
 other three are enumerated in a half box as row, column and slice, and a
 rational v exists iff the integer discriminant of the quadric in v is a
 perfect square.  (A quadric linear in v, as on pure quintics, gives v by
-one division, or every v where both its coefficients vanish.)  The
-engine sieves the discriminant modulo eleven small moduli with bit-packed
-rows, as M. Stoll's `ratpoints` does: once per search, for every modulus,
-z residue and x residue it packs "disc is a square mod m" over the columns
-y into 64-bit words, and a row (z, x) of the box is then the AND of eleven
-packed rows.  Rows are sieved in tiles of bounded size, so working memory
-grows as O(H), not with the (2H+1)^2 cells of a slice.  Survivors of many
-slices are confirmed in one block: exact square roots (int64 when a
-precomputed bound allows, Python ints otherwise), the cubic modulo a
-prime, and exact integer arithmetic on the curve's output coordinates for
-the few remaining candidates.  Its integer coefficient tables are the
-curve's own forms with denominators cleared.
+one division, or every v where both its coefficients vanish.)  A cell
+that carries a point of the curve is also a zero of R = Res_v(quadric,
+cubic), a form in (x, y, z).  The engine sieves the whole curve, not only
+its quadric, modulo five small primes with bit-packed rows, as M. Stoll's
+`ratpoints` does for its curves: once per search, for every prime p, z
+residue and x residue it packs "disc is a square mod p and R = 0 mod p"
+over the columns y into 64-bit words, and a row (z, x) of the box is then
+the AND of five packed rows.  Rows are sieved in tiles of a fixed size,
+so working memory grows as O(H), not with the (2H+1)^2 cells of a slice.
+Survivors of many slices are confirmed in one block: exact square roots
+(int64 when a precomputed bound allows, Python ints otherwise), the cubic
+modulo a prime, and exact integer arithmetic on the curve's output
+coordinates for the few remaining candidates.  Its integer coefficient
+tables are the curve's own forms with denominators cleared.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .qpoly import UniPoly
-from .factor import factor_int, factor_over_Q
+from .factor import factor_over_Q
 from .multipoly import MultiPoly
 from .numberfield import NumberField, FieldElement, charpoly_mod
 from .trinomial import Trinomial, EquivClass, equiv_class
@@ -347,17 +349,22 @@ class SearchResult:
 # (exponents, integer coefficient) pairs
 _Table = Tuple[Tuple[Tuple[int, ...], int], ...]
 
-# Sieve moduli, and _SQUARES[k][r] for r < m^2 + 2m: is r a square mod m = _MODULI[k]
-_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
-_MODULI_PRIMES = {p for m in _MODULI for p in factor_int(m)}
+# The sieve's prime moduli, and _SQUARES[k][r] for r < m^2 + 2m: is r a square
+# mod m = _MODULI[k].  With the resultant in the sieve, more or larger moduli
+# cost more than the survivors they remove.
+_MODULI = (11, 17, 19, 23, 29)
 _SQUARES = tuple(np.isin(np.arange(m * m + 2 * m) % m, np.arange(m) ** 2 % m) for m in _MODULI)
 # The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
 _OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
 
-# A tile of the search gathers at most this many bytes of packed rows, and
-# the rows are packed in groups of at most as many cells: working memory is
-# the packed rows, O(H), plus O(_TILE_BYTES).  About _BLOCK sieve survivors
-# are confirmed at once.
+# The largest height bound a search takes: the packed sieve is 2141 rows of
+# ceil((2H + 1) / 64) 64-bit words, 8.8 MB at this bound
+MAX_HEIGHT_BOUND = 1 << 14
+
+# A tile of the search reads at most this many bytes of packed rows, one
+# modulus at a time, and the rows are packed in groups of at most as many
+# cells: working memory is the packed rows, O(H), plus O(_TILE_BYTES).  About
+# _BLOCK sieve survivors are confirmed at once.
 _TILE_BYTES = 2 ** 18
 _BLOCK = 4096
 
@@ -372,8 +379,10 @@ class _SearchForms:
     The engine tables are over the live coordinates (v, x, y, z): the
     quadric is lead*v^2 + linear*v + rest, and (x, y, z) are enumerated as
     row, column and slice.  disc = linear^2 - 4 lead rest, divided by
-    root_scale^2.  `coordinate_map` sends live coordinates to the curve's
-    output coordinates, where every form of `checks` must vanish.
+    root_scale^2.  `resultant` is Res_v(quadric, cubic), a form in (x, y, z)
+    that vanishes at every cell of a point of the curve.  `coordinate_map`
+    sends live coordinates to the curve's output coordinates, where every
+    form of `checks` must vanish.
     """
 
     lead: int
@@ -382,6 +391,7 @@ class _SearchForms:
     disc: _Table
     root_scale: int
     cubic_in_v: Tuple[_Table, ...]  # the cubic's coefficients of v^0, ..., v^3
+    resultant: _Table
     coordinate_map: Tuple[Tuple[int, ...], ...]
     checks: Tuple[_Table, ...]
 
@@ -394,6 +404,52 @@ def _table(form: MultiPoly, order: Sequence[str]) -> _Table:
     """The integral form's terms, with exponents over the variables `order`."""
     pos = [form.vars.index(n) for n in order]
     return tuple(sorted((tuple(e[i] for i in pos), int(c)) for e, c in form.terms.items()))
+
+
+# Res_v(a v^2 + b v + c, d v^3 + e v^2 + f v + g) by Sylvester's formula, as
+# (coefficient, power of a, factors) terms: a = lead, b = linear, c = rest
+# and d, e, f, g the cubic's coefficients of v^3, v^2, v, 1
+_RESULTANT_TERMS = (
+    (1, 3, "gg"), (-1, 2, "bfg"), (-2, 2, "ceg"), (1, 2, "cff"), (1, 1, "bbeg"), (3, 1, "bcdg"),
+    (-1, 1, "bcef"), (-2, 1, "ccdf"), (1, 1, "ccee"), (-1, 0, "bbbdg"), (1, 0, "bbcdf"),
+    (-1, 0, "bccde"), (1, 0, "cccdd"))
+
+
+def _resultant(lead: int, linear: _Table, rest: _Table, cubic_in_v) -> _Table:
+    """Res_v(quadric, cubic) over its content, in integer arithmetic: a form in
+    the coordinates after v.  The resultant is A quadric + B cubic for integer
+    forms A and B, so it vanishes wherever both do, at every rational v.
+
+    With a = 0 Sylvester's formula is -d Res_v(b v + c, cubic), identically
+    zero when d is; a quadric linear in v takes the sum of the cubic's
+    coefficients of v^k times (-c)^k b^(n - k) instead, n the cubic's degree in v.
+    """
+    # an exponent of (x, y, z) is one int of three base-16 digits, so that a
+    # product adds them; terms share the products of their common prefixes
+    factors = {name: {(e[1] << 8) + (e[2] << 4) + e[3]: k for e, k in table}
+               for name, table in zip("bcgfed", (linear, rest, *cubic_in_v))}
+    products = {"": {0: 1}}
+    total: Dict[int, int] = {}
+    terms = _RESULTANT_TERMS
+    if not lead:
+        n = max(k for k, table in enumerate(cubic_in_v) if table)
+        terms = tuple(((-1) ** k, 0, "b" * (n - k) + "c" * k + "gfed"[k]) for k in range(n + 1))
+    for coeff, power, names in terms:
+        for i in range(1, len(names) + 1):
+            if names[:i] not in products:
+                product: Dict[int, int] = {}
+                for e1, k1 in products[names[:i - 1]].items():
+                    for e2, k2 in factors[names[i - 1]].items():
+                        product[e1 + e2] = product.get(e1 + e2, 0) + k1 * k2
+                products[names[:i]] = product
+        scale = coeff * lead ** power
+        for e, k in products[names].items():
+            total[e] = total.get(e, 0) + scale * k
+    # without its content, the form vanishes at the same cells and sieves
+    # moduli that share a factor with the content
+    content = math.gcd(*total.values()) or 1
+    return tuple(sorted(((0, e >> 8, e >> 4 & 15, e & 15), k // content)
+                        for e, k in total.items() if k))
 
 
 def _search_forms(curve) -> _SearchForms:
@@ -422,7 +478,7 @@ def _search_forms(curve) -> _SearchForms:
     # engine sieves disc / root_scale^2 and scales its square roots back.
     content = math.gcd(*(k for _, k in disc))
     root_scale = 1
-    for ell in _MODULI_PRIMES:
+    for ell in _MODULI:
         while content % (root_scale * ell) ** 2 == 0:
             root_scale *= ell
     # live -> output coordinates, scaled by the elimination's denominator;
@@ -431,10 +487,12 @@ def _search_forms(curve) -> _SearchForms:
     weights = {names[e.index(1)]: int(c * den) for e, c in expr.terms.items()}
     coordinate_map = tuple(
         tuple(den * (n == m) if n in order else weights.get(m, 0) for m in order) for n in names)
+    linear, rest = _table(linear, order), _table(rest, order)
+    cubic_in_v = tuple(_table(cubic.coefficient_of(solve, n), order) for n in range(4))
     return _SearchForms(
-        lead=int(lead), linear=_table(linear, order), rest=_table(rest, order),
+        lead=int(lead), linear=linear, rest=rest,
         disc=tuple((e, k // root_scale ** 2) for e, k in disc), root_scale=root_scale,
-        cubic_in_v=tuple(_table(cubic.coefficient_of(solve, n), order) for n in range(4)),
+        cubic_in_v=cubic_in_v, resultant=_resultant(int(lead), linear, rest, cubic_in_v),
         coordinate_map=coordinate_map,
         checks=tuple(_table(_cleared(f), names) for f in checks))
 
@@ -462,45 +520,54 @@ def _form_residues(table: _Table, coords, modulus: int):
     return total
 
 
-def _sieve_tables(disc: _Table, layers: int) -> Iterator[np.ndarray]:
+def _sieve_tables(forms: _SearchForms, layers: int) -> Iterator[np.ndarray]:
     """For each m of _MODULI in turn, the table T with T[r, x, y] = (disc(x, y, r)
-    is a square mod m), for residues x, y and r < min(m, layers)."""
-    coeffs = {e[1:]: k for e, k in disc}
+    is a square mod m and resultant(x, y, r) = 0 mod m), for residues x, y
+    and r < min(m, layers)."""
+    disc = {e[1:]: k for e, k in forms.disc}
+    degree = max((sum(e) for e, _ in forms.resultant), default=0)
     for m, squares in zip(_MODULI, _SQUARES):
         kxx, kxy, kyy, kxz, kyz, kzz = (
-            coeffs.get(e, 0) % m
+            disc.get(e, 0) % m
             for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))
         x, y = np.arange(m)[:, None], np.arange(m)[None, :]
-        fixed, by_z = ((kxx * x + kxy * y) * x + kyy * y * y) % m, (kxz * x + kyz * y) % m
-        table = np.empty((min(m, layers), m, m), dtype=bool)
-        for r in range(len(table)):
-            # each part is reduced before the sum, which stays below len(squares)
-            table[r] = squares[fixed + kzz * r * r % m + r * by_z]
+        r = np.arange(min(m, layers))[:, None, None]
+        # each part is reduced before the sum, which stays below len(squares)
+        table = squares[((kxx * x + kxy * y) * x + kyy * y * y) % m + kzz * r * r % m
+                        + r * ((kxz * x + kyz * y) % m)]
+        # resultant(x, y, r) = powers[x] . R_r . powers[y], with R_r[i, j] the sum
+        # over k of its x^i y^j z^k coefficient times r^k; m^degree < 2^63
+        coeffs = np.zeros((degree + 1,) * 3, dtype=np.int64)
+        for e, k in forms.resultant:
+            coeffs[e[1:]] = k % m
+        powers = x ** np.arange(degree + 1) % m
+        by_layer = np.moveaxis(coeffs @ powers[:len(table)].T % m, 2, 0)
+        table &= powers @ by_layer % m @ powers.T % m == 0
         yield table
 
 
-def _packed_rows(disc: _Table, height_bound: int) -> np.ndarray:
-    """The packed sieve: rows[_OFFSETS[k] + r * m + a] has bit j of word w set iff
-    disc(a, y, r) is a square mod m = _MODULI[k], at y = 64 w + j - H, for
-    every x residue a and every z residue r <= H (rows of larger r, which no
-    slice reads, stay zero); the bits past column 2H are zero.
+def _packed_rows(forms: _SearchForms, height_bound: int) -> np.ndarray:
+    """The packed sieve: rows[_OFFSETS[k] + r * m + a] has bit j of word w set
+    iff the cell (a, y, r) passes the table of m = _MODULI[k] (`_sieve_tables`),
+    at y = 64 w + j - H, for every x residue a and every z residue r <= H (rows
+    of larger r, which no slice reads, stay zero); the bits past column 2H are
+    zero.
 
     The cells take one byte each before packing, in groups of at most
     _TILE_BYTES.
     """
     H = height_bound
     width = 2 * H + 1
-    words, nbytes = -(-width // 64), -(-width // 8)
-    rows = np.zeros((int(_OFFSETS[-1]), words), dtype=np.uint64)
-    group = max(1, _TILE_BYTES // width)
-    for m, table, start in zip(_MODULI, _sieve_tables(disc, H + 1), _OFFSETS):
+    rows = np.zeros((int(_OFFSETS[-1]), -(-width // 64)), dtype="<u8")
+    octets = rows.view(np.uint8)
+    for m, table, start in zip(_MODULI, _sieve_tables(forms, H + 1), _OFFSETS):
         # column j of a row reads y residue (j - H) mod m, a period of m columns
-        table, columns = table.reshape(-1, m), np.arange(-H, m - H) % m
+        table, columns, periods = table.reshape(-1, m), np.arange(-H, m - H) % m, -(-width // m)
+        group = max(1, _TILE_BYTES // (m * periods))
         for i in range(0, len(table), group):
-            bits = np.tile(table[i:i + group, columns], -(-width // m))[:, :width]
-            packed = np.zeros((len(bits), 8 * words), dtype=np.uint8)
-            packed[:, :nbytes] = np.packbits(bits, axis=1, bitorder="little")
-            rows[start + i:start + i + len(bits)] = packed.view("<u8")
+            bits = np.tile(table[i:i + group, columns], periods)[:, :width]
+            octets[start + i:start + i + len(bits), :-(-width // 8)] = np.packbits(
+                bits, axis=1, bitorder="little")
     return rows
 
 
@@ -521,7 +588,9 @@ def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> 
     """Map live integer coordinates to the output, normalize, and check exactly."""
     pt = CurvePoint.from_integers(
         [sum(k * w for k, w in zip(row, live)) for row in forms.coordinate_map])
-    if pt.height <= height_bound and not any(_form_value(t, pt.coords) for t in forms.checks):
+    # every multiple of a point's cell in the box gives the point again
+    if (pt not in out and pt.height <= height_bound
+            and not any(_form_value(t, pt.coords) for t in forms.checks)):
         out.add(pt)
 
 
@@ -596,7 +665,7 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     """Points from the half-box cells with z_lo <= z < z_hi; exact everywhere.
 
     The rows (z, x) of the chunk are sieved in tiles: a row is the AND of
-    its eleven packed rows, one per modulus, and only its nonzero bytes are
+    its packed rows, one per modulus, and only its nonzero bytes are
     unpacked.  Survivors of consecutive tiles are confirmed together, in
     blocks of about _BLOCK cells.  The zero cell (0, 0, 0) can only hold
     the unit point of v, which the chunk holding z = 0 checks once.
@@ -611,32 +680,33 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     out = set()
     if z_lo == 0 < z_hi:
         _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
-    # the packed row of modulus k at (z, x) is rows[by_z[k, z] + by_x[k, x + H]]
+    # the packed row of modulus k at (z, x) is rows[by_z[k, z - z_lo] + by_x[k, x + H]]
     moduli = np.array(_MODULI)[:, None]
-    by_z = np.arange(z_hi) % moduli * moduli
+    by_z = np.arange(z_lo, z_hi) % moduli * moduli
     by_x = _OFFSETS[:-1, None] + np.arange(-H, H + 1) % moduli
-    # a tile is a rectangle of rows: whole slices, or part of one slice
-    tile = max(1, _TILE_BYTES // (8 * len(_MODULI) * words))
-    z_step, x_step = max(1, tile // width), min(tile, width)
+    # a tile is a run of rows in (z, x) order, so it reads the same number of
+    # bytes at every height, one modulus at a time
+    tile, n = max(1, _TILE_BYTES // (8 * len(_MODULI) * words)), (z_hi - z_lo) * width
     block, count = [], 0
-    for z0 in range(z_lo, z_hi, z_step):
-        for x0 in range(0, width, x_step):
-            index = by_z[:, z0:z0 + z_step, None] + by_x[:, None, x0:x0 + x_step]
-            acc = np.bitwise_and.reduce(rows[index.reshape(len(_MODULI), -1)], axis=0)
-            # the nonzero words of the AND, their nonzero bytes, and their bits
-            hits = np.flatnonzero(acc)
-            octets = acc.ravel()[hits].astype("<u8", copy=False).view(np.uint8)
-            hit = np.flatnonzero(octets)
-            if hit.size:
-                j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
-                k = hit[j >> 3]
-                row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
-                dz, dx = np.divmod(row, index.shape[2])
-                block.append((x0 + dx - H, column - H, z0 + dz))
-                count += row.size
-            if count >= _BLOCK or (block and z0 + z_step >= z_hi and x0 + x_step >= width):
-                _confirm(forms, H, dtype, *(np.concatenate(w) for w in zip(*block)), out)
-                block, count = [], 0
+    for lo in range(0, n, tile):
+        z, x = np.divmod(np.arange(lo, min(lo + tile, n)), width)
+        index = np.take(by_z, z, axis=1) + np.take(by_x, x, axis=1)
+        acc = np.take(rows, index[0], axis=0)
+        for more in index[1:]:
+            acc &= np.take(rows, more, axis=0)
+        # the nonzero words of the AND, their nonzero bytes, and their bits
+        hits = np.flatnonzero(acc)
+        octets = acc.ravel()[hits].view(np.uint8)
+        hit = np.flatnonzero(octets)
+        if hit.size:
+            j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
+            k = hit[j >> 3]
+            row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
+            block.append((x[row] - H, column - H, z_lo + z[row]))
+            count += row.size
+        if count >= _BLOCK or (block and lo + tile >= n):
+            _confirm(forms, H, dtype, *(np.concatenate(w) for w in zip(*block)), out)
+            block, count = [], 0
     return out
 
 
@@ -665,11 +735,11 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 def _search(curve, height_bound: int, jobs: int) -> set:
     """The engine: its slices split into chunks, run serially or in a process pool."""
-    if height_bound < 0:
-        raise ValueError("height bound must be >= 0")
+    if not 0 <= height_bound <= MAX_HEIGHT_BOUND:
+        raise ValueError(f"height bound must be in [0, {MAX_HEIGHT_BOUND}]")
     H = height_bound
     forms = _search_forms(curve)
-    sieve = _Sieve(forms, H, _packed_rows(forms.disc, H))
+    sieve = _Sieve(forms, H, _packed_rows(forms, H))
     # one chunk when serial; else four per worker, so that a worker on a
     # slower CPU does not hold up the rest.  The sieve is built once, here,
     # and reaches each worker once, through the pool's initializer.
@@ -694,14 +764,16 @@ def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> Sea
     """All primitive points with max |coordinate| <= height_bound.
 
     Enumerates (b, c, d) in a half box and solves the quadric for a
-    (constant leading coefficient).  The discriminant is sieved modulo
-    small moduli, survivors get exact integer square roots, both roots
+    (constant leading coefficient).  The discriminant and the resultant
+    of the quadric and the cubic in a are sieved modulo small primes,
+    survivors get exact integer square roots, both roots
     are tested against the cubic modulo a prime, and the few that pass
     are normalized by gcd and sign and re-checked on the height bound,
     the quadric and the cubic in exact integer arithmetic.  No
     completeness beyond the height bound is claimed.  Results are
-    independent of the partitioning into parallel chunks.  A negative
-    bound raises ValueError; bound 0 gives an empty result.
+    independent of the partitioning into parallel chunks.  A bound below 0
+    or above MAX_HEIGHT_BOUND raises ValueError; bound 0 gives an empty
+    result.
     """
     points, degenerate = [], []
     for pt in _search(curve, height_bound, jobs):
@@ -722,7 +794,8 @@ def general_point_search(curve: GeneralCurve, height_bound: int) -> List[CurvePo
     single root when the quadric is linear in it, as on pure quintics),
     and the eliminated coordinate from the trace condition.  Candidates
     pass the cubic modulo a prime, then the linear, quadric and cubic
-    forms and the height bound on the full 5-tuple exactly.  A negative
-    bound raises ValueError; bound 0 gives an empty list.
+    forms and the height bound on the full 5-tuple exactly.  A bound below
+    0 or above MAX_HEIGHT_BOUND raises ValueError; bound 0 gives an empty
+    list.
     """
     return sorted(_search(curve, height_bound, 1), key=_by_height)

@@ -321,7 +321,7 @@ def test_prime_bound_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_height_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
     limit = cli.MAX_HEIGHT_BOUND
-    assert limit == 1 << 14
+    assert limit == curve.MAX_HEIGHT_BOUND == 1 << 14
     parser = cli.build_parser()
     search = ("search", "--t", "6/5")
     cli.build_config(parser.parse_args([*search, "--height", str(limit)]))

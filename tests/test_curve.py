@@ -1,5 +1,6 @@
 """Curve construction, point search, and the point/trinomial dictionary."""
 
+import functools
 import itertools
 import math
 import os
@@ -17,13 +18,13 @@ from quintic_trinomials.multipoly import MultiPoly
 from quintic_trinomials.numberfield import NumberField, charpoly_mod, has_root_in_field
 from quintic_trinomials.trinomial import EquivClass
 from quintic_trinomials import curve as curve_module
-from quintic_trinomials.curve import (CurvePoint, GeneralCurve, curve_from_t, curve_from_field,
-                                      point_search, general_point_search,
+from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, curve_from_t,
+                                      curve_from_field, point_search, general_point_search,
                                       point_to_trinomial, trinomial_to_point,
-                                      field_L_polynomial, FULL_VARS, SearchResult,
-                                      _normal_form_mod_quadric, _search_chunk,
+                                      field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
+                                      SearchResult, _normal_form_mod_quadric, _search_chunk,
                                       _search_forms, _sieve_tables, _worker_count, _MODULI,
-                                      _Sieve, _packed_rows, _form_residues, _form_value,
+                                      _OFFSETS, _Sieve, _packed_rows, _form_residues, _form_value,
                                       _CUBIC_PRIME)
 
 T65 = F(6, 5)
@@ -97,7 +98,7 @@ def _partition_searches():
 
 def _sieve(curve, H):
     forms = _search_forms(curve)
-    return _Sieve(forms, H, _packed_rows(forms.disc, H))
+    return _Sieve(forms, H, _packed_rows(forms, H))
 
 
 def _pieces(H):
@@ -166,49 +167,153 @@ def test_form_residues_match_exact_values():
         assert (got == (exact_cell[1] * 0 + _form_value(table, exact_cell)) % _CUBIC_PRIME).all()
 
 
-def test_sieve_tables_pass_every_square():
-    # the table entry of a residue triple is True exactly when its
-    # discriminant is a square mod m; the coefficients include b*c terms and
-    # exceed int64
-    rng = random.Random(5)
-    discs = [_search_forms(curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1]))).disc,
-             _search_forms(curve_from_t(T65)).disc,
-             tuple(((0, *e), rng.randint(-2 ** 70, 2 ** 70)) for e in
-                   ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))]
-    for disc in discs:
-        for m, table in zip(_MODULI, _sieve_tables(disc, 200)):
-            squares = list({r * r % m for r in range(m)})
-            x, y = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-            assert len(table) == m
-            for z in range(m):
-                value = sum(k % m * x ** e[1] * y ** e[2] * z ** e[3] for e, k in disc) % m
-                assert (table[z] == np.isin(value, squares)).all()
+def _split_live(curve):
+    """The cleared quadric and cubic, the variable v that the engine solves
+    for (the first live one with a square term, else of degree 1), and the
+    other live variables, enumerated as (x, y, z)."""
+    quadric, cubic = (f * math.lcm(*(k.denominator for k in f.terms.values()))
+                      for f in (curve.quadric, curve.cubic))
+    live = curve.live_vars if isinstance(curve, GeneralCurve) else quadric.vars
+    v = (next((n for n in live if quadric.coefficient_of(n, 2)), None)
+         or next(n for n in live if quadric.degree_in(n) == 1))
+    return quadric, cubic, v, [n for n in live if n != v]
+
+
+def _sympy_sieve_forms(curve):
+    """The discriminant of the quadric in v and the primitive part of
+    Res_v(quadric, cubic), both computed by sympy, as polynomials in (x, y, z)."""
+    sympy = pytest.importorskip("sympy")
+    quadric, cubic, v, others = _split_live(curve)
+    symbols = dict(zip(quadric.vars, sympy.symbols(quadric.vars)))
+
+    def expression(form):
+        return sum(int(k) * sympy.prod([symbols[n] ** e for n, e in zip(form.vars, exps)])
+                   for exps, k in form.terms.items())
+
+    q, c = expression(quadric), expression(cubic)
+    c2, c1, c0 = (sympy.expand(q).coeff(symbols[v], n) for n in (2, 1, 0))
+    gens = [symbols[n] for n in others]
+    disc = sympy.Poly(sympy.expand(c1 * c1 - 4 * c2 * c0), *gens)
+    _, resultant = sympy.Poly(sympy.resultant(q, c, symbols[v]), *gens).primitive()
+    return disc, resultant
+
+
+def _residues(poly, m, x, y, z):
+    return sum(int(k) % m * x ** i * y ** j * z ** l for (i, j, l), k in poly.terms()) % m
+
+
+def _random_curve(rng, bits):
+    """Every monomial of degree 2 and 3 in (a, b, c, d) with random
+    coefficients of `bits` bits, as a quadric and a cubic; the engine reads
+    only the two forms of a TrinomialCurve."""
+    def form(degree):
+        return MultiPoly(CURVE_VARS, {e: rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2 ** bits)
+                                      for e in itertools.product(range(degree + 1), repeat=4)
+                                      if sum(e) == degree})
+    return TrinomialCurve(t=F(1), quadric=form(2), cubic=form(3))
+
+
+def _sieve_curves():
+    # a b*c term in the discriminant, the paper's curve, coefficients above
+    # 2^70, and a quadric linear in v (lead = 0) whose cubic has no v^3 term
+    return [curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1])), curve_from_t(T65),
+            _random_curve(random.Random(5), 72), curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))]
+
+
+def _oracle(curve):
+    """The predicate of the sieve, from sympy: at residue arrays (x, y, z),
+    disc / root_scale^2 is a square mod m and the primitive resultant
+    vanishes mod m."""
+    disc, resultant = _sympy_sieve_forms(curve)
+    disc = disc.exquo_ground(_search_forms(curve).root_scale ** 2)
+
+    def passes(m, x, y, z):
+        squares = list({r * r % m for r in range(m)})
+        return (np.isin(_residues(disc, m, x, y, z), squares)
+                & (_residues(resultant, m, x, y, z) == 0))
+    return passes
+
+
+def test_sieve_tables_match_the_resultant_oracle():
+    # the table entry of a residue triple is True exactly when the cell passes
+    # both tests of the oracle; every layer r < m is built at height 200
+    for curve in _sieve_curves():
+        forms, passes = _search_forms(curve), _oracle(curve)
+        assert forms.resultant
+        for m, table in zip(_MODULI, _sieve_tables(forms, 200)):
+            assert table.shape == (m, m, m)
+            r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
+            assert (table == passes(m, x, y, r)).all()
 
 
 @pytest.mark.parametrize("H", [31, 70])
-def test_packed_rows_are_square_residues(H):
-    # bit y + H of the row (r, a) of modulus m is set exactly when disc(a, y, r)
-    # is a square mod m, for every z residue r <= H (r > m / 2 included) and
-    # every x residue a; the bits past column 2H are zero.  2H + 1 = 63 and
-    # 141 leave 1 and 51 padding bits.
-    rng = random.Random(5)
-    discs = [_search_forms(curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1]))).disc,
-             _search_forms(curve_from_t(T65)).disc,
-             tuple(((0, *e), rng.randint(-2 ** 70, 2 ** 70)) for e in
-                   ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))]
+def test_packed_rows_match_the_resultant_oracle(H):
+    # bit y + H of the row (r, a) of modulus m is set exactly when the cell
+    # (a, y, r) passes the oracle mod m, for every z residue r <= H (r > m / 2
+    # included) and every x residue a; the bits past column 2H are zero.
+    # 2H + 1 = 63 and 141 leave 1 and 51 padding bits.
     width = 2 * H + 1
-    for disc in discs:
-        rows = _packed_rows(disc, H)
+    for curve in _sieve_curves():
+        rows, passes = _packed_rows(_search_forms(curve), H), _oracle(curve)
         bits = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")
         assert not bits[:, width:].any()
         for m, start in zip(_MODULI, itertools.accumulate((m * m for m in _MODULI), initial=0)):
-            squares = list({r * r % m for r in range(m)})
             layers = min(m, H + 1)
             r, a, y = np.meshgrid(np.arange(layers), np.arange(m), np.arange(-H, H + 1) % m,
                                   indexing="ij")
-            value = sum(k % m * a ** e[1] * y ** e[2] * r ** e[3] for e, k in disc) % m
             got = bits[start:start + layers * m, :width].reshape(layers, m, width)
-            assert (got == np.isin(value, squares)).all()
+            assert (got == passes(m, a, y, r)).all()
+
+
+@functools.lru_cache(maxsize=None)
+def _general_points(g, H):
+    return general_point_search(curve_from_field(UniPoly(list(g))), H)
+
+
+def _passes_rows(rows, H, cell):
+    x, y, z = cell
+    return all(rows[_OFFSETS[k] + z % m * m + x % m, (y + H) // 64] >> np.uint64((y + H) % 64) & 1
+               for k, m in enumerate(_MODULI))
+
+
+@pytest.mark.parametrize("source, H, count", [
+    (T65, 200, 5), (F(-3125, 20736), 200, 1),
+    ((-18, 0, 0, 0, 0, 1), 100, 5), ((105, 75, 0, 0, 0, 1), 800, 7)])
+def test_sieve_drops_no_cell_of_a_found_point(source, H, count):
+    # the cell of every point found, and every multiple of it in the box,
+    # passes the packed rows: the sieve never rejects a cell of a point
+    general = isinstance(source, tuple)
+    curve = curve_from_field(UniPoly(list(source))) if general else curve_from_t(source)
+    points = _general_points(source, H) if general else point_search(curve, H).points
+    forms = _search_forms(curve)
+    assert forms.resultant
+    rows = _packed_rows(forms, H)
+    others = _split_live(curve)[3]
+    names = FULL_VARS if general else CURVE_VARS
+    assert len(points) == count
+    for pt in points:
+        values = dict(zip(names, pt.coords))
+        cell = [values[n] for n in others]
+        g = math.gcd(*cell)
+        if not g:
+            continue  # the unit point of v, checked apart from the sieve
+        cell = [w // g if cell[2] >= 0 else -w // g for w in cell]
+        for k in range(1, H // max(map(abs, cell)) + 1):
+            # the slice z = 0 holds both signs of a cell
+            for multiple in ((k, -k) if cell[2] == 0 else (k,)):
+                assert _passes_rows(rows, H, [multiple * w for w in cell]), (pt, multiple)
+
+
+def test_general_search_finds_the_seven_classes_of_x5_75x_105_below_800():
+    # the eight classes of x^5 + 75x + 105 have points of height 1, 180, 195,
+    # 240, 240, 660, 780 and 3180; H = 800 finds the first seven
+    points = _general_points((105, 75, 0, 0, 0, 1), 800)
+    assert [pt.height for pt in points] == [1, 180, 195, 240, 240, 660, 780]
+    assert [pt.coords for pt in points] == [
+        (0, 1, 0, 0, 0), (180, -42, 24, -25, 3), (180, 195, -55, -25, 3), (240, -135, 32, -7, 4),
+        (240, 23, 32, -7, 4), (660, -75, 9, -39, 11), (780, -24, -54, -3, 13)]
+    assert [pt.coords for pt in _general_points((-18, 0, 0, 0, 0, 1), 100)] == [
+        (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 3, -3, 1, 1)]
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -509,6 +614,12 @@ def test_height_bound_is_validated_alike_by_both_entry_points():
         general_point_search(g_curve, -1)
     assert point_search(t_curve, 0) == SearchResult(points=(), degenerate=(), height_bound=0)
     assert general_point_search(g_curve, 0) == []
+    # above the cap both raise before any sieve is built
+    assert MAX_HEIGHT_BOUND == 1 << 14
+    with pytest.raises(ValueError, match="height bound"):
+        point_search(t_curve, MAX_HEIGHT_BOUND + 1)
+    with pytest.raises(ValueError, match="height bound"):
+        general_point_search(g_curve, 10 ** 7)
 
 
 def test_pure_field_search_finds_all_five_classes():
