@@ -31,11 +31,12 @@ residue and x residue it packs "disc is a square mod p and R = 0 mod p"
 over the columns y into 64-bit words, and a row (z, x) of the box is then
 the AND of five packed rows.  Rows are sieved in tiles of a fixed size,
 so working memory grows as O(H), not with the (2H+1)^2 cells of a slice.
-Survivors of many slices are confirmed in one block: exact square roots
-(int64 when a precomputed bound allows, Python ints otherwise), the cubic
-modulo a prime, and exact integer arithmetic on the curve's output
-coordinates for the few remaining candidates.  Its integer coefficient
-tables are the curve's own forms with denominators cleared.
+A multiple of a cell carries the same projective points as the cell, and
+the primitive cell of a point survives the sieve too, so only primitive
+survivors are confirmed, each once, in Python integers: an exact square
+root of disc, and the quadric, the cubic and the height bound on the
+curve's output coordinates.  Its integer coefficient tables are the
+curve's own forms with denominators cleared.
 """
 
 from __future__ import annotations
@@ -363,13 +364,8 @@ MAX_HEIGHT_BOUND = 1 << 14
 
 # A tile of the search reads at most this many bytes of packed rows, one
 # modulus at a time, and the rows are packed in groups of at most as many
-# cells: working memory is the packed rows, O(H), plus O(_TILE_BYTES).  About
-# _BLOCK sieve survivors are confirmed at once.
+# cells: working memory is the packed rows, O(H), plus O(_TILE_BYTES).
 _TILE_BYTES = 2 ** 18
-_BLOCK = 4096
-
-# The cubic prefilter modulus: a product of two residues stays below 2^62.
-_CUBIC_PRIME = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -501,22 +497,9 @@ def _form_value(table: _Table, coords) -> int:
     total = 0
     for exps, k in table:
         for x, e in zip(coords, exps):
-            for _ in range(e):
-                k = k * x
+            if e:
+                k *= x ** e
         total += k
-    return total
-
-
-def _form_residues(table: _Table, coords, modulus: int):
-    """The form modulo `modulus` < 2^31 at int64 arrays of absolute value
-    below 2^32, reduced after every product."""
-    total = 0
-    for exps, k in table:
-        k %= modulus
-        for x, e in zip(coords, exps):
-            for _ in range(e):
-                k = k * x % modulus
-        total = (total + k) % modulus
     return total
 
 
@@ -580,85 +563,53 @@ class _Sieve:
     rows: np.ndarray
 
 
-def _mod_p(values) -> np.ndarray:
-    return (values % _CUBIC_PRIME).astype(np.int64)
-
-
 def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> None:
     """Map live integer coordinates to the output, normalize, and check exactly."""
     pt = CurvePoint.from_integers(
         [sum(k * w for k, w in zip(row, live)) for row in forms.coordinate_map])
-    # every multiple of a point's cell in the box gives the point again
-    if (pt not in out and pt.height <= height_bound
-            and not any(_form_value(t, pt.coords) for t in forms.checks)):
+    if pt.height <= height_bound and not any(_form_value(t, pt.coords) for t in forms.checks):
         out.add(pt)
 
 
-def _add_roots(forms: _SearchForms, height_bound: int, out: set, x, y, z, scale, roots):
-    """The candidates (v : scale x : scale y : scale z), v in each array of `roots`.
+def _confirm(forms: _SearchForms, height_bound: int, cell, out: set) -> None:
+    """The points of the curve on the line (v : x : y : z) of a primitive cell.
 
-    x, y, z are int64 arrays, |x|, |y|, |z| <= height_bound.  The cubic is
-    homogeneous, so at a candidate it is the sum of v^n scale^(3 - n)
-    c_n(x, y, z), c_n its coefficient of v^n.  The sum is taken modulo a
-    prime by Horner in v, and the few candidates where it vanishes are
-    checked exactly.
-    """
-    P = _CUBIC_PRIME
-    # the c_n are exact in int64 below this bound, else taken by residues
-    exact = ((height_bound + 1) ** 3 * sum(abs(k) for table in forms.cubic_in_v for _, k in table)
-             < 2 ** 63)
-    cell, pscale = (0, x, y, z), _mod_p(scale)
-    terms, power = [], 1
-    for table in reversed(forms.cubic_in_v):
-        c = _mod_p(x * 0 + _form_value(table, cell)) if exact else _form_residues(table, cell, P)
-        terms.append(c * power % P)
-        power = power * pscale % P
-    for v in roots:
-        pv = _mod_p(v)
-        value = 0
-        for term in terms:
-            value = (value * pv + term) % P
-        for i in np.flatnonzero(value == 0):
-            s = int(scale[i])
-            _add_if_on_curve(forms, height_bound,
-                             (int(v[i]), s * int(x[i]), s * int(y[i]), s * int(z[i])), out)
-
-
-def _confirm(forms: _SearchForms, height_bound: int, dtype, x, y, z, out: set) -> None:
-    """Solve the quadric for v at the sieve survivors (x, y, z) and test the cubic.
-
-    Half box: z >= 0, with y >= 0 when z = 0 and x > 0 when y = z = 0;
-    negated cells give the same projective points.
+    disc is a quadratic form and linear is linear in (x, y, z), so at a
+    multiple k (x, y, z) the roots v scale by k: the check of a primitive
+    cell finds the points of all its multiples.  When the quadric vanishes
+    on the whole line (lead = linear = rest = 0), its points are the roots
+    p / q of the cubic along the line, (p : q x : q y : q z); if the cubic
+    vanishes there too, every such point in the box is tested.
     """
     H = height_bound
-    keep = (z > 0) | (y > 0) | ((y == 0) & (x > 0))
-    x, y, z = x[keep], y[keep], z[keep]
-    cell = (0, *(w.astype(dtype) for w in (x, y, z)))
-    zero = cell[1] * 0
-    lin = zero + _form_value(forms.linear, cell)
+    live = (0, *cell)
+    lin = _form_value(forms.linear, live)
     if forms.lead:
-        disc = zero + _form_value(forms.disc, cell)
-        keep = disc >= 0
-        x, y, z, lin, disc = x[keep], y[keep], z[keep], lin[keep], disc[keep]
-        if dtype is object:
-            s = np.array([math.isqrt(v) for v in disc], dtype=object)
-        else:
-            # for disc = n^2 < 2^61 the float root is within 2^-22 of n, so
-            # rounding recovers n; a non-square fails the test below either way
-            s = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
-        keep = s * s == disc
-        x, y, z, lin, s = x[keep], y[keep], z[keep], lin[keep], s[keep] * forms.root_scale
-        _add_roots(forms, H, out, x, y, z, lin * 0 + 2 * forms.lead, (s - lin, -s - lin))
+        disc = _form_value(forms.disc, live)
+        s = math.isqrt(max(disc, 0))
+        if s * s == disc:
+            scale = 2 * forms.lead
+            s *= forms.root_scale
+            for v in {s - lin, -s - lin}:
+                _add_if_on_curve(forms, H, (v, *(scale * w for w in cell)), out)
+        return
+    rest = _form_value(forms.rest, live)
+    if lin:
+        _add_if_on_curve(forms, H, (-rest, *(lin * w for w in cell)), out)
+        return
+    if rest:
+        return
+    cubic = UniPoly([_form_value(table, live) for table in forms.cubic_in_v])
+    if cubic.is_zero:
+        candidates = [(p, q) for q in range(1, H // max(map(abs, cell)) + 1)
+                      for p in range(-H, H + 1) if math.gcd(p, q) == 1]
+    elif cubic.degree < 1:
+        candidates = []
     else:
-        # a quadric linear in v: v = -rest / lin, and every v where both vanish
-        rest = zero + _form_value(forms.rest, cell)
-        solved, free = lin != 0, (lin == 0) & (rest == 0)
-        _add_roots(forms, H, out, x[solved], y[solved], z[solved], lin[solved],
-                   (-rest[solved],))
-        n, width = int(free.sum()), 2 * H + 1
-        _add_roots(forms, H, out, *(np.repeat(w[free], width) for w in (x, y, z)),
-                   np.ones(n * width, dtype=dtype),
-                   (np.tile(np.arange(-H, H + 1).astype(dtype), n),))
+        roots = (-f[0] for f, _ in factor_over_Q(cubic).factors if f.degree == 1)
+        candidates = [(root.numerator, root.denominator) for root in roots]
+    for p, q in candidates:
+        _add_if_on_curve(forms, H, (p, *(q * w for w in cell)), out)
 
 
 def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
@@ -666,17 +617,15 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
 
     The rows (z, x) of the chunk are sieved in tiles: a row is the AND of
     its packed rows, one per modulus, and only its nonzero bytes are
-    unpacked.  Survivors of consecutive tiles are confirmed together, in
-    blocks of about _BLOCK cells.  The zero cell (0, 0, 0) can only hold
-    the unit point of v, which the chunk holding z = 0 checks once.
+    unpacked.  Only primitive survivors are confirmed: a multiple k c of a
+    cell c carries the points of c, and if c carries a point it survives
+    too (R(c) = 0 and disc(c) is a square), in whichever chunk holds it.
+    Half box: z >= 0, with y >= 0 when z = 0 and x > 0 when y = z = 0;
+    negated cells give the same points.  The zero cell (0, 0, 0) can only
+    hold the unit point of v, which the chunk holding z = 0 checks once.
     """
     forms, H, rows = sieve.forms, sieve.height_bound, sieve.rows
     width, words = 2 * H + 1, rows.shape[1]
-    # every exact value of `_confirm` fits int64 when this bound does
-    bound = (H + 1) ** 2 * (forms.root_scale ** 2 * sum(abs(k) for _, k in forms.disc)
-                            + sum(abs(k) for _, k in forms.linear + forms.rest)
-                            + 2 * abs(forms.lead))
-    dtype = np.int64 if bound < 2 ** 61 else object
     out = set()
     if z_lo == 0 < z_hi:
         _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
@@ -687,7 +636,6 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     # a tile is a run of rows in (z, x) order, so it reads the same number of
     # bytes at every height, one modulus at a time
     tile, n = max(1, _TILE_BYTES // (8 * len(_MODULI) * words)), (z_hi - z_lo) * width
-    block, count = [], 0
     for lo in range(0, n, tile):
         z, x = np.divmod(np.arange(lo, min(lo + tile, n)), width)
         index = np.take(by_z, z, axis=1) + np.take(by_x, x, axis=1)
@@ -702,11 +650,10 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
             j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
             k = hit[j >> 3]
             row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
-            block.append((x[row] - H, column - H, z_lo + z[row]))
-            count += row.size
-        if count >= _BLOCK or (block and lo + tile >= n):
-            _confirm(forms, H, dtype, *(np.concatenate(w) for w in zip(*block)), out)
-            block, count = [], 0
+            for cell in zip((x[row] - H).tolist(), (column - H).tolist(), (z_lo + z[row]).tolist()):
+                if ((cell[2] > 0 or cell[1] > 0 or (cell[1] == 0 and cell[0] > 0))
+                        and math.gcd(*cell) == 1):
+                    _confirm(forms, H, cell, out)
     return out
 
 
@@ -765,11 +712,10 @@ def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> Sea
 
     Enumerates (b, c, d) in a half box and solves the quadric for a
     (constant leading coefficient).  The discriminant and the resultant
-    of the quadric and the cubic in a are sieved modulo small primes,
-    survivors get exact integer square roots, both roots
-    are tested against the cubic modulo a prime, and the few that pass
-    are normalized by gcd and sign and re-checked on the height bound,
-    the quadric and the cubic in exact integer arithmetic.  No
+    of the quadric and the cubic in a are sieved modulo small primes;
+    each primitive survivor cell gets an exact integer square root, and
+    both roots are normalized by gcd and sign and checked on the height
+    bound, the quadric and the cubic in exact integer arithmetic.  No
     completeness beyond the height bound is claimed.  Results are
     independent of the partitioning into parallel chunks.  A bound below 0
     or above MAX_HEIGHT_BOUND raises ValueError; bound 0 gives an empty
@@ -792,10 +738,10 @@ def general_point_search(curve: GeneralCurve, height_bound: int) -> List[CurvePo
     other than the solved one are enumerated in [-H, H], the solved one
     comes from the quadric (both roots of a square discriminant, or the
     single root when the quadric is linear in it, as on pure quintics),
-    and the eliminated coordinate from the trace condition.  Candidates
-    pass the cubic modulo a prime, then the linear, quadric and cubic
-    forms and the height bound on the full 5-tuple exactly.  A bound below
-    0 or above MAX_HEIGHT_BOUND raises ValueError; bound 0 gives an empty
-    list.
+    and the eliminated coordinate from the trace condition.  Each
+    primitive survivor cell is confirmed once: its candidates are checked
+    on the linear, quadric and cubic forms and the height bound on the
+    full 5-tuple exactly.  A bound below 0 or above MAX_HEIGHT_BOUND
+    raises ValueError; bound 0 gives an empty list.
     """
     return sorted(_search(curve, height_bound, 1), key=_by_height)

@@ -24,8 +24,7 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
                                       SearchResult, _normal_form_mod_quadric, _search_chunk,
                                       _search_forms, _sieve_tables, _worker_count, _MODULI,
-                                      _OFFSETS, _Sieve, _packed_rows, _form_residues, _form_value,
-                                      _CUBIC_PRIME)
+                                      _OFFSETS, _Sieve, _packed_rows)
 
 T65 = F(6, 5)
 
@@ -86,7 +85,7 @@ def test_point_search_small_heights():
 
 
 def _partition_searches():
-    # T65 runs the int64 square roots, the large t the Python-int ones; the
+    # T65 has small coefficients, the large t coefficients above 2^63; the
     # pure field's quadric is linear in the solved variable, and the dense
     # field's discriminant has a b*c term
     searches = [(curve_from_t(t), 40, lambda c, H: point_search(c, H).points)
@@ -116,10 +115,9 @@ def test_point_search_partition_invariance():
         assert full == set(search(curve, H))
 
 
-@pytest.mark.parametrize("tile_rows, block", [(1, 1), (7, 64)])
-def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows, block):
-    # tiles of 1 and 7 rows cut slices at every row and mid-slice, and small
-    # blocks confirm the survivors of a tile in several passes.  At H = 88 the
+@pytest.mark.parametrize("tile_rows", [1, 7])
+def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows):
+    # tiles of 1 and 7 rows cut slices at every row and mid-slice.  At H = 88 the
     # point (88 : 70 : 75 : -60) of T65 has no multiple in the box, and its
     # cell lies in the middle of a slice (run with 7-row tiles only, for time).
     searches = [(curve, H) for curve, H, _ in _partition_searches()]
@@ -131,7 +129,6 @@ def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows, block):
         words = sieve.rows.shape[1]
         with monkeypatch.context() as patch:
             patch.setattr(curve_module, "_TILE_BYTES", tile_rows * 8 * len(_MODULI) * words)
-            patch.setattr(curve_module, "_BLOCK", block)
             tiled = _sieve(curve, H)
             assert np.array_equal(tiled.rows, sieve.rows)
             got = [_search_chunk(tiled, lo, hi) for lo, hi in ((0, H + 1), *_pieces(H))]
@@ -147,24 +144,74 @@ def test_point_search_parallel_matches_serial():
 
 
 def test_point_search_python_path_on_large_t():
-    # denominators large enough to force the big-int path
+    # a t whose cleared cubic has coefficients above 2^63
     t = F(123456789012345, 987654321098765)
     curve = curve_from_t(t)
     res = point_search(curve, 2)
     assert (0, 1, 0, 0) in {pt.coords for pt in res.points}
 
 
-def test_form_residues_match_exact_values():
-    # the cubic prefilter reads c_n(x, y, z) by residues when the exact value
-    # may exceed int64; coefficients here exceed 2^63, coordinates reach 2^31
-    rng = np.random.default_rng(3)
-    forms = _search_forms(curve_from_t(F(123456789012345, 987654321098765)))
-    cell = (0, *(rng.integers(-2 ** 31, 2 ** 31, 200) for _ in range(3)))
-    exact_cell = (0, *(w.astype(object) for w in cell[1:]))
-    for table in forms.cubic_in_v:
-        assert max(abs(k) for _, k in table) > 2 ** 63
-        got = cell[1] * 0 + _form_residues(table, cell, _CUBIC_PRIME)
-        assert (got == (exact_cell[1] * 0 + _form_value(table, exact_cell)) % _CUBIC_PRIME).all()
+def _line_curve(cubic_spec):
+    """A curve with quadric a b + c d: the engine solves it for a, linear in
+    a, and the quadric vanishes on the lines of the cells (0, c, 0) and
+    (0, 0, d), where the engine takes the points from the cubic alone."""
+    quadric = MultiPoly.from_spec(CURVE_VARS, [(1, {"a": 1, "b": 1}), (1, {"c": 1, "d": 1})])
+    return TrinomialCurve(t=F(1), quadric=quadric, cubic=MultiPoly.from_spec(CURVE_VARS, cubic_spec))
+
+
+def _brute_force_points(curve, H):
+    """Every nonzero (a, b, c, d) in [-H, H]^4 on both forms, normalized."""
+    found = set()
+    for coords in itertools.product(range(-H, H + 1), repeat=4):
+        if any(coords) and curve.contains(CurvePoint(coords)):
+            found.add(CurvePoint.from_integers(coords))
+    return found
+
+
+def test_search_finds_the_rational_roots_of_the_cubic_on_a_line_of_the_quadric():
+    # the cubic is (2a - 3c)(a^2 + c^2) on b = d = 0, with the root a / c = 3 / 2,
+    # and 2a^3 + 5d^3, without a rational root, on b = c = 0
+    curve = _line_curve([
+        (2, {"a": 3}), (-3, {"a": 2, "c": 1}), (2, {"a": 1, "c": 2}), (-3, {"c": 3}),
+        (1, {"b": 2, "d": 1}), (5, {"d": 3}), (-1, {"a": 1, "b": 1, "c": 1})])
+    result = point_search(curve, 3)
+    assert set(result.points + result.degenerate) == _brute_force_points(curve, 3)
+    assert CurvePoint((3, 0, 2, 0)) in result.points
+
+
+def test_search_finds_every_point_of_a_line_on_the_curve():
+    # b (a^2 + c^2) + d (ac - 2b^2) vanishes on both lines b = d = 0 and
+    # b = c = 0, so every point (p : 0 : q : 0) and (p : 0 : 0 : q) in the box
+    # lies on the curve
+    curve = _line_curve([(1, {"a": 2, "b": 1}), (1, {"b": 1, "c": 2}),
+                         (1, {"a": 1, "c": 1, "d": 1}), (-2, {"b": 2, "d": 1})])
+    result = point_search(curve, 3)
+    found = set(result.points + result.degenerate)
+    assert found == _brute_force_points(curve, 3)
+    assert len(found) == 34
+
+
+def test_search_confirms_each_primitive_cell_once(monkeypatch):
+    # of the 440 sieve survivors of t = 6/5 at H = 200 only the primitive
+    # cells of the half box are confirmed, each once
+    H, cells = 200, []
+    confirm = curve_module._confirm
+
+    def spy(forms, height_bound, cell, out):
+        cells.append(cell)
+        confirm(forms, height_bound, cell, out)
+
+    monkeypatch.setattr(curve_module, "_confirm", spy)
+    result = point_search(curve_from_t(T65), H)
+    assert {pt.coords for pt in result.points} == {
+        (0, 1, 0, 0), (168, -45, -95, -55), (36, -150, 120, 35), (88, 70, 75, -60),
+        (24, -100, 80, -195)}
+    assert 0 < len(cells) <= 20
+    assert len(set(cells)) == len(cells)
+    for x, y, z in cells:
+        assert math.gcd(x, y, z) == 1
+        assert max(map(abs, (x, y, z))) <= H
+        assert z > 0 or y > 0 or (y == 0 and x > 0)
 
 
 def _split_live(curve):
@@ -592,11 +639,11 @@ def _traced_peaks(search, heights):
 
 
 def test_search_memory_grows_linearly_with_height():
-    # The packed rows grow as O(H), and tiles and confirmation blocks are
-    # bounded.  A (2H+1)^2 mask per slice would grow the peak as H^2: the growth
-    # from H = 200 to 400 would be about four times that from 100 to 200, not
-    # two.  x^5 + 75x + 105 has many survivors, t = 19/14 few, so there the
-    # sieve's own memory shows.
+    # The packed rows grow as O(H), tiles are bounded, and survivors are
+    # confirmed one at a time.  A (2H+1)^2 mask per slice would grow the
+    # peak as H^2: the growth from H = 200 to 400 would be about four times
+    # that from 100 to 200, not two.  x^5 + 75x + 105 has many survivors,
+    # t = 19/14 few, so there the sieve's own memory shows.
     curve = curve_from_field(UniPoly([105, 75, 0, 0, 0, 1]))
     low, high = _traced_peaks(lambda H: general_point_search(curve, H), (200, 400))
     assert high < 3 * low
