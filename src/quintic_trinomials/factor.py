@@ -26,8 +26,7 @@ number of roots in GF(p^k).  Each product of two residues is reduced by
 one matrix product with a per-lane table of x^k mod (f, p) for k = n..2n-2.
 The k = 1 trace is the root count; the traces for k <= deg f / 2 give
 the cycle type of a squarefree reduction by Moebius inversion.  The roots
-themselves come from evaluating f at every residue mod p, and simple
-roots mod p lift to p^k by Newton's iteration.
+themselves come from evaluating f at every residue mod p.
 """
 
 from __future__ import annotations
@@ -354,14 +353,6 @@ def _frobenius_traces_batch(polys: Sequence[Sequence[int]], primes: Sequence[int
     return traces % ring.mod
 
 
-def _gf_root_counts_batch(polys: Sequence[Sequence[int]], primes: Sequence[int]) -> np.ndarray:
-    """Number of roots mod p of every monic P of one degree, squarefree mod p > deg P.
-
-    The k = 1 trace of `_frobenius_traces_batch`; shape (len(polys), len(primes)).
-    """
-    return _frobenius_traces_batch(polys, primes, 1)[..., 0]
-
-
 def _cycle_types_batch(polys: Sequence[Sequence[int]],
                        primes: Sequence[int]) -> List[List[Tuple[int, ...]]]:
     """Cycle types of every monic P of one degree n, squarefree mod every p > n.
@@ -589,33 +580,6 @@ def _hensel_lift(f_ints, factors_p, p, k):
     if any(c % modulus for c in _z_sub(f_ints, prod)):
         raise ArithmeticError(f"lift invariant broken modulo {modulus}")
     return lifted, modulus
-
-
-def _lift_roots(f_ints, roots, p, k):
-    """Lift simple roots mod p of an integer polynomial to roots mod p^k.
-
-    Newton's iteration r <- r - f(r) / f'(r) doubles the precision each
-    step; f'(r) is a unit because the roots are simple mod p.
-    """
-    target = p ** k
-    deriv = [i * c for i, c in enumerate(f_ints)][1:]
-    lifted = []
-    for r in roots:
-        modulus = p
-        while modulus < target:
-            modulus = min(modulus * modulus, target)
-            r = (r - _z_eval(f_ints, r) * pow(_z_eval(deriv, r), -1, modulus)) % modulus
-        if _z_eval(f_ints, r) % target:
-            raise ArithmeticError(f"lift invariant broken modulo {target}")
-        lifted.append(r)
-    return lifted
-
-
-def _z_eval(a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _mignotte_bound(ints: Sequence[int]) -> int:

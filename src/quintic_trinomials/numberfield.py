@@ -6,21 +6,16 @@ map is computed from the traces of the powers of beta by Newton's
 identities; it equals the minimal polynomial of beta whenever beta is
 irrational (degree five is prime, so there are no intermediate fields).
 
-Whether an irreducible quintic f has a root in K is decided at a totally
-split prime (Cohen, "A Course in Computational Algebraic Number Theory",
-ch. 3-4; Belabas, J. Theor. Nombres Bordeaux 16, 2004).  f has a root in K
-exactly when Q[x]/(f) and K are isomorphic, so at every prime not dividing
-the discriminants f and g have equally many roots: one prime where the
-root counts differ proves absence.  The scan, batched over blocks of
-primes, stops at the first prime p where g splits completely.  There the
-roots of f and g are found by evaluating at every residue mod p, lifted
-p-adically past a proven coefficient bound, and each of the 120 matchings
-of the roots gives a candidate root by interpolation.  The bound is
-sqrt|disc g| times Hadamard's bound on the columns of a Cramer
-determinant (see `_interpolated_roots`).  Candidates are verified by
-exact evaluation in K, and when none verifies, "absent" is proven.  Of
-several roots (K cyclic) the one of least height is returned, ties broken
-by coordinates.
+Whether an irreducible quintic f has a root in K is decided at a prime
+(Cohen, "A Course in Computational Algebraic Number Theory", ch. 3-4;
+Belabas, J. Theor. Nombres Bordeaux 16, 2004).  Root counts mod p that
+differ prove absence.  At the first prime where g has all five roots in
+GF(p^2), of density at least 1/5 whatever the Galois group (a totally
+split prime of an S5 field has 1/120), the roots of f in K are
+interpolated p-adically under a proven bound and verified exactly
+(`_decide_at_prime`); when none verifies, "absent" is proven.  Of several
+roots (K cyclic) the one of least height is returned, ties broken by
+coordinates.
 """
 
 from __future__ import annotations
@@ -28,13 +23,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .qpoly import UniPoly, count_real_roots, discriminant
-from .factor import (_gf_roots, _gf_root_counts_batch, _lift_roots, _z_mul, factor_over_Q,
-                     primes_below)
+from .factor import (_EDF_SEED, _equal_degree_split, _frobenius_traces_batch, _gf_divmod,
+                     _gf_powmod, _gf_roots, _z_mul, factor_over_Q, primes_below)
 
 
 def multiplication_matrix_mod(g: UniPoly, coords: Sequence[Fraction]):
@@ -278,8 +274,8 @@ def has_root_in_field(f: UniPoly, K: NumberField) -> RootSearchResult:
     factor gives a rational root, a factor of degree 2, 3 or 4 has no
     root in a quintic field, an irreducible quintic whose real/complex
     signature differs from K's has none, and any other quintic is
-    decided at a totally split prime.  Certificates are verified by exact
-    evaluation in K before being returned.
+    decided at a prime (`_decide_at_prime`).  Certificates are verified
+    by exact evaluation in K before being returned.
     """
     if f.degree < 1 or f.degree > 5:
         raise ValueError("degree must be between 1 and 5")
@@ -306,7 +302,7 @@ def _root_of_irreducible(f: UniPoly, K: NumberField) -> RootSearchResult:
         return RootSearchResult(
             "absent", None,
             detail=f"signature mismatch: {r_f} real roots vs {r_g} real embeddings")
-    return _decide_at_split_prime(f, K)
+    return _decide_at_prime(f, K)
 
 
 def _integral_coeffs(p: UniPoly) -> Tuple[int, List[int]]:
@@ -319,70 +315,109 @@ def _integral_coeffs(p: UniPoly) -> Tuple[int, List[int]]:
     return d, [int(c * d ** (n - i)) for i, c in enumerate(p.coeffs)]
 
 
-def _scan_primes(bad: int):
-    """Primes p > 5 not dividing bad, ascending, from sieves of doubling length."""
-    low, high = 7, 1 << 12
-    while True:
-        yield from (p for p in primes_below(high) if p >= low and bad % p)
-        low, high = high, 2 * high
+def _prime_blocks(bad: int):
+    """Ascending primes p > 5 not dividing bad, in lists of 8, 16, ..., 256, 256, ...
 
-
-def _blocks(items):
-    """Consecutive lists of items of lengths 8, 16, ..., 256, 256, ...
-
-    Most absent roots show within a few primes; a split prime of an S5
-    field comes after about 120.
+    Most decisions need a few primes; naming an S5 field's split prime takes about 120.
     """
-    size = 8
-    while True:
-        yield list(itertools.islice(items, size))
-        size = min(2 * size, 256)
+    primes = (p for e in itertools.count(3) for p in primes_below(1 << e)
+              if p > 5 and p >= 1 << e - 1 and bad % p)
+    for size in itertools.chain((8, 16, 32, 64, 128), itertools.repeat(256)):
+        yield list(itertools.islice(primes, size))
 
 
-def _decide_at_split_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
+def _decide_at_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
     """Root of a monic irreducible quintic f in K, or a proof that there is none.
 
-    f has a root in K exactly when Q[x]/(f) and K are isomorphic.  With F
-    and G the monic integer rescalings of f and g, a prime p not dividing
-    disc(F) disc(G) then splits alike in both, so F and G have equally
-    many roots mod p: a prime where the counts differ proves absence.  The
-    scan stops at the first prime where G (and so F) has five roots.
+    f has a root in K exactly when Q[x]/(f) and K are isomorphic, and then
+    the monic integer rescalings F and G of f and g have equally many
+    roots mod every prime not dividing disc(F) disc(G).  The roots of F in
+    K are interpolated at the first prime where G's roots lie in GF(p^2),
+    if F's do too.  Without a root, the scan goes on only to name the
+    first prime where the root counts differ, or else where G splits.
     """
     d, F = _integral_coeffs(f)
     e, G = _integral_coeffs(K.defining_poly)
     disc_g = int(discriminant(UniPoly(G)))
     bad = int(discriminant(UniPoly(F))) * disc_g
-    for block in _blocks(_scan_primes(bad)):
-        counts = _gf_root_counts_batch([F, G], block)
-        for p, count_f, count_g in zip(block, counts[0].tolist(), counts[1].tolist()):
-            if count_f != count_g:
-                return RootSearchResult(
-                    "absent", None,
-                    detail=f"root counts mod {p} differ: {count_f} for f, "
-                           f"{count_g} for the field polynomial")
-            if count_g == 5:
+    roots = None
+    for block in _prime_blocks(bad):
+        traces = _frobenius_traces_batch([F, G], block, 2).tolist()
+        for p, (f1, f2), (g1, g2) in zip(block, *traces):
+            if f1 != g1:
+                return RootSearchResult("absent", None, detail=f"root counts mod {p} differ: "
+                                        f"{f1} for f, {g1} for the field polynomial")
+            if roots is None and g2 == 5:
                 roots = [K.element([Fraction(c * e ** j, disc_g * d) for j, c in enumerate(h)])
-                         for h in _interpolated_roots(F, G, disc_g, p)]
-                if not roots:
-                    return RootSearchResult(
-                        "absent", None,
-                        detail=f"no root interpolated at the split prime {p} verifies")
-                return RootSearchResult("certified", min(roots, key=_height_key),
-                                        detail="verified exactly")
+                         for h in (_interpolated_roots(F, G, disc_g, p) if f2 == 5 else ())]
+                if roots:
+                    return RootSearchResult("certified", min(roots, key=_height_key),
+                                            detail="verified exactly")
+            if g1 == 5:
+                return RootSearchResult("absent", None, detail="no root interpolated at the "
+                                        f"split prime {p} verifies")
 
 
-def _lifted_roots(ints: List[int], p: int, k: int) -> List[int]:
-    """The roots mod p^k of a monic integer polynomial with deg-many simple roots mod p.
+def _sqrt_mul(u, v, n, q):
+    """u v in Z/q[sqrt n], an element a + b sqrt(n) being the pair (a, b)."""
+    return (u[0] * v[0] + n * u[1] * v[1]) % q, (u[0] * v[1] + u[1] * v[0]) % q
 
-    The roots mod p are found by evaluation at every residue (`_gf_roots`),
-    which costs O(p), no more than the prime scan that reached p; their
-    number equal to the degree proves that they are simple.  Newton's
-    iteration lifts them.
+
+def _sqrt_div(u, v, n, q):
+    """u / v in Z/q[sqrt n] for a unit v = (c, d): u (c - d sqrt(n)) / (c^2 - n d^2)."""
+    w = pow(v[0] * v[0] - n * v[1] * v[1], -1, q)
+    return _sqrt_mul(u, (v[0] * w, -v[1] * w), n, q)
+
+
+def _sqrt_horner(coeffs, r, n, q):
+    """Horner's sums at r in Z/q[sqrt n]: the quotient by x - r from the top, then the value."""
+    (x, y), a, b, sums = r, 0, 0, []
+    for c in reversed(coeffs):
+        a, b = (a * x + n * b * y + c) % q, (a * y + b * x) % q
+        sums.append((a, b))
+    return sums
+
+
+def _lift_roots(f_ints, roots, n, p, k):
+    """Lift simple roots (a, b) = a + b sqrt(n) mod p of an integer polynomial to p^k.
+
+    n is a non-residue mod p; Newton's iteration r <- r - f(r) / f'(r),
+    f'(r) a unit as the roots are simple, doubles the precision each step.
     """
-    roots = _gf_roots(ints, p)
-    if len(roots) != len(ints) - 1:
-        raise ArithmeticError(f"split prime invariant broken: {ints} does not split mod {p}")
-    return _lift_roots(ints, roots, p, k)
+    target = p ** k
+    deriv = [i * c for i, c in enumerate(f_ints)][1:]
+    lifted = []
+    for r in roots:
+        modulus = p
+        while modulus < target:
+            modulus = min(modulus * modulus, target)
+            a, b = _sqrt_div(_sqrt_horner(f_ints, r, n, modulus)[-1],
+                             _sqrt_horner(deriv, r, n, modulus)[-1], n, modulus)
+            r = ((r[0] - a) % modulus, (r[1] - b) % modulus)
+        if any(_sqrt_horner(f_ints, r, n, target)[-1]):
+            raise ArithmeticError(f"lift invariant broken modulo {target}")
+        lifted.append(r)
+    return lifted
+
+
+def _lifted_roots(ints: List[int], n: int, p: int, k: int) -> List[Tuple[int, int]]:
+    """The roots in Z/p^k[sqrt n] of a monic integer polynomial with simple roots in GF(p^2).
+
+    n is a non-residue mod p > 2; a root a + b sqrt(n) is the pair (a, b).
+    The roots in GF(p) come by evaluation, and the quadratic factors of the
+    rest, x^2 + s x + t, give (-s +- c sqrt(n)) / 2 with c^2 = (s^2 - 4t) / n.
+    """
+    f = [c % p for c in ints]
+    if _gf_powmod([0, 1], p * p, f, p) != [0, 1]:  # f divides x^(p^2) - x
+        raise ArithmeticError(f"root invariant broken: {ints} does not split in GF({p}^2)")
+    roots = [(r, 0) for r in _gf_roots(f, p)]
+    for r, _ in roots:
+        f = _gf_divmod(f, [-r % p, 1], p)[0]
+    half = (p + 1) // 2
+    for t, s, _ in _equal_degree_split(f, 2, p, random.Random(_EDF_SEED)) if f[1:] else ():
+        c = _gf_roots([-(s * s - 4 * t) * pow(n, -1, p), 0, 1], p)[0]
+        roots += [(-s * half % p, c * half % p), (-s * half % p, -c * half % p)]
+    return _lift_roots(ints, roots, n, p, k)
 
 
 def _root_bound(F: List[int], G: List[int], disc_g: int) -> int:
@@ -399,53 +434,48 @@ def _root_bound(F: List[int], G: List[int], disc_g: int) -> int:
 def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List[List[int]]:
     """Every h in Z[x] of degree < 5 with F(h(theta) / disc_g) = 0, theta a root of G.
 
-    F and G are monic integer quintics that split into distinct linear
-    factors mod p, and disc_g = D = disc(G).  A root phi of F in Q(theta)
-    is sum c_j theta^j, so V c = (phi_i) for the Vandermonde matrix V of
-    the roots theta_i of G and the conjugates phi_i.  Cramer's rule gives
-    D c_j = det(V) det(V_j), with V_j the matrix V whose column j is
-    replaced by (phi_i), and D c_j is a rational integer because phi lies
-    in O_K and D O_K lies in Z[theta].  Both factors are bounded:
+    F and G are monic integer quintics with simple roots mod p, all in
+    GF(p^2), and D = disc_g = disc(G).  A root phi = sum c_j theta^j of F
+    has V c = (phi_i), V the Vandermonde matrix of the roots theta_i of G,
+    so by Cramer D c_j = det(V) det(V_j), V_j being V with column j
+    replaced by (phi_i); D c_j is an integer as phi is in O_K and D O_K in
+    Z[theta].  det(V)^2 = D, and column m of V has norm at most sqrt(5)
+    M_G^m, so Hadamard gives |det V_j| <= 5^(5/2) M_G^(10 - j) M_F <= 56
+    M_G^10 M_F, M_G and M_F the Cauchy root bounds 1 + max |coefficient|
+    of G and F: |D c_j| <= B of `_root_bound`.
 
-    - det(V)^2 = D exactly, so |det V| = sqrt|D| <= isqrt|D| + 1;
-    - Hadamard's inequality on the columns of V_j: column m of V has norm
-      at most sqrt(5) M_G^m and the column of the phi_i at most sqrt(5) M_F,
-      with M_G and M_F the Cauchy root bounds 1 + max |coefficient| of G
-      and F, so |det V_j| <= 5^(5/2) M_G^(10 - j) M_F <= 56 M_G^10 M_F.
-
-    Hence |D c_j| <= B = (isqrt|D| + 1) 56 M_G^10 M_F (`_root_bound`).
-    Each of the 120 matchings of the roots mod p^k gives D c_j by
-    Lagrange interpolation; once p^k > 2B the symmetric residues of a true
-    matching are the D c_j.  The extra factor 2^64 leaves a false matching
-    a chance of about 2^-64 per coordinate to pass the bound, and every
-    candidate is verified exactly.
+    In Z/p^k[sqrt n], n a non-residue mod p, conjugation is Frobenius; h is
+    rational, so the matching theta_i -> h(theta_i) / D commutes with it.
+    Only such matchings are interpolated: 120 when G splits mod p, 12 for
+    the cycle type 1^3 2, 8 for 1 2^2.  Once p^k > 2B, a true one gives the
+    D c_j as symmetric residues with a zero sqrt(n) part; the factor 2^64
+    leaves a false one a chance of about 2^-64 per coordinate to pass the
+    bound, and every candidate is verified exactly.
     """
     bound = _root_bound(F, G, disc_g)
-    k = 1
-    while p ** k <= (2 * bound) << 64:
-        k += 1
+    k = next(k for k in itertools.count(1) if p ** k > (2 * bound) << 64)
     q = p ** k
-    thetas, phis = _lifted_roots(G, p, k), _lifted_roots(F, p, k)
-    # D times the Lagrange basis at the thetas, ascending coefficients mod q
-    basis = []
-    for i, ti in enumerate(thetas):
-        num, den = [1], 1
-        for j, tj in enumerate(thetas):
-            if j != i:
-                num = [(a - tj * b) % q for a, b in zip([0] + num, num + [0])]
-                den = den * (ti - tj) % q
-        scale = disc_g * pow(den, -1, q) % q
-        basis.append([c * scale % q for c in num])
-    terms = [[[phi * c % q for c in b] for phi in phis] for b in basis]
+    n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    thetas, phis = _lifted_roots(G, n, p, k), _lifted_roots(F, n, p, k)
+    # terms[i][m][j]: phi_m times coefficient j of D G(x) / ((x - theta_i) G'(theta_i))
+    deriv = [i * c for i, c in enumerate(G)][1:]
+    terms = []
+    for theta in thetas:
+        scale = _sqrt_div((disc_g, 0), _sqrt_horner(deriv, theta, n, q)[-1], n, q)
+        basis = [_sqrt_mul(c, scale, n, q) for c in _sqrt_horner(G, theta, n, q)[-2::-1]]
+        terms.append([[_sqrt_mul(phi, c, n, q) for c in basis] for phi in phis])
+    conj_g, conj_f = ([rs.index((a, -b % q)) for a, b in rs] for rs in (thetas, phis))
     roots = []
     for match in itertools.permutations(range(5)):
+        if any(match[conj_g[i]] != conj_f[m] for i, m in enumerate(match)):
+            continue
         coords = []
         for j in range(5):
-            c = sum(terms[i][m][j] for i, m in enumerate(match)) % q
-            c = c - q if 2 * c > q else c
-            if abs(c) > bound:
+            a, b = (sum(t) % q for t in zip(*(terms[i][m][j] for i, m in enumerate(match))))
+            a = a - q if 2 * a > q else a
+            if b or abs(a) > bound:
                 break
-            coords.append(c)
+            coords.append(a)
         else:
             if _vanishes(F, G, coords, disc_g):
                 roots.append(coords)

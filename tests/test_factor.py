@@ -261,7 +261,7 @@ def test_root_counts_by_frobenius_trace_match_gcd(lows):
     primes = [p for p in primes_below(300) if p > 5 and all(
         factor._gf_is_squarefree([c % p for c in poly], p) for poly in polys)]
     assume(primes)
-    counts = factor._gf_root_counts_batch(polys, primes)
+    counts = factor._frobenius_traces_batch(polys, primes, 1)[..., 0]
     for lane, poly in enumerate(polys):
         for i, p in enumerate(primes):
             xp = factor._gf_powmod([0, 1], p, poly, p)
@@ -331,7 +331,7 @@ def test_batched_cycle_types_need_primes_above_the_degree():
     with pytest.raises(ValueError, match="p > deg P"):
         factor._frobenius_traces_batch([[1, 1, 0, 1]], [3], 1)
     with pytest.raises(ValueError, match="p > deg P"):
-        factor._gf_root_counts_batch([[1, 0, 1]], [2])
+        factor._frobenius_traces_batch([[1, 0, 1]], [2], 1)
     assert factor._cycle_types_batch([[1, 0, 1]], [3, 5]) == [[(2,), (1, 1)]]
 
 
@@ -345,17 +345,6 @@ def test_batched_cycle_types_reject_a_repeated_factor():
     with pytest.raises(ArithmeticError, match="cycle type invariant broken"):
         factor._cycle_types_batch([ints], [7])
 
-
-def test_lift_roots_doubles_to_the_target_precision():
-    # x^5 - 18 splits into five linear factors mod 131
-    ints = [-18, 0, 0, 0, 0, 1]
-    roots = [-g[0] % 131 for g, _ in factor_mod_p(ints, 131)]
-    assert len(roots) == 5
-    lifted = factor._lift_roots(ints, roots, 131, 20)
-    assert [r % 131 for r in lifted] == roots
-    assert all(factor._z_eval(ints, r) % 131 ** 20 == 0 for r in lifted)
-    with pytest.raises(ArithmeticError, match="lift invariant broken"):
-        factor._lift_roots(ints, [3], 131, 4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant
-from quintic_trinomials.factor import (_gf_root_counts_batch, factor_mod_p, factor_over_Q,
-                                       primes_below)
+from quintic_trinomials.factor import (_frobenius_traces_batch, cycle_type_mod_p, factor_mod_p,
+                                       factor_over_Q, primes_below)
 from quintic_trinomials.roots import ComplexBall, complex_roots
 from quintic_trinomials import numberfield
 from quintic_trinomials.numberfield import (NumberField, has_root_in_field, charpoly_mod,
-                                            _integral_coeffs, _interpolated_roots,
-                                            _lifted_roots, _root_bound)
+                                            _integral_coeffs, _interpolated_roots, _lift_roots,
+                                            _lifted_roots, _root_bound, _sqrt_div, _sqrt_horner,
+                                            _sqrt_mul)
 
 from trager_oracle import trager_has_root, trager_norm
 
@@ -327,22 +328,25 @@ def test_char_poly_of_any_element_is_certified(field, coords):
     assert res.witness.char_poly() == f
 
 
-def _common_split_prime(F, G):
+def _common_prime(F, G, k):
+    """The first good prime p where F and G both have all five roots in GF(p^k)."""
     bad = discriminant(UniPoly(F)) * discriminant(UniPoly(G))
     primes = [p for p in primes_below(5000) if p > 5 and bad % p]
-    counts = _gf_root_counts_batch([F, G], primes)
-    return next(p for i, p in enumerate(primes) if counts[0, i] == counts[1, i] == 5)
+    traces = _frobenius_traces_batch([F, G], primes, k)[..., k - 1]
+    return next(p for i, p in enumerate(primes) if traces[0, i] == traces[1, i] == 5)
 
 
 def test_interpolation_at_a_split_prime_finds_the_root_or_proves_none():
+    # k = 1: a prime where both split completely; k = 2: both have their roots in GF(p^2)
     G = [-18, 0, 0, 0, 0, 1]
     disc = int(discriminant(UniPoly(G)))
-    # alpha^2 is the root of x^5 - 324: h = disc * x^2
-    F = [-324, 0, 0, 0, 0, 1]
-    assert _interpolated_roots(F, G, disc, _common_split_prime(F, G)) == [[0, 0, disc, 0, 0]]
-    # Q(2^(1/5)) is not Q(18^(1/5)): no matching survives at a prime where both split
-    F = [-2, 0, 0, 0, 0, 1]
-    assert _interpolated_roots(F, G, disc, _common_split_prime(F, G)) == []
+    for k in (1, 2):
+        # alpha^2 is the root of x^5 - 324: h = disc * x^2
+        F = [-324, 0, 0, 0, 0, 1]
+        assert _interpolated_roots(F, G, disc, _common_prime(F, G, k)) == [[0, 0, disc, 0, 0]]
+        # Q(2^(1/5)) is not Q(18^(1/5)): no compatible matching survives
+        F = [-2, 0, 0, 0, 0, 1]
+        assert _interpolated_roots(F, G, disc, _common_prime(F, G, k)) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -360,31 +364,96 @@ def test_root_coordinates_lie_within_the_interpolation_bound(field, coords):
     assert all(c.denominator == 1 for c in scaled)
     h = [int(c) for c in scaled]
     assert max(map(abs, h)) <= _root_bound(F, G, disc)
-    assert h in _interpolated_roots(F, G, disc, _common_split_prime(F, G))
+    assert h in _interpolated_roots(F, G, disc, _common_prime(F, G, 2))
+
+
+def _non_residue(p):
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
 
 
 def test_split_prime_roots_by_evaluation_match_factorization():
+    # at primes where G has all its roots in GF(p^2), split or not, the roots
+    # (a, b) = a + b sqrt(n) give back the factors mod p: x - a for b = 0 and
+    # x^2 - 2a x + a^2 - n b^2 for a conjugate pair
     for field in _PROPERTY_FIELDS:
         _, G = _integral_coeffs(field.defining_poly)
         disc = discriminant(UniPoly(G))
         primes = [p for p in primes_below(3000) if p > 5 and disc % p]
-        counts = _gf_root_counts_batch([G], primes)[0]
-        split = [p for p, c in zip(primes, counts.tolist()) if c == 5][:4]
-        assert split
-        for p in split:
-            expected = sorted(-g[0] % p for g, _ in factor_mod_p(G, p))
-            assert sorted(_lifted_roots(G, p, 1)) == expected
+        traces = _frobenius_traces_batch([G], primes, 2)[0].tolist()
+        stops = [p for p, (_, t2) in zip(primes, traces) if t2 == 5][:4]
+        stops.append(next(p for p, (t1, _) in zip(primes, traces) if t1 == 5))
+        for p in stops:
+            n = _non_residue(p)
+            roots = _lifted_roots(G, n, p, 1)
+            factors = sorted([-a % p, 1] if b == 0 else [(a * a - n * b * b) % p, -2 * a % p, 1]
+                             for a, b in roots if b <= p - b)
+            assert factors == sorted(g for g, _ in factor_mod_p(G, p))
 
 
 def test_lifted_roots_need_a_split_prime():
+    # x^5 - 18 mod p has the cycle type 1 2^2 for p = 4 mod 5 and 1 4 for
+    # p = 2, 3 mod 5, and is irreducible or split for p = 1 mod 5; 3 and 5
+    # divide its discriminant
     G = [-18, 0, 0, 0, 0, 1]
-    primes = [p for p in primes_below(100) if p > 5]
-    counts = _gf_root_counts_batch([G], primes)[0].tolist()
-    p = next(p for p, c in zip(primes, counts) if c not in (0, 5))
-    with pytest.raises(ArithmeticError, match="does not split mod"):
-        _lifted_roots(G, p, 3)
-    with pytest.raises(ArithmeticError, match="does not split mod"):
-        _lifted_roots(G, primes[counts.index(0)], 3)
+    types = {cycle_type_mod_p(G, p): p for p in primes_below(200) if p > 5}
+    assert types.keys() == {(1, 1, 1, 1, 1), (1, 2, 2), (1, 4), (5,)}
+    for cycle_type in ((1, 4), (5,)):
+        p = types[cycle_type]
+        with pytest.raises(ArithmeticError, match="does not split"):
+            _lifted_roots(G, _non_residue(p), p, 3)
+    for p in (3, 5):
+        with pytest.raises(ArithmeticError, match="does not split"):
+            _lifted_roots(G, 2, p, 3)
+
+
+def test_lift_roots_doubles_to_the_target_precision():
+    # x^5 - 18 splits into five linear factors mod 131; 2 is not a square mod 131
+    ints = [-18, 0, 0, 0, 0, 1]
+    roots = [-g[0] % 131 for g, _ in factor_mod_p(ints, 131)]
+    assert len(roots) == 5
+    lifted = _lift_roots(ints, [(r, 0) for r in roots], 2, 131, 20)
+    assert [(a % 131, b) for a, b in lifted] == [(r, 0) for r in roots]
+    assert all(_sqrt_horner(ints, r, 2, 131 ** 20)[-1] == (0, 0) for r in lifted)
+    with pytest.raises(ArithmeticError, match="lift invariant broken"):
+        _lift_roots(ints, [(3, 0)], 2, 131, 4)
+
+
+def test_lift_roots_in_the_quadratic_extension():
+    # x^2 + 1 has the roots +-sqrt(-1) = +-sqrt(3) * 4 mod 7 (3 is not a square mod 7,
+    # 3 * 4^2 = 48 = -1), which lift to the square roots of -1 in Z/7^12[sqrt 3]
+    q = 7 ** 12
+    lifted = _lift_roots([1, 0, 1], [(0, 4), (0, 3)], 3, 7, 12)
+    assert [(a % 7, b % 7) for a, b in lifted] == [(0, 4), (0, 3)]
+    for r in lifted:
+        assert _sqrt_mul(r, r, 3, q) == (q - 1, 0)
+    assert lifted[1] == (0, -lifted[0][1] % q)
+    assert _sqrt_div((1, 0), lifted[0], 3, q) == (0, -lifted[0][1] % q)
+    # Horner's sums at a root are the quotient by x - r: (x - r)(x + r) = x^2 + 1
+    assert _sqrt_horner([1, 0, 1], lifted[0], 3, q) == [(1, 0), lifted[0], (0, 0)]
+
+
+# (G, p): fields whose first prime with every root in GF(p^2) has each
+# cycle type: split, 1^3 2 and 1 2^2
+_STOP_PRIMES = [([979, 2310, -55, -110, 0, 1], 23, (1, 1, 1, 1, 1)),
+                ([105, 75, 0, 0, 0, 1], 7, (1, 1, 1, 2)),
+                ([-18, 0, 0, 0, 0, 1], 19, (1, 2, 2))]
+
+
+@pytest.mark.parametrize("G, p, cycle_type", _STOP_PRIMES)
+def test_roots_in_the_quadratic_extension_at_each_stop_cycle_type(G, p, cycle_type):
+    disc = int(discriminant(UniPoly(G)))
+    assert _common_prime(G, G, 2) == p and cycle_type_mod_p(G, p) == cycle_type
+    n, k = _non_residue(p), 30
+    q = p ** k
+    roots = _lifted_roots(G, n, p, k)
+    assert all(_sqrt_horner(G, r, n, q)[-1] == (0, 0) for r in roots)
+    assert len({(a % p, b % p) for a, b in roots}) == 5
+    assert sorted((a, -b % q) for a, b in roots) == sorted(roots)
+    assert sum(b == 0 for _, b in roots) == cycle_type.count(1)
+    # the roots of G in Q(theta) are theta and its images under the automorphisms
+    roots_in_field = _interpolated_roots(G, G, disc, p)
+    assert [0, disc, 0, 0, 0] in roots_in_field
+    assert len(roots_in_field) == (5 if cycle_type == (1, 1, 1, 1, 1) else 1)
 
 
 def test_signature_is_counted_once_per_field(monkeypatch):
@@ -467,3 +536,63 @@ def test_decision_agrees_with_trager_oracle(field, coords, low, from_element):
         if field.defining_poly == _CYCLIC:
             roots = [b for b in _conjugates(res.witness) if _is_root(f, b)]
             assert res.witness == _least_height(roots)
+
+
+_K_REM = NumberField(UniPoly([105, 75, 0, 0, 0, 1]))
+_COUNTS_DIFFER = "root counts mod {} differ: {} for f, {} for the field polynomial"
+
+# (field, a, b, status, detail, witness) of x^5 + a x + b: the 13 paper
+# certificates and one absent case per way the decision can end
+_PINNED_DECISIONS = [
+    (K18, 0, -18, "certified", "verified exactly", ["0", "1", "0", "0", "0"]),
+    (K18, 0, -324, "certified", "verified exactly", ["0", "0", "1", "0", "0"]),
+    (K18, 0, -24, "certified", "verified exactly", ["0", "0", "0", "1/3", "0"]),
+    (K18, 0, -432, "certified", "verified exactly", ["0", "0", "0", "0", "1/3"]),
+    (K18, 750, 3750, "certified", "verified exactly", ["0", "-1", "1", "-1/3", "-1/3"]),
+    (_K_REM, 75, 105, "certified", "verified exactly", ["0", "1", "0", "0", "0"]),
+    (_K_REM, -75, 465, "certified", "verified exactly",
+     ["-240/79", "-23/79", "-32/79", "7/79", "-4/79"]),
+    (_K_REM, -1125, 3825, "certified", "verified exactly",
+     ["-240/79", "135/79", "-32/79", "7/79", "-4/79"]),
+    (_K_REM, -2025, 65205, "certified", "verified exactly",
+     ["-780/79", "24/79", "54/79", "3/79", "-13/79"]),
+    (_K_REM, 2025, 10665, "certified", "verified exactly",
+     ["-180/79", "42/79", "-24/79", "25/79", "-3/79"]),
+    (_K_REM, -10125, 83025, "certified", "verified exactly",
+     ["-660/79", "75/79", "-9/79", "39/79", "-11/79"]),
+    (_K_REM, 28125, -39375, "certified", "verified exactly",
+     ["-180/79", "-195/79", "55/79", "25/79", "-3/79"]),
+    (_K_REM, -3410625, 86685375, "certified", "verified exactly",
+     ["-3180/79", "110/79", "50/79", "152/79", "-53/79"]),
+    # counts differ before the first prime where K's roots lie in GF(p^2)
+    (K18, 1, 3, "absent", _COUNTS_DIFFER.format(7, 0, 1), None),
+    # x^5 + 2 has its roots in GF(19^2) too, and counts differ at the split prime
+    (K18, 0, 2, "absent", _COUNTS_DIFFER.format(131, 0, 5), None),
+    # at 19, f's roots are not all in GF(19^2)
+    (K18, 7, 12, "absent", _COUNTS_DIFFER.format(37, 0, 1), None),
+    (K18, 0, 19, "absent", "no root interpolated at the split prime 131 verifies", None),
+    # the first prime where K's roots lie in GF(p^2) is 7, and counts differ at 11
+    (_K_REM, -11, 14, "absent", _COUNTS_DIFFER.format(11, 0, 2), None),
+]
+
+
+@pytest.mark.parametrize("field, a, b, status, detail, witness", _PINNED_DECISIONS)
+def test_decisions_are_pinned(field, a, b, status, detail, witness):
+    res = has_root_in_field(UniPoly([b, a, 0, 0, 0, 1]), field)
+    assert (res.status, res.detail) == (status, detail)
+    assert (res.witness and [str(c) for c in res.witness.coords]) == witness
+
+
+@pytest.mark.parametrize("field, a, b, primes", [
+    (_K_REM, 75, 105, [7]),    # certified at 7, where x^5 + 75x + 105 has the cycle type 1^3 2
+    (K18, 0, -324, [19]),      # certified at 19, cycle type 1 2^2; G splits first at 131
+    (K18, 0, 2, [19]),         # no root at 19 proves absence; counts differ at 131
+    (K18, 7, 12, []),          # f's roots are not all in GF(19^2): nothing to interpolate
+])
+def test_decision_interpolates_at_the_first_prime_with_roots_in_gf_p2(monkeypatch, field, a, b,
+                                                                       primes):
+    seen, interpolate = [], numberfield._interpolated_roots
+    monkeypatch.setattr(numberfield, "_interpolated_roots",
+                        lambda F, G, disc, p: seen.append(p) or interpolate(F, G, disc, p))
+    has_root_in_field(UniPoly([b, a, 0, 0, 0, 1]), field)
+    assert seen == primes
