@@ -23,11 +23,10 @@ from .curve import (CurvePoint, TrinomialCurve, GeneralCurve, PointImage,
                     SearchResult, DegeneratePoint, curve_from_t, curve_from_field,
                     point_search, general_point_search, point_to_trinomial,
                     trinomial_to_point, field_L_polynomial)
-from .surface import (SurfacePoint, SURFACE_FORM, on_surface, recover_t, t_parts,
-                      rational_curve, line_point, consistency_with_curve,
-                      eliminate_t_from_curve_forms, LINE_NAMES, CURVE_NAMES)
-from .elliptic import (WeierstrassCurve, ECPoint, E0, E_TWIST_MINUS10,
-                       j_invariant, quadratic_twist, quadratic_twist_factor,
-                       add, scalar_mul, negate, on_curve)
+from .surface import (SURFACE_FORM, on_surface, recover_t, t_parts, rational_curve,
+                      line_point, consistency_with_curve, eliminate_t_from_curve_forms,
+                      LINE_NAMES, CURVE_NAMES)
+from .elliptic import (WeierstrassCurve, E0, E_TWIST_MINUS10, j_invariant,
+                       quadratic_twist, quadratic_twist_factor)
 
 __version__ = "0.1.0"

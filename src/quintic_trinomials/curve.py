@@ -14,8 +14,7 @@ are polynomials in the five coordinates with the power sums Tr(alpha^n)
 as coefficients; one variable is eliminated through the (linear) trace
 condition, and the raw quadric/cubic conditions are returned.  The
 t-form constructor instead stores a cubic already reduced by a multiple
-of the quadric (same ideal, fewer monomials); `normal_form_cubic`
-reconciles the two presentations for comparisons.
+of the quadric (same ideal, fewer monomials).
 
 Point search is one engine for both kinds of curve.  One live variable
 v, with a square term if any has one, is solved from the quadric; the
@@ -115,22 +114,6 @@ class CurvePoint:
         return "(" + " : ".join(str(v) for v in self.coords) + ")"
 
 
-def _normal_form_mod_quadric(cubic: MultiPoly, quadric: MultiPoly) -> MultiPoly:
-    """Reduce the cubic modulo the quadric, lex order, leading-term division."""
-    lead_exp = max(quadric.terms)
-    lead_coeff = quadric.terms[lead_exp]
-    current = cubic
-    while True:
-        divisible = [e for e in current.terms
-                     if all(x >= y for x, y in zip(e, lead_exp))]
-        if not divisible:
-            return current
-        e = max(divisible)
-        shift = tuple(x - y for x, y in zip(e, lead_exp))
-        factor = MultiPoly(current.vars, {shift: current.terms[e] / lead_coeff})
-        current = current - factor * quadric
-
-
 @dataclass(frozen=True)
 class TrinomialCurve:
     """The t-form curve in P^3 with its elimination relation e = 5a/(4t)."""
@@ -158,9 +141,6 @@ class TrinomialCurve:
         values = dict(zip(CURVE_VARS, (Fraction(v) for v in point.coords)))
         return (self.quadric.evaluate(values) == 0
                 and self.cubic.evaluate(values) == 0)
-
-    def normal_form_cubic(self) -> MultiPoly:
-        return _normal_form_mod_quadric(self.cubic, self.quadric)
 
 
 def curve_from_t(t: Fraction) -> TrinomialCurve:
@@ -242,9 +222,6 @@ class GeneralCurve:
                 and self.quadric.evaluate(values) == 0
                 and self.cubic.evaluate(values) == 0)
 
-    def normal_form_cubic(self) -> MultiPoly:
-        return _normal_form_mod_quadric(self.cubic, self.quadric)
-
 
 def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurve:
     """Symbolic construction of the curve conditions for K = Q[x]/(g).
@@ -256,6 +233,8 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
     """
     if g.degree != 5 or g.lc != 1:
         raise ValueError("need a monic quintic")
+    if eliminate is not None and eliminate not in FULL_VARS:
+        raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
     linear, quad_raw, cubic_raw = _generic_conditions(g)

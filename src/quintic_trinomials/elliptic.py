@@ -1,17 +1,16 @@
-"""Weierstrass curves over Q: invariants, group law, quadratic twists.
+"""Weierstrass curves over Q: invariants and quadratic twists.
 
 Just the sanity layer the trinomial work needs: exact b/c invariants
-and j, chord-tangent addition, and quadratic-twist identification via
-the c4/c6 ratios (valid away from j = 0 and j = 1728, which is all the
-curves of interest here; the relevant j value is -25/2).
+and j, and quadratic-twist identification via the c4/c6 ratios (valid
+away from j = 0 and j = 1728, which is all the curves of interest here;
+the relevant j value is -25/2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .factor import factor_int
 from .qpoly import format_rational, is_rational_square
@@ -141,82 +140,6 @@ def quadratic_twist_factor(e1: WeierstrassCurve, e2: WeierstrassCurve) -> Option
     if not is_isomorphic_over_Q(quadratic_twist(e1, d), e2):
         raise ArithmeticError(f"twist invariant broken: the {d}-twist of {e1} is not {e2}")
     return d
-
-
-@dataclass(frozen=True)
-class ECPoint:
-    """Affine point or the point at infinity (x = y = None)."""
-
-    x: Optional[Fraction]
-    y: Optional[Fraction]
-
-    def __init__(self, x=None, y=None):
-        object.__setattr__(self, "x", None if x is None else Fraction(x))
-        object.__setattr__(self, "y", None if y is None else Fraction(y))
-
-    @staticmethod
-    def infinity() -> "ECPoint":
-        return ECPoint(None, None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __str__(self):
-        return "O" if self.is_infinity else f"({self.x}, {self.y})"
-
-
-def on_curve(curve: WeierstrassCurve, point: ECPoint) -> bool:
-    if point.is_infinity:
-        return True
-    x, y = point.x, point.y
-    return (y ** 2 + curve.a1 * x * y + curve.a3 * y
-            == x ** 3 + curve.a2 * x ** 2 + curve.a4 * x + curve.a6)
-
-
-def negate(curve: WeierstrassCurve, point: ECPoint) -> ECPoint:
-    if point.is_infinity:
-        return point
-    return ECPoint(point.x, -point.y - curve.a1 * point.x - curve.a3)
-
-
-def add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """Chord-tangent addition; identity is the point at infinity."""
-    for pt in (p, q):
-        if not on_curve(curve, pt):
-            raise ValueError(f"{pt} is not on {curve}")
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    if p.x == q.x:
-        if p.y + q.y + a1 * p.x + a3 == 0:
-            return ECPoint.infinity()
-        lam = (3 * p.x ** 2 + 2 * a2 * p.x + a4 - a1 * p.y) / (2 * p.y + a1 * p.x + a3)
-        nu = (-p.x ** 3 + a4 * p.x + 2 * a6 - a3 * p.y) / (2 * p.y + a1 * p.x + a3)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-        nu = (p.y * q.x - q.y * p.x) / (q.x - p.x)
-    x3 = lam ** 2 + a1 * lam - a2 - p.x - q.x
-    y3 = -(lam + a1) * x3 - nu - a3
-    return ECPoint(x3, y3)
-
-
-def scalar_mul(curve: WeierstrassCurve, n: int, point: ECPoint) -> ECPoint:
-    """n-fold sum by double-and-add; negative n through negation."""
-    if not on_curve(curve, point):
-        raise ValueError(f"{point} is not on {curve}")
-    if n < 0:
-        return scalar_mul(curve, -n, negate(curve, point))
-    result = ECPoint.infinity()
-    base = point
-    while n:
-        if n & 1:
-            result = add(curve, result, base)
-        base = add(curve, base, base)
-        n >>= 1
-    return result
 
 
 # the two anchor curves of the construction: the conductor-50 curve with

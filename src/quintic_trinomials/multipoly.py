@@ -10,7 +10,7 @@ is fixed, so serialized output is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import getitem
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -220,17 +220,6 @@ class MultiPoly:
                 return None
             terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
         return MultiPoly(self.vars, terms)
-
-    def content(self) -> Fraction:
-        """Positive generator of the coefficient fractional ideal (gcd-like)."""
-        if not self.terms:
-            return Fraction(0)
-        nums = [abs(c.numerator) for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
-        return Fraction(g, lcm(*dens))
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:
         """Return r with self = r * other, or None if not proportional."""

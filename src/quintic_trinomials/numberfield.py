@@ -33,18 +33,6 @@ from .factor import (_EDF_SEED, _equal_degree_split, _frobenius_traces_batch, _g
                      _gf_powmod, _gf_roots, _z_mul, factor_over_Q, primes_below)
 
 
-def multiplication_matrix_mod(g: UniPoly, coords: Sequence[Fraction]):
-    """Matrix of multiplication by sum(coords[k] alpha^k) on Q[x]/(g), columns = images of alpha^j."""
-    n = g.degree
-    beta = UniPoly(coords)
-    cols = []
-    acc = beta % g
-    for j in range(n):
-        cols.append([acc[i] for i in range(n)])
-        acc = (acc * UniPoly.x()) % g
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     """Characteristic polynomial of multiplication by the element with given coords.
 
@@ -189,24 +177,15 @@ class FieldElement:
         return result
 
     @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def multiplication_matrix(self):
-        """5x5 rational matrix of x -> beta*x; column j holds beta*alpha^j."""
-        return multiplication_matrix_mod(self.field.defining_poly, self.coords)
 
     def char_poly(self) -> UniPoly:
         """Monic degree-5 characteristic polynomial of the multiplication map."""
         return charpoly_mod(self.field.defining_poly, self.coords)
 
     def trace(self) -> Fraction:
-        m = self.multiplication_matrix()
-        return sum(m[i][i] for i in range(5))
+        return -self.char_poly()[4]
 
     def norm(self) -> Fraction:
         return -self.char_poly()[0]  # det of the multiplication matrix

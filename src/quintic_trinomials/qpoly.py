@@ -55,10 +55,6 @@ class UniPoly:
     def constant(c: Rat) -> "UniPoly":
         return UniPoly((c,))
 
-    @staticmethod
-    def monomial(degree: int, c: Rat = 1) -> "UniPoly":
-        return UniPoly((0,) * degree + (c,))
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -160,12 +156,6 @@ class UniPoly:
     def __mod__(self, other) -> "UniPoly":
         return divmod(self, other)[1]
 
-    def divides_exactly(self, other: "UniPoly") -> bool:
-        """True if self divides other with zero remainder."""
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
             return other
@@ -216,10 +206,6 @@ class UniPoly:
             out.append(c * powers)
             powers *= lam
         return UniPoly(out)
-
-    def reverse(self) -> "UniPoly":
-        """Coefficient reversal x^deg * p(1/x)."""
-        return UniPoly(reversed(self.coeffs))
 
     # -- integer normal forms ------------------------------------------------
 
@@ -382,7 +368,3 @@ def parse_rational(s: str) -> Fraction:
 def poly_to_strings(p: UniPoly):
     """Serialize as ascending-degree "p/q" coefficient strings."""
     return [format_rational(c) for c in p.coeffs]
-
-
-def poly_from_strings(items) -> UniPoly:
-    return UniPoly(parse_rational(s) for s in items)

@@ -62,10 +62,6 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
     (2000, {"b": 2, "c": 3, "d": 1}),
 ])
 
-
-# points of the surface are points of P^3, as on the curves
-SurfacePoint = CurvePoint
-
 # the quadric is den*t - num, so t = num/den at a point of the surface;
 # its t^0 and t^1 coefficients as integer tables over (a, b, c, d)
 _T_COEFFICIENTS = tuple(_table(T_FORM_QUADRIC.coefficient_of("t", k), CURVE_VARS) for k in (0, 1))

@@ -22,7 +22,7 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       curve_from_field, point_search, general_point_search,
                                       point_to_trinomial, trinomial_to_point,
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
-                                      SearchResult, _normal_form_mod_quadric, _search_chunk,
+                                      SearchResult, _search_chunk,
                                       _search_forms, _sieve_tables, _worker_count, _MODULI,
                                       _OFFSETS, _Sieve, _packed_rows)
 
@@ -558,14 +558,25 @@ def _lift(form4):
 
 
 def test_general_construction_matches_t_form():
+    # same quadric up to scale, and cubics that agree modulo it: their
+    # remainders on division by the quadric (lex order, sympy) are proportional
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(FULL_VARS)
+
+    def expression(form):
+        return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                     for e, c in form.terms.items()}, *gens).as_expr()
+
     for t in (F(2), T65):
         curve_t = curve_from_t(t)
         general = curve_from_field(UniPoly([t, t, 0, 0, 0, 1]), eliminate="e")
         ratio_q = general.quadric.proportionality(_lift(curve_t.quadric))
         assert ratio_q is not None
-        nf_general = general.normal_form_cubic()
-        nf_t = _normal_form_mod_quadric(_lift(curve_t.cubic), _lift(curve_t.quadric))
-        assert nf_general.proportionality(nf_t) is not None
+        quadric = expression(general.quadric)
+        rem_general, rem_t = (sympy.reduced(expression(cubic), [quadric], *gens, order="lex")[1]
+                              for cubic in (general.cubic, _lift(curve_t.cubic)))
+        ratio = sympy.cancel(rem_general / rem_t)
+        assert ratio.is_Rational and ratio != 0
 
 
 def test_general_construction_auto_elimination():
@@ -596,6 +607,9 @@ def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
 def test_general_construction_rejects_reducible():
     with pytest.raises(ValueError):
         curve_from_field(UniPoly([1, 1, 0, 0, 0, 1]))
+    # an unknown variable to eliminate is bad input too, and the error names a-e
+    with pytest.raises(ValueError, match="a, b, c, d, e"):
+        curve_from_field(UniPoly([2, 2, 0, 0, 0, 1]), eliminate="z")
 
 
 def _general_reference(curve, H):

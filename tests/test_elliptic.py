@@ -1,4 +1,4 @@
-"""Weierstrass invariants, twist identification, group law."""
+"""Weierstrass invariants and twist identification."""
 
 import random
 from fractions import Fraction as F
@@ -6,11 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from quintic_trinomials import elliptic
-from quintic_trinomials.elliptic import (WeierstrassCurve, ECPoint, E0,
-                                         E_TWIST_MINUS10, j_invariant,
-                                         quadratic_twist, quadratic_twist_factor,
-                                         squarefree_class, add, scalar_mul,
-                                         negate, on_curve)
+from quintic_trinomials.elliptic import (WeierstrassCurve, E0, E_TWIST_MINUS10,
+                                         j_invariant, quadratic_twist,
+                                         quadratic_twist_factor, squarefree_class)
 
 
 def test_j_invariant_anchors():
@@ -60,46 +58,6 @@ def test_squarefree_class():
     assert squarefree_class(F(1, 2)) == 2
     with pytest.raises(ValueError):
         squarefree_class(F(0))
-
-
-def test_group_law_textbook_values():
-    e = WeierstrassCurve.short(0, 1)
-    p = ECPoint(0, 1)
-    assert add(e, p, ECPoint.infinity()) == p
-    assert add(e, p, negate(e, p)) == ECPoint.infinity()
-    assert scalar_mul(e, 2, p) == ECPoint(0, -1)       # tangent at (0,1) is flat
-    assert scalar_mul(e, 3, p) == ECPoint.infinity()   # (0,1) is 3-torsion
-    assert scalar_mul(e, 2, ECPoint(2, 3)) == ECPoint(0, 1)
-    assert scalar_mul(e, 2, ECPoint(-1, 0)) == ECPoint.infinity()  # 2-torsion
-
-
-def test_group_law_rejects_off_curve():
-    with pytest.raises(ValueError):
-        add(E0, ECPoint(0, 1), ECPoint.infinity())
-    with pytest.raises(ValueError):
-        scalar_mul(E0, 2, ECPoint(1, 1))
-
-
-def test_group_law_properties():
-    e = WeierstrassCurve.short(-43, 166)
-    gen = ECPoint(3, 8)
-    multiples = [scalar_mul(e, k, gen) for k in range(-5, 6)]
-    assert all(on_curve(e, pt) for pt in multiples)
-    rng = random.Random(72)
-    for _ in range(20):
-        a, b, c = (rng.choice(multiples) for _ in range(3))
-        assert add(e, a, b) == add(e, b, a)
-        assert add(e, add(e, a, b), c) == add(e, a, add(e, b, c))
-
-
-def test_scalar_mul_consistency():
-    e = WeierstrassCurve.short(-43, 166)
-    p = ECPoint(3, 8)
-    doubled = add(e, p, p)
-    assert scalar_mul(e, 2, p) == doubled
-    assert scalar_mul(e, 5, p) == add(e, doubled, add(e, doubled, p))
-    assert scalar_mul(e, -3, p) == negate(e, scalar_mul(e, 3, p))
-    assert scalar_mul(e, 0, p) == ECPoint.infinity()
 
 
 def test_j_invariant_stable_under_twist():

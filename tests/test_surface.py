@@ -6,13 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from quintic_trinomials.surface import (SurfacePoint, SURFACE_FORM, on_surface,
-                                        recover_t, t_parts, rational_curve, line_point,
-                                        consistency_with_curve,
+from quintic_trinomials.surface import (SURFACE_FORM, on_surface, recover_t, t_parts,
+                                        rational_curve, line_point, consistency_with_curve,
                                         eliminate_t_from_curve_forms,
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
 from quintic_trinomials import cli, report, surface
-from quintic_trinomials.curve import curve_from_t, point_search
+from quintic_trinomials.curve import CurvePoint, curve_from_t, point_search
 from quintic_trinomials.multipoly import MultiPoly
 
 from test_multipoly import reference_evaluate
@@ -27,9 +26,9 @@ def test_transcription_against_elimination():
 
 
 def test_membership_anchors():
-    assert on_surface(SurfacePoint.from_rationals((10, 1, F(-3, 5), 0)))
-    assert on_surface(SurfacePoint.from_rationals((0, 0, 1, 1)))
-    assert not on_surface(SurfacePoint((1, 1, 1, 1)))
+    assert on_surface(CurvePoint.from_rationals((10, 1, F(-3, 5), 0)))
+    assert on_surface(CurvePoint.from_rationals((0, 0, 1, 1)))
+    assert not on_surface(CurvePoint((1, 1, 1, 1)))
 
 
 def test_homogeneity():
@@ -64,7 +63,7 @@ def test_membership_agrees_with_reference_near_criterion_7_samples():
             values = dict(zip(surface.SURFACE_VARS, moved))
             expected = reference_evaluate(SURFACE_FORM, values)
             assert SURFACE_FORM.evaluate(values) == expected, moved
-            assert on_surface(SurfacePoint.from_rationals(moved)) == (expected == 0), moved
+            assert on_surface(CurvePoint.from_rationals(moved)) == (expected == 0), moved
             assert i is not None or expected == 0, coords
             checked += 1
             off += expected != 0
@@ -100,10 +99,10 @@ def test_rational_curves_vanish():
 
 
 def test_rational_curve_anchors():
-    assert rational_curve("R4", 1) == SurfacePoint((0, 7, -4, -4))
+    assert rational_curve("R4", 1) == CurvePoint((0, 7, -4, -4))
     r3 = rational_curve("R3", 0)
-    assert r3 == SurfacePoint.from_rationals((1, F(1, 10), F(-4, 25), F(16, 125)))
-    assert rational_curve("R5", 2) == SurfacePoint.from_rationals((-45, F(-9, 2), 2, 1))
+    assert r3 == CurvePoint.from_rationals((1, F(1, 10), F(-4, 25), F(16, 125)))
+    assert rational_curve("R5", 2) == CurvePoint.from_rationals((-45, F(-9, 2), 2, 1))
 
 
 def test_rational_curve_names_and_degenerate_parameter():
@@ -111,22 +110,22 @@ def test_rational_curve_names_and_degenerate_parameter():
         rational_curve("bogus", 1)
     # no rational parameter collapses these parametrizations to all-zero;
     # s = 0 on R4/R5 lands on the surface point (0:0:0:1)
-    assert rational_curve("R4", 0) == SurfacePoint((0, 0, 0, 1))
+    assert rational_curve("R4", 0) == CurvePoint((0, 0, 0, 1))
     assert on_surface(rational_curve("R4", 0))
 
 
 def test_recover_t_rejects_off_surface():
     with pytest.raises(ValueError):
-        recover_t(SurfacePoint((1, 1, 1, 1)))
+        recover_t(CurvePoint((1, 1, 1, 1)))
 
 
 @pytest.mark.parametrize("coords", [(1, 2, 3), (0, 1, 0, 0, 1)])
 def test_points_need_four_coordinates(coords):
     # a 5-tuple must not be silently truncated to its first four coordinates
     with pytest.raises(ValueError, match="need 4 coordinates"):
-        on_surface(SurfacePoint(coords))
+        on_surface(CurvePoint(coords))
     with pytest.raises(ValueError, match="need 4 coordinates"):
-        t_parts(SurfacePoint(coords))
+        t_parts(CurvePoint(coords))
 
 
 def test_search_points_lie_on_surface_with_matching_t():
@@ -134,9 +133,8 @@ def test_search_points_lie_on_surface_with_matching_t():
     for t, bound in ((F(6, 5), 100), (F(-3125, 20736), 40), (F(7, 3), 40)):
         curve = curve_from_t(t)
         for pt in point_search(curve, bound).points:
-            sp = SurfacePoint(pt.coords)
-            assert on_surface(sp)
-            recovered = recover_t(sp)
+            assert on_surface(pt)
+            recovered = recover_t(pt)
             if recovered is not None:
                 assert recovered == t
                 checked += 1
