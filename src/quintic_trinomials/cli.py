@@ -29,7 +29,7 @@ from .trinomial import (Trinomial, equiv_class, trinomial_disc,
                         galois_type_heuristic, weber_family, dihedral_family,
                         sw2_family, two_trinomial_family)
 from .curve import (MAX_HEIGHT_BOUND, CurvePoint, curve_from_t, curve_from_field, point_search,
-                    point_to_trinomial, field_L_polynomial, DegeneratePoint)
+                    point_to_trinomial, field_L_polynomial)
 from .surface import (recover_t, t_parts, rational_curve, consistency_with_curve,
                       CURVE_NAMES)
 from .elliptic import (WeierstrassCurve, j_invariant, quadratic_twist_factor)
@@ -188,12 +188,7 @@ def _cmd_search(args, cfg, out) -> int:
     curve = curve_from_t(t)
     result = point_search(curve, cfg.height_bound, jobs=cfg.resolved_jobs())
     for pt in result.points:
-        try:
-            image = point_to_trinomial(curve, pt)
-        except DegeneratePoint:
-            out.write(json.dumps({"point": pt.to_json(), "degenerate": True}))
-            out.write("\n")
-            continue
+        image = point_to_trinomial(curve, pt)
         record = {
             "point": pt.to_json(),
             "trinomial": image.trinomial.to_json(),

@@ -14,6 +14,8 @@ from math import lcm, prod
 from operator import getitem
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from .qpoly import format_terms
+
 
 class MultiPoly:
     __slots__ = ("vars", "terms")
@@ -244,24 +246,9 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                (f"{n}^{k}" if k > 1 else n)
-                for n, k in zip(self.vars, e) if k)
-            if not mono:
-                body = f"{abs(c)}"
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return format_terms((c, "*".join(f"{n}^{k}" if k > 1 else n
+                                         for n, k in zip(self.vars, e) if k))
+                            for e, c in self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self.vars}, {self.terms!r})"

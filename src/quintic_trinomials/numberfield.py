@@ -1,7 +1,8 @@
 """Arithmetic in quintic number fields K = Q[x]/(g).
 
 Elements are coordinate vectors over the power basis 1, alpha, ...,
-alpha^4.  The characteristic polynomial of the multiplication-by-beta
+alpha^4; a product is the polynomial product reduced mod g, as in
+`charpoly_mod`.  The characteristic polynomial of the multiplication-by-beta
 map is computed from the traces of the powers of beta by Newton's
 identities; it equals the minimal polynomial of beta whenever beta is
 irrational (degree five is prime, so there are no intermediate fields).
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qpoly import UniPoly, count_real_roots, discriminant
+from .qpoly import UniPoly, count_real_roots, discriminant, format_terms
 from .factor import (_EDF_SEED, _equal_degree_split, _frobenius_traces_batch, _gf_divmod,
                      _gf_powmod, _gf_roots, _z_mul, factor_over_Q, primes_below)
 
@@ -67,12 +68,6 @@ class NumberField:
         if not factor_over_Q(defining_poly).is_irreducible:
             raise ValueError(f"defining polynomial {defining_poly} is reducible over Q")
         self.defining_poly = defining_poly
-        # reduction table: coordinates of alpha^k for k = 0..8
-        self._alpha_powers: List[Tuple[Fraction, ...]] = []
-        acc = UniPoly.one()
-        for _ in range(9):
-            self._alpha_powers.append(tuple(acc[i] for i in range(5)))
-            acc = (acc * UniPoly.x()) % defining_poly
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.defining_poly == other.defining_poly
@@ -149,18 +144,8 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
         other = self._check(other)
-        conv = [Fraction(0)] * 9
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    conv[i + j] += a * b
-        out = [Fraction(0)] * 5
-        for k, c in enumerate(conv):
-            if c:
-                pw = self.field._alpha_powers[k]
-                for i in range(5):
-                    out[i] += c * pw[i]
-        return FieldElement(self.field, out)
+        product = UniPoly(self.coords) * UniPoly(other.coords) % self.field.defining_poly
+        return FieldElement(self.field, (product[i] for i in range(5)))
 
     __rmul__ = __mul__
 
@@ -190,36 +175,11 @@ class FieldElement:
     def norm(self) -> Fraction:
         return -self.char_poly()[0]  # det of the multiplication matrix
 
-    def inverse(self) -> "FieldElement":
-        """1/beta by Cayley-Hamilton: beta^5 + c1 beta^4 + ... + c4 beta + c5 = 0, c5 = -norm."""
-        cp = self.char_poly()
-        if cp[0] == 0:
-            raise ZeroDivisionError("zero has no inverse in the field")
-        acc = self.field.rational(0)
-        for c in reversed(cp.coeffs[1:]):
-            acc = acc * self + c
-        return acc * (-1 / cp[0])
-
     def __repr__(self):
         return f"FieldElement({self.coords})"
 
     def __str__(self):
-        names = ("", "a", "a^2", "a^3", "a^4")
-        parts = []
-        for c, n in zip(self.coords, names):
-            if c == 0:
-                continue
-            if not n:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = n
-            else:
-                body = f"{abs(c)}*{n}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts) if parts else "0"
+        return format_terms(zip(self.coords, ("", "a", "a^2", "a^3", "a^4")))
 
 
 # ---------------------------------------------------------------------------

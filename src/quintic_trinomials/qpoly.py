@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -247,23 +247,31 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if not c:
-                continue
-            if i == 0:
-                body = f"{abs(c)}"
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms)
+        return format_terms((self[i], "x" if i == 1 else f"x^{i}" if i else "")
+                            for i in range(self.degree, -1, -1))
+
+
+def format_terms(terms: Iterable[Tuple[Fraction, str]]) -> str:
+    """Render (coefficient, monomial) pairs in the order given, as "-2/3*x^2*y + y^3 - 1".
+
+    The monomial "" stands for 1; a unit coefficient prints as its sign
+    alone, zero terms are skipped, and no terms at all print as "0".
+    """
+    parts = []
+    for c, mono in terms:
+        if not c:
+            continue
+        if not mono:
+            body = f"{abs(c)}"
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:

@@ -157,34 +157,23 @@ _D10_TYPES = {(1, 1, 1, 1, 1), (1, 2, 2), (5,)}
 
 def _c6_family_cycle_types(prime_bound: int) -> CriterionResult:
     rng = random.Random(_SEED + 2)
-    weber_ok = 0
-    weber_seen = 0
-    while weber_seen < 10:
-        u = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
-        f = weber_family(u)
-        try:
-            _, ev = galois_type_heuristic(f, prime_bound)
-        except ValueError:
-            continue  # reducible sample
-        weber_seen += 1
-        if set(ev.cycle_types) <= _F20_TYPES:
-            weber_ok += 1
-    dihedral_ok = 0
-    dihedral_seen = 0
-    while dihedral_seen < 10:
-        s = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
-        if s == 0:
-            continue
-        f = dihedral_family(s)
-        try:
-            _, ev = galois_type_heuristic(f, prime_bound)
-        except ValueError:
-            continue
-        dihedral_seen += 1
-        if set(ev.cycle_types) <= _D10_TYPES and ev.disc_is_square:
-            dihedral_ok += 1
+    passed = []
+    for family, allowed, square_disc in ((weber_family, _F20_TYPES, False),
+                                         (dihedral_family, _D10_TYPES, True)):
+        ok = seen = 0
+        while seen < 10:
+            u = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            try:
+                _, ev = galois_type_heuristic(family(u), prime_bound)
+            except ValueError:
+                continue  # a reducible sample, or the dihedral family's excluded s = 0
+            seen += 1
+            if set(ev.cycle_types) <= allowed and (ev.disc_is_square or not square_disc):
+                ok += 1
+        passed.append(ok)
+    weber_ok, dihedral_ok = passed
     return CriterionResult(
-        6, "family factorization cycle types below 500",
+        6, f"family factorization cycle types below {prime_bound}",
         weber_ok == 10 and dihedral_ok == 10,
         f"weber {weber_ok}/10 within F20 types; dihedral {dihedral_ok}/10 within D10 types with square disc")
 

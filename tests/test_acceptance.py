@@ -57,6 +57,10 @@ def test_criterion_6_family_cycle_types(criteria):
     _report(criteria[6])
 
 
+def test_criterion_6_names_the_prime_bound_it_used():
+    assert report._c6_family_cycle_types(50).name.endswith("below 50")
+
+
 def test_criterion_7_surface(criteria):
     _report(criteria[7])
 

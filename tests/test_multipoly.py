@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quintic_trinomials.curve import T_FORM_QUADRIC, T_FORM_VARS
 from quintic_trinomials.multipoly import MultiPoly, resultant_in
 
 V = ("x", "y", "z")
@@ -122,3 +123,11 @@ def test_evaluate_returns_fraction_and_checks_variables():
         p.evaluate({"x": 1, "y": 2})
     with pytest.raises(ValueError, match="missing values"):
         MultiPoly.zero(V).evaluate({"x": 1})
+
+
+def test_str_prints_signs_units_and_zero():
+    assert str(T_FORM_QUADRIC) == "-5*a^2 + 50*a*b + 32*b*d*t + 16*c^2*t + 40*c*d*t"
+    assert str(MultiPoly.zero(T_FORM_VARS)) == "0"
+    assert str(MultiPoly.constant(T_FORM_VARS, -1)) == "-1"
+    form = MultiPoly.from_spec(("x", "y"), [(F(-2, 3), {"x": 2, "y": 1}), (1, {"y": 3}), (-1, {})])
+    assert str(form) == "-2/3*x^2*y + y^3 - 1"

@@ -235,19 +235,6 @@ def test_results_are_certified_or_absent_only():
             assert res.status == "absent" or _is_root(f, res.witness)
 
 
-def test_field_element_inverse():
-    rng = random.Random(46)
-    for field in _random_fields(rng, 3):
-        for _ in range(4):
-            beta = field.element([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)])
-            if beta.is_zero:
-                continue
-            assert beta * beta.inverse() == 1
-    assert K18.rational(F(2, 3)).inverse() == F(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        K18.rational(0).inverse()
-
-
 def test_trager_norm_roots_are_shifted_sums():
     # x^5 - 18 against itself: N_k(x) = prod (zeta^j + k zeta^i) 18^(1/5)
     g = K18.defining_poly
@@ -304,16 +291,34 @@ _PROPERTY_FIELDS = [K18, NumberField(UniPoly([105, 75, 0, 0, 0, 1])),
                     NumberField(UniPoly([1, 3, -3, -4, 1, 1]))]
 
 
+_COORDS = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                   min_size=5, max_size=5)
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(_PROPERTY_FIELDS),
-       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
-                min_size=5, max_size=5))
+@given(st.sampled_from(_PROPERTY_FIELDS), _COORDS)
 def test_char_poly_of_any_element_is_certified(field, coords):
     beta = field.element(coords)
     f = beta.char_poly()
     res = has_root_in_field(f, field)
     assert res.certified and _is_root(f, res.witness)
     assert res.witness.char_poly() == f
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_PROPERTY_FIELDS), _COORDS, _COORDS, _COORDS)
+def test_products_are_multiplicative_and_distributive(field, x, y, z):
+    beta, gamma, delta = field.element(x), field.element(y), field.element(z)
+    assert (beta * gamma).norm() == beta.norm() * gamma.norm()
+    assert (beta + gamma) * delta == beta * delta + gamma * delta
+
+
+def test_str_of_elements():
+    assert str(K18.element((F(-1, 2), 1, 0, -3, F(2, 7)))) == "-1/2 + a - 3*a^3 + 2/7*a^4"
+    assert str(K18.element((0, -1, 0, 0, 1))) == "-a + a^4"
+    assert str(K18.element((0, 0, F(3, 5), 0, -1))) == "3/5*a^2 - a^4"
+    assert str(K18.rational(0)) == "0"
+    assert str(K18.rational(-1)) == "-1"
 
 
 def _common_prime(F, G, k):

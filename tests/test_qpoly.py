@@ -228,3 +228,12 @@ def test_count_real_roots_matches_sympy(p, repeated_roots):
         p = p * UniPoly([-r, 1]) ** 2
     sympy, x, ps = _to_sympy(p)
     assert count_real_roots(p) == ps.count_roots()
+
+
+def test_str_prints_signs_units_and_zero():
+    assert str(UniPoly([F(-1, 2), 0, -1, 1])) == "x^3 - x^2 - 1/2"
+    assert str(UniPoly([F(5, 3), -1, 0, 0, 0, -2])) == "-2*x^5 - x + 5/3"
+    assert str(UniPoly([0, 1])) == "x"
+    assert str(UniPoly([0, F(-7, 4)])) == "-7/4*x"
+    assert str(UniPoly([-3])) == "-3"
+    assert str(UniPoly.zero()) == "0"
