@@ -650,7 +650,7 @@ def _worker_chunk(z_lo: int, z_hi: int) -> set:
     return _search_chunk(_worker_sieve, z_lo, z_hi)
 
 
-def _worker_count(jobs: int, tasks: int) -> int:
+def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for `tasks` tasks at parallelism `jobs`, capped at the CPU count.
 
     The one helper for every process pool: search chunks here, and the
@@ -669,7 +669,7 @@ def _search(curve, height_bound: int, jobs: int) -> set:
     # one chunk when serial; else four per worker, so that a worker on a
     # slower CPU does not hold up the rest.  The sieve is built once, here,
     # and reaches each worker once, through the pool's initializer.
-    workers = _worker_count(jobs, H + 1)
+    workers = worker_count(jobs, H + 1)
     n_chunks = 4 * workers if workers > 1 else 1
     edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
     lows, highs = zip(*((lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi))

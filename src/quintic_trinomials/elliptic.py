@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .factor import factor_int
-from .qpoly import format_rational, is_rational_square
+from .factor import power_class
+from .qpoly import format_rational, format_terms, is_rational_square
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,8 @@ class WeierstrassCurve:
                 "a6": format_rational(self.a6)}
 
     def __str__(self):
-        lhs = "y^2"
-        if self.a1:
-            lhs += f" + {self.a1}*x*y"
-        if self.a3:
-            lhs += f" + {self.a3}*y"
-        rhs = "x^3"
-        for coeff, mono in ((self.a2, "x^2"), (self.a4, "x"), (self.a6, "")):
-            if coeff:
-                term = f"{abs(coeff)}*{mono}" if mono else f"{abs(coeff)}"
-                rhs += (" - " if coeff < 0 else " + ") + term
+        lhs = format_terms(((1, "y^2"), (self.a1, "x*y"), (self.a3, "y")))
+        rhs = format_terms(((1, "x^3"), (self.a2, "x^2"), (self.a4, "x"), (self.a6, "")))
         return f"{lhs} = {rhs}"
 
 
@@ -100,15 +92,7 @@ def quadratic_twist(curve: WeierstrassCurve, d: Fraction) -> WeierstrassCurve:
 
 def squarefree_class(x: Fraction) -> int:
     """The squarefree integer representing x modulo nonzero rational squares."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no square class")
-    sign = -1 if x < 0 else 1
-    out = 1
-    for p, e in factor_int(x.numerator * x.denominator).items():
-        if e % 2:
-            out *= p
-    return sign * out
+    return power_class(x, 2)
 
 
 def is_isomorphic_over_Q(e1: WeierstrassCurve, e2: WeierstrassCurve) -> bool:

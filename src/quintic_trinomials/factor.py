@@ -132,29 +132,31 @@ def factor_int(n: int) -> Dict[int, int]:
     return out
 
 
-def fifth_power_class(x: Fraction) -> Fraction:
-    """Canonical representative of x modulo nonzero rational fifth powers.
+def power_class(x: Fraction, k: int) -> int:
+    """Canonical integer representative of x modulo nonzero rational k-th powers.
 
-    Every prime exponent is reduced mod 5; the sign is folded away since
-    -1 = (-1)^5 lies in the fifth powers.  The result is always a
-    positive integer (denominator exponents -e become (-e) mod 5).
+    Every prime exponent is reduced mod k (denominator exponents -e become
+    (-e) mod k).  For odd k the sign is folded away, since -1 = (-1)^k is
+    a k-th power; for even k it is kept.
     """
     x = Fraction(x)
     if x == 0:
-        raise ValueError("zero has no fifth-power class")
-    exps: Dict[int, int] = {}
+        raise ValueError("zero has no power class")
+    out = -1 if x < 0 and k % 2 == 0 else 1
     for p, e in factor_int(x.numerator).items():
-        exps[p] = exps.get(p, 0) + e
+        out *= p ** (e % k)
     for p, e in factor_int(x.denominator).items():
-        exps[p] = exps.get(p, 0) - e
-    out = 1
-    for p, e in exps.items():
-        out *= p ** (e % 5)
-    return Fraction(out)
+        out *= p ** (-e % k)
+    return out
+
+
+def fifth_power_class(x: Fraction) -> Fraction:
+    """Canonical representative of x modulo nonzero rational fifth powers: a positive integer."""
+    return Fraction(power_class(x, 5))
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in GF(p)[x]: dense integer coefficient lists, ascending degree
+# arithmetic in Z[x] and GF(p)[x]: dense integer coefficient lists, ascending degree
 # ---------------------------------------------------------------------------
 
 def _gf_trim(a: List[int]) -> List[int]:
@@ -163,13 +165,8 @@ def _gf_trim(a: List[int]) -> List[int]:
     return a
 
 
-def _gf_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _gf_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
-def _gf_mul(a, b, p):
+def z_mul(a, b):
+    """The product in Z[x] of two ascending coefficient lists."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -177,7 +174,12 @@ def _gf_mul(a, b, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _gf_trim([c % p for c in out])
+    return out
+
+
+def _z_sub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
 
 
 def _gf_divmod(a, b, p):
@@ -206,10 +208,7 @@ def _gf_gcd(a, b, p):
     a, b = _gf_trim([c % p for c in a]), _gf_trim([c % p for c in b])
     while b:
         a, b = b, _gf_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+    return _gf_monic(a, p)
 
 
 def _gf_monic(a, p):
@@ -225,10 +224,10 @@ def _gf_powmod(base, e, mod, p):
     base = _gf_mod(base, mod, p)
     while e:
         if e & 1:
-            result = _gf_mod(_gf_mul(result, base, p), mod, p)
+            result = _gf_mod(z_mul(result, base), mod, p)
         e >>= 1
         if e:
-            base = _gf_mod(_gf_mul(base, base, p), mod, p)
+            base = _gf_mod(z_mul(base, base), mod, p)
     return result
 
 
@@ -242,21 +241,18 @@ def _gf_is_squarefree(f, p) -> bool:
 
 
 def _gf_extended_gcd(a, b, p):
-    """(g, s, t) with s*a + t*b = g, g the monic gcd in GF(p)[x]."""
+    """(g, s) with s*a = g mod b, g the monic gcd in GF(p)[x]."""
     r0, r1 = _gf_trim([c % p for c in a]), _gf_trim([c % p for c in b])
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+        s0, s1 = s1, _gf_trim([c % p for c in _z_sub(s0, z_mul(q, s1))])
     if r0:
         inv = pow(r0[-1], p - 2, p)
         r0 = [c * inv % p for c in r0]
         s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
+    return r0, s0
 
 
 def _frobenius_rows(f, p):
@@ -264,7 +260,7 @@ def _frobenius_rows(f, p):
     xp = _gf_powmod([0, 1], p, f, p)
     rows = [[1]]
     for _ in range(len(f) - 2):
-        rows.append(_gf_mod(_gf_mul(rows[-1], xp, p), f, p))
+        rows.append(_gf_mod(z_mul(rows[-1], xp), f, p))
     return rows
 
 
@@ -324,8 +320,8 @@ class _BatchMod:
         return acc
 
 
-def _frobenius_traces_batch(polys: Sequence[Sequence[int]], primes: Sequence[int],
-                            k: int) -> np.ndarray:
+def frobenius_traces(polys: Sequence[Sequence[int]], primes: Sequence[int],
+                     k: int) -> np.ndarray:
     """trace(Q^j) mod p for j = 1..k, Q the Frobenius matrix of each monic P mod each p > deg P.
 
     Q has the rows x^(ip) mod P.  For P squarefree mod p, GF(p)[x]/(P) is
@@ -364,7 +360,7 @@ def _cycle_types_batch(polys: Sequence[Sequence[int]],
     """
     n = len(polys[0]) - 1
     half = n // 2
-    counts = _frobenius_traces_batch(polys, primes, half)
+    counts = frobenius_traces(polys, primes, half)
     c = {}
     left, broken = n, False
     for d in range(1, half + 1):
@@ -427,7 +423,7 @@ def _distinct_degree(f, p):
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
         h = _frobenius_apply(rows, h, p)
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
+        g = _gf_gcd(_z_sub(h, [0, 1]), f, p)
         if len(g) > 1:
             out.append((g, k))
             f = _gf_divmod(f, g, p)[0]
@@ -448,17 +444,15 @@ def _equal_degree_split(f, d, p, rng):
             acc = _gf_mod(t, f, p)
             sq = acc
             for _ in range(d - 1):
-                sq = _gf_mod(_gf_mul(sq, sq, p), f, p)
-                acc = _gf_sub(acc, sq, p)
+                sq = _gf_mod(z_mul(sq, sq), f, p)
+                acc = _z_sub(acc, sq)
             g = _gf_gcd(acc, f, p)
         else:
             h = _gf_powmod(t, (p ** d - 1) // 2, f, p)
-            g = _gf_gcd(_gf_sub(h, [1], p), f, p)
+            g = _gf_gcd(_z_sub(h, [1]), f, p)
         if 1 < len(g) < len(f):
-            left = _gf_monic(g, p)
-            right = _gf_divmod(f, left, p)[0]
-            return (_equal_degree_split(left, d, p, rng)
-                    + _equal_degree_split(right, d, p, rng))
+            return (_equal_degree_split(g, d, p, rng)
+                    + _equal_degree_split(_gf_divmod(f, g, p)[0], d, p, rng))
 
 
 def factor_mod_p(int_coeffs: Sequence[int], p: int) -> List[Tuple[List[int], int]]:
@@ -517,25 +511,46 @@ def cycle_type_mod_p(int_coeffs: Sequence[int], p: int) -> Tuple[int, ...]:
     return tuple(sorted(degs))
 
 
+# primes per call of the batched kernel; keeps its lane memory independent of the prime count
+_PRIME_BLOCK = 256
+
+
+def cycle_types(ints: Sequence[int], primes: Sequence[int]) -> List[Tuple[int, ...]]:
+    """`cycle_type_mod_p` of a monic integer polynomial at each prime, where it is squarefree.
+
+    Primes p <= deg are factored one at a time; the rest go, in blocks of
+    at most 256, to the batched Frobenius-trace kernel, which needs p > deg.
+    """
+    n = len(ints) - 1
+    large = [p for p in primes if p > n]
+    batched = (t for i in range(0, len(large), _PRIME_BLOCK)
+               for t in _cycle_types_batch([ints], large[i:i + _PRIME_BLOCK])[0])
+    return [cycle_type_mod_p(ints, p) if p <= n else next(batched) for p in primes]
+
+
+def gf_p2_roots(ints: Sequence[int], n: int, p: int) -> List[Tuple[int, int]]:
+    """The roots in GF(p^2) = GF(p)[sqrt n] of a monic integer polynomial with simple roots there.
+
+    n is a non-residue mod p > 2; a root a + b sqrt(n) is the pair (a, b).
+    The roots in GF(p) come by evaluation, and the quadratic factors of the
+    rest, x^2 + s x + t, give (-s +- c sqrt(n)) / 2 with c^2 = (s^2 - 4t) / n.
+    """
+    f = [c % p for c in ints]
+    if _gf_powmod([0, 1], p * p, f, p) != [0, 1]:  # f divides x^(p^2) - x
+        raise ArithmeticError(f"root invariant broken: {ints} does not split in GF({p}^2)")
+    roots = [(r, 0) for r in _gf_roots(f, p)]
+    for r, _ in roots:
+        f = _gf_divmod(f, [-r % p, 1], p)[0]
+    half = (p + 1) // 2
+    for t, s, _ in _equal_degree_split(f, 2, p, random.Random(_EDF_SEED)) if f[1:] else ():
+        c = _gf_roots([-(s * s - 4 * t) * pow(n, -1, p), 0, 1], p)[0]
+        roots += [(-s * half % p, c * half % p), (-s * half % p, -c * half % p)]
+    return roots
+
+
 # ---------------------------------------------------------------------------
 # Hensel lifting (multi-factor linear lift, monic case) and recombination
 # ---------------------------------------------------------------------------
-
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _z_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-
 
 def _z_centered(a, m):
     half = m // 2
@@ -554,8 +569,8 @@ def _hensel_lift(f_ints, factors_p, p, k):
         prod_others = [1]
         for j, gj in enumerate(gs):
             if j != i:
-                prod_others = _gf_mod(_gf_mul(prod_others, gj, p), gi, p)
-        _, inv, _ = _gf_extended_gcd(prod_others, gi, p)
+                prod_others = _gf_mod(z_mul(prod_others, gj), gi, p)
+        _, inv = _gf_extended_gcd(prod_others, gi, p)
         ells.append(_gf_mod(inv, gi, p))
     lifted = [g[:] for g in gs]
     modulus = p
@@ -563,20 +578,20 @@ def _hensel_lift(f_ints, factors_p, p, k):
     while modulus < target:
         prod = [1]
         for g in lifted:
-            prod = _z_mul(prod, g)
+            prod = z_mul(prod, g)
         diff = _z_sub(f_ints, prod)
         if any(c % modulus for c in diff):
             raise ArithmeticError(f"lift invariant broken modulo {modulus}")
         e = [(c // modulus) % p for c in diff]
         for i in range(len(lifted)):
-            delta = _gf_mod(_gf_mul(e, ells[i], p), gs[i], p)
+            delta = _gf_mod(z_mul(e, ells[i]), gs[i], p)
             g = lifted[i]
             for j, c in enumerate(delta):
                 g[j] += modulus * c
         modulus *= p
     prod = [1]
     for g in lifted:
-        prod = _z_mul(prod, g)
+        prod = z_mul(prod, g)
     if any(c % modulus for c in _z_sub(f_ints, prod)):
         raise ArithmeticError(f"lift invariant broken modulo {modulus}")
     return lifted, modulus
@@ -643,7 +658,7 @@ def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
         for subset in itertools.combinations(remaining, size):
             cand = [1]
             for i in subset:
-                cand = [c % modulus for c in _z_mul(cand, lifted[i])]
+                cand = [c % modulus for c in z_mul(cand, lifted[i])]
             cand = _z_centered(cand, modulus)
             quo = _z_exact_quotient(current, cand)
             if quo is not None:
@@ -689,16 +704,6 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-def _monic_rescaling(ints: Sequence[int]) -> List[int]:
-    """lc^(n-1) f(x / lc) for f of degree n with leading coefficient lc: monic, integral.
-
-    Its roots are lc times those of f, so modulo a prime p not dividing lc
-    it factors with the same degrees as f.
-    """
-    n, lc = len(ints) - 1, ints[-1]
-    return [ints[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
-
-
 def _squarefree_mod_small_prime(ints: Sequence[int]) -> bool:
     """Squarefree modulo a small prime not dividing the lc, hence squarefree over Q."""
     return any(ints[-1] % p and _gf_is_squarefree([c % p for c in ints], p)
@@ -740,15 +745,11 @@ def factor_over_Q(p: UniPoly) -> Factorization:
     unit = p.lc
     collected: List[Tuple[UniPoly, int]] = []
     for sqfree, mult in _yun_squarefree(p.monic()):
-        _, ints = sqfree.content_and_primitive()
-        lc = ints[-1]
-        if lc != 1:
-            for fac in _factor_squarefree_monic_int(_monic_rescaling(ints)):
-                back = UniPoly.from_int_coeffs(fac).scale_argument(Fraction(lc)).monic()
-                collected.append((back, mult))
-        else:
-            for fac in _factor_squarefree_monic_int(ints):
-                collected.append((UniPoly.from_int_coeffs(fac), mult))
+        # the factors of d^n sqfree(x / d) are those of sqfree, their roots scaled by d
+        d, ints = sqfree.integral_rescaling()
+        for fac in _factor_squarefree_monic_int(ints):
+            back = UniPoly.from_int_coeffs(fac)
+            collected.append((back.scale_argument(d).monic() if d > 1 else back, mult))
     merged: Dict[UniPoly, int] = {}
     for f, m in collected:
         merged[f] = merged.get(f, 0) + m

@@ -24,14 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .qpoly import UniPoly, count_real_roots, discriminant, format_terms
-from .factor import (_EDF_SEED, _equal_degree_split, _frobenius_traces_batch, _gf_divmod,
-                     _gf_powmod, _gf_roots, _z_mul, factor_over_Q, primes_below)
+from .factor import factor_over_Q, frobenius_traces, gf_p2_roots, primes_below, z_mul
 
 
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
@@ -244,16 +242,6 @@ def _root_of_irreducible(f: UniPoly, K: NumberField) -> RootSearchResult:
     return _decide_at_prime(f, K)
 
 
-def _integral_coeffs(p: UniPoly) -> Tuple[int, List[int]]:
-    """(d, coefficients of d^n p(x / d)), d > 0 making that integral, for monic p of degree n."""
-    n = p.degree
-    d = 1
-    for i in range(1, n + 1):
-        den = p[n - i].denominator
-        d *= den // math.gcd(den, d ** i)
-    return d, [int(c * d ** (n - i)) for i, c in enumerate(p.coeffs)]
-
-
 def _prime_blocks(bad: int):
     """Ascending primes p > 5 not dividing bad, in lists of 8, 16, ..., 256, 256, ...
 
@@ -275,13 +263,13 @@ def _decide_at_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
     if F's do too.  Without a root, the scan goes on only to name the
     first prime where the root counts differ, or else where G splits.
     """
-    d, F = _integral_coeffs(f)
-    e, G = _integral_coeffs(K.defining_poly)
+    d, F = f.integral_rescaling()
+    e, G = K.defining_poly.integral_rescaling()
     disc_g = int(discriminant(UniPoly(G)))
     bad = int(discriminant(UniPoly(F))) * disc_g
     roots = None
     for block in _prime_blocks(bad):
-        traces = _frobenius_traces_batch([F, G], block, 2).tolist()
+        traces = frobenius_traces([F, G], block, 2).tolist()
         for p, (f1, f2), (g1, g2) in zip(block, *traces):
             if f1 != g1:
                 return RootSearchResult("absent", None, detail=f"root counts mod {p} differ: "
@@ -317,7 +305,7 @@ def _sqrt_horner(coeffs, r, n, q):
     return sums
 
 
-def _lift_roots(f_ints, roots, n, p, k):
+def _lifted_roots(f_ints, roots, n, p, k):
     """Lift simple roots (a, b) = a + b sqrt(n) mod p of an integer polynomial to p^k.
 
     n is a non-residue mod p; Newton's iteration r <- r - f(r) / f'(r),
@@ -337,26 +325,6 @@ def _lift_roots(f_ints, roots, n, p, k):
             raise ArithmeticError(f"lift invariant broken modulo {target}")
         lifted.append(r)
     return lifted
-
-
-def _lifted_roots(ints: List[int], n: int, p: int, k: int) -> List[Tuple[int, int]]:
-    """The roots in Z/p^k[sqrt n] of a monic integer polynomial with simple roots in GF(p^2).
-
-    n is a non-residue mod p > 2; a root a + b sqrt(n) is the pair (a, b).
-    The roots in GF(p) come by evaluation, and the quadratic factors of the
-    rest, x^2 + s x + t, give (-s +- c sqrt(n)) / 2 with c^2 = (s^2 - 4t) / n.
-    """
-    f = [c % p for c in ints]
-    if _gf_powmod([0, 1], p * p, f, p) != [0, 1]:  # f divides x^(p^2) - x
-        raise ArithmeticError(f"root invariant broken: {ints} does not split in GF({p}^2)")
-    roots = [(r, 0) for r in _gf_roots(f, p)]
-    for r, _ in roots:
-        f = _gf_divmod(f, [-r % p, 1], p)[0]
-    half = (p + 1) // 2
-    for t, s, _ in _equal_degree_split(f, 2, p, random.Random(_EDF_SEED)) if f[1:] else ():
-        c = _gf_roots([-(s * s - 4 * t) * pow(n, -1, p), 0, 1], p)[0]
-        roots += [(-s * half % p, c * half % p), (-s * half % p, -c * half % p)]
-    return _lift_roots(ints, roots, n, p, k)
 
 
 def _root_bound(F: List[int], G: List[int], disc_g: int) -> int:
@@ -395,7 +363,7 @@ def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List
     k = next(k for k in itertools.count(1) if p ** k > (2 * bound) << 64)
     q = p ** k
     n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-    thetas, phis = _lifted_roots(G, n, p, k), _lifted_roots(F, n, p, k)
+    thetas, phis = (_lifted_roots(H, gf_p2_roots(H, n, p), n, p, k) for H in (G, F))
     # terms[i][m][j]: phi_m times coefficient j of D G(x) / ((x - theta_i) G'(theta_i))
     deriv = [i * c for i, c in enumerate(G)][1:]
     terms = []
@@ -430,7 +398,7 @@ def _vanishes(F: List[int], G: List[int], h: List[int], scale: int) -> bool:
     n = len(G) - 1
     acc = [1]
     for i in range(len(F) - 2, -1, -1):
-        prod = _z_mul(acc, h)
+        prod = z_mul(acc, h)
         for top in range(len(prod) - 1, n - 1, -1):  # x^top = x^(top-n) (x^n - G) mod G
             c = prod.pop()
             for j in range(n):

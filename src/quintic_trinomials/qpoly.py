@@ -224,6 +224,21 @@ class UniPoly:
         ints = [v // (sign * g) for v in ints]
         return Fraction(sign * g, den), ints
 
+    def integral_rescaling(self) -> Tuple[int, list]:
+        """(d, coefficients of d^n q(x / d)), q = p / lc(p) of degree n: a monic integer polynomial.
+
+        Its roots are d times those of q, so modulo a prime not dividing d it
+        factors with the same degrees.  d is built up coefficient by
+        coefficient so that each d^i q[n-i] is integral; its primes are
+        those of q's denominators.
+        """
+        q = self.monic()
+        n, d = q.degree, 1
+        for i in range(1, n + 1):
+            den = q[n - i].denominator
+            d *= den // math.gcd(den, d ** i)
+        return d, [int(c * d ** (n - i)) for i, c in enumerate(q.coeffs)]
+
     @staticmethod
     def from_int_coeffs(ints: Sequence[int]) -> "UniPoly":
         return UniPoly(Fraction(v) for v in ints)

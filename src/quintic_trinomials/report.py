@@ -34,7 +34,7 @@ from .trinomial import (Trinomial, equiv_class, trinomial_disc, weber_family,
                         dihedral_family, two_trinomial_family, EquivClass,
                         galois_type_heuristic)
 from .curve import (curve_from_t, point_search, point_to_trinomial, CurvePoint, T_EXCLUDED,
-                    _worker_count)
+                    worker_count)
 from .numberfield import charpoly_mod
 from .surface import (on_surface, recover_t, rational_curve,
                       line_point, SURFACE_FORM, eliminate_t_from_curve_forms,
@@ -255,7 +255,7 @@ def _assemble(outputs) -> List[CriterionResult]:
 def _run_suites(count: int, jobs: int, prime_bound: int) -> List[List[CriterionResult]]:
     """`count` computations of criteria 1 through 9, their tasks in one pool at jobs >= 2."""
     tasks = _tasks(prime_bound)
-    workers = _worker_count(jobs, count * len(tasks))
+    workers = worker_count(jobs, count * len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_call, tasks * count))

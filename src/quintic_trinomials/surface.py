@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 from .multipoly import MultiPoly, resultant_in
 from .curve import (CURVE_VARS, CurvePoint, T_EXCLUDED, T_FORM_CUBIC, T_FORM_QUADRIC,
-                    _form_value, _table, curve_from_t)
+                    curve_from_t)
 
 SURFACE_VARS = CURVE_VARS
 
@@ -63,8 +63,8 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
 ])
 
 # the quadric is den*t - num, so t = num/den at a point of the surface;
-# its t^0 and t^1 coefficients as integer tables over (a, b, c, d)
-_T_COEFFICIENTS = tuple(_table(T_FORM_QUADRIC.coefficient_of("t", k), CURVE_VARS) for k in (0, 1))
+# its t^0 and t^1 coefficients, integral forms in (a, b, c, d) with t cleared
+_T_COEFFICIENTS = tuple(T_FORM_QUADRIC.coefficient_of("t", k) for k in (0, 1))
 
 
 def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
@@ -84,8 +84,8 @@ def t_parts(point: CurvePoint) -> Tuple[int, int]:
     Where both vanish (the base locus: all of R4 and R5, for instance)
     t is 0/0 and no single value is attached to the point.
     """
-    coords = _coordinates(point)
-    minus_num, den = (_form_value(table, coords) for table in _T_COEFFICIENTS)
+    values = dict(zip(CURVE_VARS, _coordinates(point)), t=0)
+    minus_num, den = (int(form.evaluate(values)) for form in _T_COEFFICIENTS)
     return -minus_num, den
 
 

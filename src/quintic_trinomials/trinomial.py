@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .qpoly import UniPoly, discriminant, is_rational_square, format_rational
-from .factor import (_cycle_types_batch, _monic_rescaling, cycle_type_mod_p, factor_over_Q,
-                     fifth_power_class, primes_below)
+from .factor import cycle_types, factor_over_Q, fifth_power_class, primes_below
 
 
 @dataclass(frozen=True)
@@ -169,10 +168,6 @@ _GROUPS: List[Tuple[str, bool, frozenset]] = [
 ]
 
 
-# primes per call of the batched kernel; keeps its lane memory independent of the bound
-_PRIME_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class GaloisEvidence:
     disc_is_square: bool
@@ -190,10 +185,8 @@ def galois_type_heuristic(f: Trinomial, prime_bound: int = 500) -> Tuple[str, Ga
 
     Evidence: whether the discriminant is a rational square, and the
     factorization cycle types modulo all good primes below the bound, at
-    which the reduction is squarefree.  Good primes p <= 5 are factored
-    one at a time by `cycle_type_mod_p`; the rest go, in blocks of at
-    most 256, to the batched Frobenius-trace kernel on the monic
-    rescaling x -> x/lc, which has the same cycle types.  This is an
+    which the reduction is squarefree, read by `cycle_types` off the monic
+    integral rescaling, which has the same cycle types there.  This is an
     upper-confidence identification, not a proof.
     """
     poly = f.as_unipoly()
@@ -201,14 +194,10 @@ def galois_type_heuristic(f: Trinomial, prime_bound: int = 500) -> Tuple[str, Ga
         raise ValueError(f"{f} is reducible over Q")
     disc = trinomial_disc(f)
     square = is_rational_square(disc)
-    _, ints = poly.content_and_primitive()
+    d, monic = poly.integral_rescaling()
     good = [p for p in primes_below(prime_bound)
-            if ints[-1] % p and disc.numerator % p and disc.denominator % p]
-    observed = {cycle_type_mod_p(ints, p) for p in good if p <= 5}
-    large = [p for p in good if p > 5]
-    monic = _monic_rescaling(ints)
-    for i in range(0, len(large), _PRIME_BLOCK):
-        observed.update(_cycle_types_batch([monic], large[i:i + _PRIME_BLOCK])[0])
+            if d % p and disc.numerator % p and disc.denominator % p]
+    observed = set(cycle_types(monic, good))
     evidence = GaloisEvidence(square, tuple(sorted(observed)), len(good))
     for name, in_a5, allowed in _GROUPS:
         if in_a5 == square and observed <= allowed:

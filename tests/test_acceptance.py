@@ -17,7 +17,7 @@ import pytest
 
 from quintic_trinomials import cli, curve, report
 from quintic_trinomials.cli import EXIT_INTERNAL
-from quintic_trinomials.curve import _worker_count
+from quintic_trinomials.curve import worker_count
 from quintic_trinomials.report import run_acceptance, run_criteria, render_report
 
 
@@ -160,7 +160,7 @@ def test_worker_count_caps_huge_jobs_at_the_cpu_count(monkeypatch):
     sizes = []
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(report, "ProcessPoolExecutor", no_pool)
-    assert _worker_count(10 ** 6, 10 ** 6) == 3
+    assert worker_count(10 ** 6, 10 ** 6) == 3
     with pytest.raises(Refused):
         run_acceptance(jobs=10 ** 6)
     assert sizes == [3]

@@ -36,6 +36,32 @@ def test_classify_with_leading_coefficient(capsys):
     assert doc["trinomial"] == {"a": "-1/4", "b": "-1/10"}
 
 
+# classify of fractional trinomials whose monic integral rescaling x -> x/d
+# takes a d other than the leading coefficient of the primitive part (2
+# against 4, 4096 against 8192); the evidence was recorded before the two
+# rescaling rules were merged
+_S5_TYPES = [[1, 1, 1, 2], [1, 1, 3], [1, 2, 2], [1, 4], [2, 3], [5]]
+
+
+@pytest.mark.parametrize("a, b, doc", [
+    ("1/2", "1/4", {"trinomial": {"a": "1/2", "b": "1/4"},
+                    "class": {"kind": "generic", "value": "8"},
+                    "discriminant": "5173/256", "irreducible": True,
+                    "galois_heuristic": {"group": "S5", "disc_is_square": False,
+                                         "cycle_types": _S5_TYPES, "primes_used": 93}}),
+    ("-5/4096", "3/8192", {"trinomial": {"a": "-5/4096", "b": "3/8192"},
+                           "class": {"kind": "generic", "value": "-3125/20736"},
+                           "discriminant": "15625/281474976710656", "irreducible": True,
+                           "galois_heuristic": {"group": "D10", "disc_is_square": True,
+                                                "cycle_types": [[1, 1, 1, 1, 1], [1, 2, 2], [5]],
+                                                "primes_used": 93}}),
+])
+def test_classify_fractional_trinomial_is_pinned(capsys, a, b, doc):
+    code, out, _ = run_cli(capsys, "classify", "--a", a, "--b", b)
+    assert code == EXIT_OK
+    assert json.loads(out) == doc
+
+
 def test_classify_malformed_rational_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "--a", "1.5", "--b", "2")
     assert code == EXIT_USAGE

@@ -23,7 +23,7 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       point_to_trinomial, trinomial_to_point,
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
                                       SearchResult, _search_chunk,
-                                      _search_forms, _sieve_tables, _worker_count, _MODULI,
+                                      _search_forms, _sieve_tables, worker_count, _MODULI,
                                       _OFFSETS, _Sieve, _packed_rows)
 
 T65 = F(6, 5)
@@ -365,11 +365,11 @@ def test_general_search_finds_the_seven_classes_of_x5_75x_105_below_800():
 
 def test_worker_count_is_capped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _worker_count(10 ** 9, 201) == 2
-    assert _worker_count(8, 1) == 1
-    assert _worker_count(1, 4) == 1
+    assert worker_count(10 ** 9, 201) == 2
+    assert worker_count(8, 1) == 1
+    assert worker_count(1, 4) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _worker_count(4, 16) == 1
+    assert worker_count(4, 16) == 1
 
 
 def _reference_search(curve, H):

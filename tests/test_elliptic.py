@@ -18,6 +18,13 @@ def test_j_invariant_anchors():
     assert j_invariant(E_TWIST_MINUS10) == F(-25, 2)
 
 
+def test_str_prints_signed_terms():
+    assert str(E0) == "y^2 = x^3 - 675*x - 79650"
+    assert str(E_TWIST_MINUS10) == "y^2 = x^3 - x^2 - 833*x + 109537"
+    assert str(WeierstrassCurve(-1, 0, -1, 1, 1)) == "y^2 - x*y - y = x^3 + x + 1"
+    assert str(WeierstrassCurve(F(1, 2), F(-2, 3), 3)) == "y^2 + 1/2*x*y + 3*y = x^3 - 2/3*x^2"
+
+
 def test_singular_curve_rejected():
     with pytest.raises(ValueError):
         WeierstrassCurve.short(0, 0)

@@ -144,7 +144,7 @@ def test_hensel_prime_has_fewest_factors_from_one_split_per_prime(monkeypatch):
     # the first five good odd primes 5, 11, 13, 17, 19; mod 17 all five
     # factors have degree 1, so the distinct-degree split has one part
     quad, cubic = [-3, -3, 1], [-3, -3, -2, 1]
-    ints = factor._z_mul(quad, cubic)
+    ints = factor.z_mul(quad, cubic)
     good = [p for p in primes_below(30)[1:] if factor._gf_is_squarefree(ints, p)][:5]
     assert good == [5, 11, 13, 17, 19]
     assert len(factor._distinct_degree([c % 17 for c in ints], 17)) == 1
@@ -196,7 +196,7 @@ def test_hensel_lift_rejects_a_non_factorization():
         factor._hensel_lift([1, 0, 1], [[1, 1], [2, 1]], 5, 3)
     lifted, modulus = factor._hensel_lift([1, 0, 1], [[2, 1], [3, 1]], 5, 3)
     assert modulus == 125
-    assert [c % 125 for c in factor._z_mul(*lifted)] == [1, 0, 1]
+    assert [c % 125 for c in factor.z_mul(*lifted)] == [1, 0, 1]
 
 
 def test_batched_xpow_p_matches_powmod():
@@ -226,7 +226,7 @@ def test_batched_mul_matches_gf_mul_at_the_lane_limit(n):
     prod = factor._BatchMod(polys, primes).mul(a, b)
     for lane, poly in enumerate(polys):
         for i, p in enumerate(primes):
-            expected = factor._gf_mod(factor._gf_mul(a[lane, i].tolist(), b[lane, i].tolist(), p),
+            expected = factor._gf_mod(factor.z_mul(a[lane, i].tolist(), b[lane, i].tolist()),
                                       [c % p for c in poly], p)
             assert factor._gf_trim(prod[lane, i].tolist()) == expected, (poly, p)
 
@@ -245,8 +245,8 @@ def test_roots_by_evaluation_cross_residue_chunks():
     p = 131071
     ints = [1]
     for root in (0, 5, 65535, 65536, 131070):
-        ints = factor._z_mul(ints, [-root, 1])
-    ints = factor._z_mul(ints, [1, 0, 1])  # p = 3 mod 4: x^2 + 1 has no root mod p
+        ints = factor.z_mul(ints, [-root, 1])
+    ints = factor.z_mul(ints, [1, 0, 1])  # p = 3 mod 4: x^2 + 1 has no root mod p
     assert factor._gf_roots(ints, p) == [0, 5, 65535, 65536, 131070]
     assert factor._gf_roots(ints, p) == sorted(-g[0] % p for g, _ in factor_mod_p(ints, p)
                                               if len(g) == 2)
@@ -261,26 +261,32 @@ def test_root_counts_by_frobenius_trace_match_gcd(lows):
     primes = [p for p in primes_below(300) if p > 5 and all(
         factor._gf_is_squarefree([c % p for c in poly], p) for poly in polys)]
     assume(primes)
-    counts = factor._frobenius_traces_batch(polys, primes, 1)[..., 0]
+    counts = factor.frobenius_traces(polys, primes, 1)[..., 0]
     for lane, poly in enumerate(polys):
         for i, p in enumerate(primes):
             xp = factor._gf_powmod([0, 1], p, poly, p)
-            roots = len(factor._gf_gcd(poly, factor._gf_sub(xp, [0, 1], p), p)) - 1
+            roots = len(factor._gf_gcd(poly, factor._z_sub(xp, [0, 1]), p)) - 1
             assert counts[lane, i] == roots, (poly, p)
 
 
 def _good_primes(ints, primes):
-    """Primes p > deg at which the integer polynomial stays squarefree of full degree."""
-    return [p for p in primes if p > len(ints) - 1 and ints[-1] % p
+    """Primes at which the integer polynomial stays squarefree of full degree."""
+    return [p for p in primes if ints[-1] % p
             and factor._gf_is_squarefree([c % p for c in ints], p)]
 
 
 def _assert_batch_matches_per_prime(ints, primes):
-    """Batched cycle types of the monic rescaling equal `cycle_type_mod_p` of ints."""
-    n, monic = len(ints) - 1, factor._monic_rescaling(ints)
-    types = factor._cycle_types_batch([monic], primes)[0]
-    traces = factor._frobenius_traces_batch([monic], primes, n)[0]
-    for p, batched, row in zip(primes, types, traces.tolist()):
+    """`cycle_types` of the monic rescaling, and the batched kernel at the primes above
+    the degree, equal `cycle_type_mod_p` of ints."""
+    _, monic = UniPoly.from_int_coeffs(ints).integral_rescaling()
+    assert factor.cycle_types(monic, primes) == [cycle_type_mod_p(ints, p) for p in primes]
+    n = len(ints) - 1
+    large = [p for p in primes if p > n]
+    if not large:
+        return
+    types = factor._cycle_types_batch([monic], large)[0]
+    traces = factor.frobenius_traces([monic], large, n)[0]
+    for p, batched, row in zip(large, types, traces.tolist()):
         expected = cycle_type_mod_p(ints, p)
         assert batched == expected, (ints, p)
         # trace(Q^k) counts the roots in GF(p^k) for every k, not only k <= n/2
@@ -325,13 +331,23 @@ def test_batched_cycle_types_near_the_lane_limit():
         _assert_batch_matches_per_prime(ints, _good_primes(ints, primes))
 
 
+@pytest.mark.parametrize("ints", [[-1, -1, 0, 0, 0, 1], [105, 75, 0, 0, 0, 1], [1, 2, 0, 0, 0, 4],
+                                  [5, -3, 2, 0, 1, 0, 7]])
+def test_cycle_types_cross_the_degree_and_the_prime_block(ints):
+    # primes on both sides of the degree, and more of them above it than one
+    # block of the batched kernel holds
+    primes = _good_primes(ints, primes_below(2000))
+    assert min(primes) < len(ints) - 1 and sum(p > len(ints) - 1 for p in primes) > 256
+    _assert_batch_matches_per_prime(ints, primes)
+
+
 def test_batched_cycle_types_need_primes_above_the_degree():
     with pytest.raises(ValueError, match="p > deg P"):
         factor._cycle_types_batch([[-18, 0, 0, 0, 0, 1]], [7, 5])
     with pytest.raises(ValueError, match="p > deg P"):
-        factor._frobenius_traces_batch([[1, 1, 0, 1]], [3], 1)
+        factor.frobenius_traces([[1, 1, 0, 1]], [3], 1)
     with pytest.raises(ValueError, match="p > deg P"):
-        factor._frobenius_traces_batch([[1, 0, 1]], [2], 1)
+        factor.frobenius_traces([[1, 0, 1]], [2], 1)
     assert factor._cycle_types_batch([[1, 0, 1]], [3, 5]) == [[(2,), (1, 1)]]
 
 
@@ -340,8 +356,8 @@ def test_batched_cycle_types_reject_a_repeated_factor():
     # trace 3 on its square, which leaves degree 2 to no factor of degree <= 2
     ints = [1]
     for root in (1, 1, 2, 2, 3):
-        ints = factor._z_mul(ints, [-root, 1])
-    assert factor._frobenius_traces_batch([ints], [7], 2).tolist() == [[[3, 3]]]
+        ints = factor.z_mul(ints, [-root, 1])
+    assert factor.frobenius_traces([ints], [7], 2).tolist() == [[[3, 3]]]
     with pytest.raises(ArithmeticError, match="cycle type invariant broken"):
         factor._cycle_types_batch([ints], [7])
 

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant
-from quintic_trinomials.factor import (_frobenius_traces_batch, cycle_type_mod_p, factor_mod_p,
-                                       factor_over_Q, primes_below)
+from quintic_trinomials.factor import (cycle_type_mod_p, factor_mod_p, factor_over_Q,
+                                       frobenius_traces, gf_p2_roots, primes_below)
 from quintic_trinomials import numberfield
 from quintic_trinomials.numberfield import (NumberField, has_root_in_field, charpoly_mod,
-                                            _integral_coeffs, _interpolated_roots, _lift_roots,
-                                            _lifted_roots, _root_bound, _sqrt_div, _sqrt_horner,
-                                            _sqrt_mul)
+                                            _interpolated_roots, _lifted_roots, _root_bound,
+                                            _sqrt_div, _sqrt_horner, _sqrt_mul)
 
 from trager_oracle import trager_has_root, trager_norm
 
@@ -325,7 +324,7 @@ def _common_prime(F, G, k):
     """The first good prime p where F and G both have all five roots in GF(p^k)."""
     bad = discriminant(UniPoly(F)) * discriminant(UniPoly(G))
     primes = [p for p in primes_below(5000) if p > 5 and bad % p]
-    traces = _frobenius_traces_batch([F, G], primes, k)[..., k - 1]
+    traces = frobenius_traces([F, G], primes, k)[..., k - 1]
     return next(p for i, p in enumerate(primes) if traces[0, i] == traces[1, i] == 5)
 
 
@@ -350,8 +349,8 @@ def test_root_coordinates_lie_within_the_interpolation_bound(field, coords):
     # the least precision p^k > 2B 2^64 must give them back
     assume(any(coords[1:]))
     beta = field.element(coords)
-    d, F = _integral_coeffs(beta.char_poly())
-    e, G = _integral_coeffs(field.defining_poly)
+    d, F = beta.char_poly().integral_rescaling()
+    e, G = field.defining_poly.integral_rescaling()
     disc = int(discriminant(UniPoly(G)))
     scaled = [disc * d * c / e ** j for j, c in enumerate(beta.coords)]
     assert all(c.denominator == 1 for c in scaled)
@@ -369,15 +368,15 @@ def test_split_prime_roots_by_evaluation_match_factorization():
     # (a, b) = a + b sqrt(n) give back the factors mod p: x - a for b = 0 and
     # x^2 - 2a x + a^2 - n b^2 for a conjugate pair
     for field in _PROPERTY_FIELDS:
-        _, G = _integral_coeffs(field.defining_poly)
+        _, G = field.defining_poly.integral_rescaling()
         disc = discriminant(UniPoly(G))
         primes = [p for p in primes_below(3000) if p > 5 and disc % p]
-        traces = _frobenius_traces_batch([G], primes, 2)[0].tolist()
+        traces = frobenius_traces([G], primes, 2)[0].tolist()
         stops = [p for p, (_, t2) in zip(primes, traces) if t2 == 5][:4]
         stops.append(next(p for p, (t1, _) in zip(primes, traces) if t1 == 5))
         for p in stops:
             n = _non_residue(p)
-            roots = _lifted_roots(G, n, p, 1)
+            roots = gf_p2_roots(G, n, p)
             factors = sorted([-a % p, 1] if b == 0 else [(a * a - n * b * b) % p, -2 * a % p, 1]
                              for a, b in roots if b <= p - b)
             assert factors == sorted(g for g, _ in factor_mod_p(G, p))
@@ -393,10 +392,10 @@ def test_lifted_roots_need_a_split_prime():
     for cycle_type in ((1, 4), (5,)):
         p = types[cycle_type]
         with pytest.raises(ArithmeticError, match="does not split"):
-            _lifted_roots(G, _non_residue(p), p, 3)
+            gf_p2_roots(G, _non_residue(p), p)
     for p in (3, 5):
         with pytest.raises(ArithmeticError, match="does not split"):
-            _lifted_roots(G, 2, p, 3)
+            gf_p2_roots(G, 2, p)
 
 
 def test_lift_roots_doubles_to_the_target_precision():
@@ -404,18 +403,18 @@ def test_lift_roots_doubles_to_the_target_precision():
     ints = [-18, 0, 0, 0, 0, 1]
     roots = [-g[0] % 131 for g, _ in factor_mod_p(ints, 131)]
     assert len(roots) == 5
-    lifted = _lift_roots(ints, [(r, 0) for r in roots], 2, 131, 20)
+    lifted = _lifted_roots(ints, [(r, 0) for r in roots], 2, 131, 20)
     assert [(a % 131, b) for a, b in lifted] == [(r, 0) for r in roots]
     assert all(_sqrt_horner(ints, r, 2, 131 ** 20)[-1] == (0, 0) for r in lifted)
     with pytest.raises(ArithmeticError, match="lift invariant broken"):
-        _lift_roots(ints, [(3, 0)], 2, 131, 4)
+        _lifted_roots(ints, [(3, 0)], 2, 131, 4)
 
 
 def test_lift_roots_in_the_quadratic_extension():
     # x^2 + 1 has the roots +-sqrt(-1) = +-sqrt(3) * 4 mod 7 (3 is not a square mod 7,
     # 3 * 4^2 = 48 = -1), which lift to the square roots of -1 in Z/7^12[sqrt 3]
     q = 7 ** 12
-    lifted = _lift_roots([1, 0, 1], [(0, 4), (0, 3)], 3, 7, 12)
+    lifted = _lifted_roots([1, 0, 1], [(0, 4), (0, 3)], 3, 7, 12)
     assert [(a % 7, b % 7) for a, b in lifted] == [(0, 4), (0, 3)]
     for r in lifted:
         assert _sqrt_mul(r, r, 3, q) == (q - 1, 0)
@@ -438,7 +437,7 @@ def test_roots_in_the_quadratic_extension_at_each_stop_cycle_type(G, p, cycle_ty
     assert _common_prime(G, G, 2) == p and cycle_type_mod_p(G, p) == cycle_type
     n, k = _non_residue(p), 30
     q = p ** k
-    roots = _lifted_roots(G, n, p, k)
+    roots = _lifted_roots(G, gf_p2_roots(G, n, p), n, p, k)
     assert all(_sqrt_horner(G, r, n, q)[-1] == (0, 0) for r in roots)
     assert len({(a % p, b % p) for a, b in roots}) == 5
     assert sorted((a, -b % q) for a, b in roots) == sorted(roots)
@@ -532,6 +531,7 @@ def test_decision_agrees_with_trager_oracle(field, coords, low, from_element):
 
 
 _K_REM = NumberField(UniPoly([105, 75, 0, 0, 0, 1]))
+_K_FRACTIONAL = NumberField(UniPoly([F(1, 4), F(1, 2), 0, 0, 0, 1]))
 _COUNTS_DIFFER = "root counts mod {} differ: {} for f, {} for the field polynomial"
 
 # (field, a, b, status, detail, witness) of x^5 + a x + b: the 13 paper
@@ -566,6 +566,12 @@ _PINNED_DECISIONS = [
     (K18, 0, 19, "absent", "no root interpolated at the split prime 131 verifies", None),
     # the first prime where K's roots lie in GF(p^2) is 7, and counts differ at 11
     (_K_REM, -11, 14, "absent", _COUNTS_DIFFER.format(11, 0, 2), None),
+    # fractional coefficients, where the integral rescaling d differs from the
+    # leading coefficient of the primitive part (16 against 32, 2 against 4)
+    (_K_REM, F(75, 16), F(105, 32), "certified", "verified exactly", ["0", "1/2", "0", "0", "0"]),
+    (_K_FRACTIONAL, F(1, 2), F(1, 4), "certified", "verified exactly", ["0", "1", "0", "0", "0"]),
+    (_K_REM, F(1, 2), F(1, 4), "absent", _COUNTS_DIFFER.format(19, 2, 0), None),
+    (_K_FRACTIONAL, F(75, 16), F(105, 32), "absent", _COUNTS_DIFFER.format(19, 0, 2), None),
 ]
 
 

@@ -15,7 +15,7 @@ from quintic_trinomials.qpoly import (UniPoly, resultant, discriminant,
                                       count_real_roots, is_rational_square,
                                       format_rational, parse_rational,
                                       poly_to_strings)
-from quintic_trinomials.factor import factor_over_Q
+from quintic_trinomials.factor import factor_int, factor_over_Q
 from quintic_trinomials import cli
 
 
@@ -171,6 +171,33 @@ def test_scale_argument():
     scaled = f.scale_argument(lam) * lam ** -5
     t = F(-3125, 20736)
     assert scaled == UniPoly([t, t, 0, 0, 0, 1])
+
+
+def _primes_of(n):
+    return set(factor_int(n)) if n > 1 else set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=60).filter(lambda c: abs(c) <= 1000),
+                min_size=1, max_size=7))
+def test_integral_rescaling_is_monic_integral_with_the_denominators_primes(low):
+    p = UniPoly(low + [1])
+    d, ints = p.integral_rescaling()
+    n = p.degree
+    assert d >= 1 and ints[-1] == 1 and len(ints) == n + 1
+    assert all(isinstance(c, int) for c in ints)
+    # P(x) = d^n p(x / d)
+    assert UniPoly(ints) == p.scale_argument(F(1, d)) * d ** n
+    assert _primes_of(d) == set().union(*(_primes_of(c.denominator) for c in p.coeffs))
+    # a scalar multiple has the same monic rescaling
+    assert (p * F(-7, 3)).integral_rescaling() == (d, ints)
+
+
+def test_integral_rescaling_anchors():
+    # x^5 + x/2 + 1/4: d = 2 makes it integral, while the primitive part
+    # 4x^5 + 2x + 1 has leading coefficient 4
+    assert UniPoly([F(1, 4), F(1, 2), 0, 0, 0, 1]).integral_rescaling() == (2, [8, 8, 0, 0, 0, 1])
+    assert UniPoly([105, 75, 0, 0, 0, 1]).integral_rescaling() == (1, [105, 75, 0, 0, 0, 1])
 
 
 def test_rational_serialization_roundtrip():

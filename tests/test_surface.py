@@ -162,13 +162,15 @@ def test_consistency_with_curve():
 
 
 def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
-    # 250 curve samples and 250 line samples; recover_t checks membership itself
+    # 250 curve samples and 250 line samples; recover_t checks membership itself,
+    # and reads t off the quadric's two t-coefficients at the 200 samples on X
     calls = []
     evaluate = MultiPoly.evaluate
     monkeypatch.setattr(MultiPoly, "evaluate",
                         lambda self, values: calls.append(self) or evaluate(self, values))
     assert report._c7_surface().passed
-    assert len(calls) == 500 and all(form is SURFACE_FORM for form in calls)
+    counts = [sum(form is f for f in calls) for form in (SURFACE_FORM, *surface._T_COEFFICIENTS)]
+    assert counts == [500, 200, 200] and len(calls) == 900
 
 
 @pytest.mark.parametrize("argv, on_curve", [
