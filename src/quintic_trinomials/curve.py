@@ -7,14 +7,17 @@ points of a genus-four curve in P^3: the trace condition eliminates e
 (4te = 5a), and the x^3- and x^2-coefficient conditions cut out a
 quadric and a cubic in (a : b : c : d).
 
-For a general quintic field the same construction is done symbolically:
-the x^4, x^3, x^2 coefficients of the characteristic polynomial of a
-generic element come from its trace forms Tr(beta^k), k = 1, 2, 3, which
-are polynomials in the five coordinates with the power sums Tr(alpha^n)
-as coefficients; one variable is eliminated through the (linear) trace
-condition, and the raw quadric/cubic conditions are returned.  The
-t-form constructor instead stores a cubic already reduced by a multiple
-of the quadric (same ideal, fewer monomials).
+For a general quintic field the forms come from integer trace forms on
+the trace hyperplane.  The trace condition Tr(beta) = sum s_i x_i = 0,
+with s_n = Tr(alpha^n), eliminates one coordinate x_k; there
+s_k beta = sum x_i gamma_i over the live i, gamma_i = s_k alpha^i - s_i alpha^k,
+and since Tr(beta) = 0 the x^3 and x^2 coefficients of the
+characteristic polynomial are -Tr(beta^2)/2 and -Tr(beta^3)/3 (Newton's
+identities; H. Cohen, GTM 138, section 4.2).  Each monomial's coefficient
+is a trace of a product of two or three gamma_i, a sum of 4 or 8
+products of power sums, computed in integers after scaling the s_n to
+a common denominator.  The t-form constructor instead stores a cubic
+already reduced by a multiple of the quadric (same ideal, fewer monomials).
 
 Point search is one engine for both kinds of curve.  One live variable
 v, with a square term if any has one, is solved from the quadric; the
@@ -161,29 +164,8 @@ def curve_from_t(t: Fraction) -> TrinomialCurve:
 
 
 # ---------------------------------------------------------------------------
-# general fields: symbolic construction
+# general fields: trace forms on the trace hyperplane
 # ---------------------------------------------------------------------------
-
-def _trace_form(power_sums, k: int) -> MultiPoly:
-    """Tr(beta^k) for the generic beta = sum x_i alpha^i: sum of s_(i1+...+ik) x_i1...x_ik."""
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for idx in itertools.product(range(5), repeat=k):
-        key = tuple(idx.count(i) for i in range(5))
-        terms[key] = terms.get(key, Fraction(0)) + power_sums[sum(idx)]
-    return MultiPoly(FULL_VARS, terms)
-
-
-def _generic_conditions(g: UniPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """x^4, x^3, x^2 coefficients of the generic characteristic polynomial.
-
-    With p_k = Tr(beta^k) these are -p1, (p1^2 - p2)/2 and
-    -(p1^3 - 3 p1 p2 + 2 p3)/6 (Newton's identities).
-    """
-    sums = g.power_sums(12)
-    p1, p2, p3 = (_trace_form(sums, k) for k in (1, 2, 3))
-    return (-p1, (p1 * p1 - p2) * Fraction(1, 2),
-            (p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) * Fraction(-1, 6))
-
 
 @dataclass(frozen=True)
 class GeneralCurve:
@@ -224,12 +206,21 @@ class GeneralCurve:
 
 
 def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurve:
-    """Symbolic construction of the curve conditions for K = Q[x]/(g).
+    """The curve conditions for K = Q[x]/(g), from integer trace forms.
 
     The variable eliminated via the linear trace condition defaults to
     the one with the largest absolute coefficient, ties to the later
     variable; x^5+tx+t fields therefore eliminate the alpha^4 coordinate
     whenever |4t| >= 5.
+
+    With s_n = Tr(alpha^n) scaled to integers S_n = L s_n (L the lcm of
+    their denominators) and x_k the eliminated coordinate, the trace
+    hyperplane gives S_k beta = sum x_i gamma_i over the live i, with
+    gamma_i = S_k alpha^i - S_i alpha^k.  The x^3 and x^2 conditions are
+    -Tr(beta^n)/n for n = 2, 3: the monomial prod_I x_i (I a multiset of
+    n live indices, c its multinomial count) has the coefficient
+    c T_I / (-n S_k^n L), where T_I = L Tr(prod_I gamma_i) is an integer
+    sum of 2^n products of the S_m.
     """
     if g.degree != 5 or g.lc != 1:
         raise ValueError("need a monic quintic")
@@ -237,27 +228,38 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
         raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
-    linear, quad_raw, cubic_raw = _generic_conditions(g)
-    coeffs = {}
-    for name in FULL_VARS:
-        c = linear.coefficient_of(name, 1)
-        coeffs[name] = c.terms.get((0, 0, 0, 0, 0), Fraction(0))
+    sums = g.power_sums(12)
+    # linear = -Tr(beta) = -sum s_i x_i
+    coeffs = {name: -s for name, s in zip(FULL_VARS, sums)}
     if eliminate is None:
         best = max(abs(c) for c in coeffs.values())
         eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
     if coeffs[eliminate] == 0:
         raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
-    # eliminated = -(rest of linear)/coeff
-    rest = linear - MultiPoly.variable(FULL_VARS, eliminate) * coeffs[eliminate]
-    expr = rest * (Fraction(-1) / coeffs[eliminate])
-    return GeneralCurve(
-        g=g,
-        linear=linear,
-        quadric=quad_raw.substitute(eliminate, expr),
-        cubic=cubic_raw.substitute(eliminate, expr),
-        eliminated=eliminate,
-        elimination_expr=expr,
-    )
+    k = FULL_VARS.index(eliminate)
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    linear = MultiPoly(FULL_VARS, {units[i]: -s for i, s in enumerate(sums[:5])})
+    # x_k = -sum s_i x_i / s_k over the live i
+    expr = MultiPoly(FULL_VARS, {units[i]: -sums[i] / sums[k] for i in range(5) if i != k})
+    scale = math.lcm(*(s.denominator for s in sums))
+    S = [s.numerator * (scale // s.denominator) for s in sums]
+    # gamma_i as its two (coefficient, power of alpha) terms
+    gamma = {i: ((S[k], i), (-S[i], k)) for i in range(5) if i != k}
+    forms = []
+    for n in (2, 3):
+        den = -n * S[k] ** n * scale
+        terms = {}
+        for idx in itertools.combinations_with_replacement(gamma, n):
+            # scale * Tr(gamma_i1 ... gamma_in), each S_m standing for scale * s_m
+            trace = sum(math.prod(c for c, _ in choice) * S[sum(p for _, p in choice)]
+                        for choice in itertools.product(*(gamma[i] for i in idx)))
+            exps = tuple(idx.count(i) for i in range(5))
+            count = math.factorial(n) // math.prod(map(math.factorial, exps))
+            terms[exps] = Fraction(count * trace, den)
+        forms.append(MultiPoly(FULL_VARS, terms))
+    quadric, cubic = forms
+    return GeneralCurve(g=g, linear=linear, quadric=quadric, cubic=cubic,
+                        eliminated=eliminate, elimination_expr=expr)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +373,22 @@ class _SearchForms:
     checks: Tuple[_Table, ...]
 
 
-def _cleared(form: MultiPoly) -> MultiPoly:
-    return form * math.lcm(*(c.denominator for c in form.terms.values()))
-
-
-def _table(form: MultiPoly, order: Sequence[str]) -> _Table:
-    """The integral form's terms, with exponents over the variables `order`."""
+def _cleared_table(form: MultiPoly, order: Sequence[str]) -> _Table:
+    """The form times the lcm of its denominators, with exponents over the
+    variables `order` (any other variable of the form must not occur)."""
+    scale = math.lcm(*(c.denominator for c in form.terms.values()))
     pos = [form.vars.index(n) for n in order]
-    return tuple(sorted((tuple(e[i] for i in pos), int(c)) for e, c in form.terms.items()))
+    return tuple(sorted((tuple(e[i] for i in pos), c.numerator * (scale // c.denominator))
+                        for e, c in form.terms.items()))
+
+
+def _split_by_v(table: _Table, degree: int) -> Tuple[_Table, ...]:
+    """The coefficients of v^0, ..., v^degree of a table over (v, x, y, z),
+    each a table with the exponent of v zero."""
+    parts = [[] for _ in range(degree + 1)]
+    for e, k in table:
+        parts[e[0]].append(((0, *e[1:]), k))
+    return tuple(map(tuple, parts))
 
 
 # Res_v(a v^2 + b v + c, d v^3 + e v^2 + f v + g) by Sylvester's formula, as
@@ -439,16 +449,23 @@ def _search_forms(curve) -> _SearchForms:
     else:
         live, expr = CURVE_VARS, MultiPoly.zero(CURVE_VARS)
         checks = (curve.quadric, curve.cubic)
-    quadric, cubic = _cleared(curve.quadric), _cleared(curve.cubic)
-    names = quadric.vars
-    solve = (next((n for n in live if quadric.coefficient_of(n, 2)), None)
-             or next((n for n in live if quadric.degree_in(n) == 1), None))
+    names = curve.quadric.vars
+    exponents = [[e[names.index(n)] for e in curve.quadric.terms] for n in live]
+    solve = (next((n for n, es in zip(live, exponents) if 2 in es), None)
+             or next((n for n, es in zip(live, exponents) if max(es, default=-1) == 1), None))
     if solve is None:
         raise ValueError("quadric involves no live variable")
     order = (solve, *(n for n in live if n != solve))
-    lead = quadric.coefficient_of(solve, 2).terms.get((0,) * len(names), 0)
-    linear, rest = quadric.coefficient_of(solve, 1), quadric.coefficient_of(solve, 0)
-    disc = _table(linear * linear - rest * (4 * lead), order)
+    rest, linear, square = _split_by_v(_cleared_table(curve.quadric, order), 2)
+    lead = next((k for e, k in square if not any(e)), 0)
+    # disc = linear^2 - 4 lead rest, in integers
+    terms: Dict[Tuple[int, ...], int] = {}
+    for (e1, k1), (e2, k2) in itertools.product(linear, repeat=2):
+        e = tuple(map(sum, zip(e1, e2)))
+        terms[e] = terms.get(e, 0) + k1 * k2
+    for e, k in rest:
+        terms[e] = terms.get(e, 0) - 4 * lead * k
+    disc = tuple(sorted((e, k) for e, k in terms.items() if k))
     # A square factor of the content hides residues from the sieve, so the
     # engine sieves disc / root_scale^2 and scales its square roots back.
     content = math.gcd(*(k for _, k in disc))
@@ -462,14 +479,13 @@ def _search_forms(curve) -> _SearchForms:
     weights = {names[e.index(1)]: int(c * den) for e, c in expr.terms.items()}
     coordinate_map = tuple(
         tuple(den * (n == m) if n in order else weights.get(m, 0) for m in order) for n in names)
-    linear, rest = _table(linear, order), _table(rest, order)
-    cubic_in_v = tuple(_table(cubic.coefficient_of(solve, n), order) for n in range(4))
+    cubic_in_v = _split_by_v(_cleared_table(curve.cubic, order), 3)
     return _SearchForms(
-        lead=int(lead), linear=linear, rest=rest,
+        lead=lead, linear=linear, rest=rest,
         disc=tuple((e, k // root_scale ** 2) for e, k in disc), root_scale=root_scale,
-        cubic_in_v=cubic_in_v, resultant=_resultant(int(lead), linear, rest, cubic_in_v),
+        cubic_in_v=cubic_in_v, resultant=_resultant(lead, linear, rest, cubic_in_v),
         coordinate_map=coordinate_map,
-        checks=tuple(_table(_cleared(f), names) for f in checks))
+        checks=tuple(_cleared_table(f, names) for f in checks))
 
 
 def _form_value(table: _Table, coords) -> int:

@@ -2,7 +2,7 @@
 
 Just enough ring machinery for the curve and surface constructions:
 terms are {exponent tuple: Fraction} over a fixed variable list, with
-substitution, partial evaluation, exact division by a variable, and
+evaluation, partial evaluation, exact division by a variable, and
 proportionality testing.  Term order (lexicographic on exponent tuples)
 is fixed, so serialized output is deterministic.
 """
@@ -154,20 +154,6 @@ class MultiPoly:
                 key = e[:i] + (0,) + e[i + 1:]
                 terms[key] = terms.get(key, Fraction(0)) + c
         return MultiPoly(self.vars, terms)
-
-    def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
-        """Replace a variable by a polynomial of the same ring."""
-        value = self._check(value)
-        i = self._vindex(name)
-        out = MultiPoly.zero(self.vars)
-        powers = {0: MultiPoly.constant(self.vars, 1)}
-        for e, c in sorted(self.terms.items()):
-            k = e[i]
-            if k not in powers:
-                powers[k] = value ** k
-            base = MultiPoly(self.vars, {e[:i] + (0,) + e[i + 1:]: c})
-            out = out + base * powers[k]
-        return out
 
     def evaluate(self, values: Dict[str, Fraction]) -> Fraction:
         """Exact value at a rational point, summed in integers.

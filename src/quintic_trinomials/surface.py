@@ -63,8 +63,21 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
 ])
 
 # the quadric is den*t - num, so t = num/den at a point of the surface;
-# its t^0 and t^1 coefficients, integral forms in (a, b, c, d) with t cleared
-_T_COEFFICIENTS = tuple(T_FORM_QUADRIC.coefficient_of("t", k) for k in (0, 1))
+# its t^0 and t^1 coefficients as integer tables of (exponents of
+# (a, b, c, d), coefficient)
+_T_COEFFICIENTS = tuple(tuple((e[:4], int(c)) for e, c in T_FORM_QUADRIC.terms.items() if e[4] == k)
+                        for k in (0, 1))
+
+
+def _value(table, coords) -> int:
+    """An integer table at integer coordinates."""
+    total = 0
+    for exps, k in table:
+        for x, e in zip(coords, exps):
+            if e:
+                k *= x ** e
+        total += k
+    return total
 
 
 def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
@@ -84,8 +97,8 @@ def t_parts(point: CurvePoint) -> Tuple[int, int]:
     Where both vanish (the base locus: all of R4 and R5, for instance)
     t is 0/0 and no single value is attached to the point.
     """
-    values = dict(zip(CURVE_VARS, _coordinates(point)), t=0)
-    minus_num, den = (int(form.evaluate(values)) for form in _T_COEFFICIENTS)
+    coords = _coordinates(point)
+    minus_num, den = (_value(table, coords) for table in _T_COEFFICIENTS)
     return -minus_num, den
 
 

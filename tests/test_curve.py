@@ -612,6 +612,108 @@ def test_general_construction_rejects_reducible():
         curve_from_field(UniPoly([2, 2, 0, 0, 0, 1]), eliminate="z")
 
 
+def _substitute(form, name, value):
+    """The form with the variable `name` replaced by the form `value`."""
+    i = form.vars.index(name)
+    out = MultiPoly.zero(form.vars)
+    for e, c in form.terms.items():
+        out = out + MultiPoly(form.vars, {e[:i] + (0,) + e[i + 1:]: c}) * value ** e[i]
+    return out
+
+
+def _newton_reference(g, eliminate=None):
+    """An independent construction by Newton's identities: p_k = Tr(beta^k)
+    for the generic beta = sum x_i alpha^i, expanded in five variables as
+    sum s_(i1+...+ik) x_i1...x_ik; the x^4, x^3 and x^2 coefficients of the
+    characteristic polynomial are -p1, (p1^2 - p2)/2 and
+    -(p1^3 - 3 p1 p2 + 2 p3)/6, and the eliminated variable is substituted
+    from the trace condition -p1 = 0.  Returns (linear, quadric, cubic,
+    eliminated, elimination_expr); raises ValueError as curve_from_field does."""
+    if g.degree != 5 or g.lc != 1:
+        raise ValueError("need a monic quintic")
+    if eliminate is not None and eliminate not in FULL_VARS:
+        raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
+    if not factor_over_Q(g).is_irreducible:
+        raise ValueError(f"{g} is reducible over Q")
+    sums = g.power_sums(12)
+
+    def trace_form(k):
+        terms = {}
+        for idx in itertools.product(range(5), repeat=k):
+            key = tuple(idx.count(i) for i in range(5))
+            terms[key] = terms.get(key, F(0)) + sums[sum(idx)]
+        return MultiPoly(FULL_VARS, terms)
+
+    p1, p2, p3 = (trace_form(k) for k in (1, 2, 3))
+    linear = -p1
+    quadric = (p1 * p1 - p2) * F(1, 2)
+    cubic = (p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) * F(-1, 6)
+    coeffs = {n: linear.terms.get(tuple(int(m == n) for m in FULL_VARS), F(0)) for n in FULL_VARS}
+    if eliminate is None:
+        best = max(abs(c) for c in coeffs.values())
+        eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
+    if coeffs[eliminate] == 0:
+        raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
+    expr = (linear - MultiPoly.variable(FULL_VARS, eliminate) * coeffs[eliminate]) * (-1 / coeffs[eliminate])
+    return (linear, _substitute(quadric, eliminate, expr), _substitute(cubic, eliminate, expr),
+            eliminate, expr)
+
+
+def _construction_or_error(build, g, eliminate):
+    try:
+        built = build(g, eliminate)
+    except ValueError as error:
+        return str(error)
+    if isinstance(built, GeneralCurve):
+        return (built.linear, built.quadric, built.cubic, built.eliminated, built.elimination_expr)
+    return built
+
+
+# the two fields of the paper, six dense Eisenstein quintics (at 2, 3, 5, 7,
+# 2, 3), and a field with Tr(alpha) = Tr(alpha^3) = 0
+_DIFFERENTIAL_FIELDS = (
+    (-18, 0, 0, 0, 0, 1), (105, 75, 0, 0, 0, 1),
+    (6, -4, 2, -2, 4, 1), (-15, 3, -6, 6, -3, 1), (10, -5, 10, 5, -10, 1),
+    (14, 7, -14, 7, 14, 1), (-6, 2, 4, -2, -4, 1), (12, -3, 6, 3, -6, 1),
+    (F(1, 2), F(3, 7), 0, F(-5, 3), 0, 1),
+)
+
+
+@pytest.mark.parametrize("g", _DIFFERENTIAL_FIELDS)
+def test_trace_form_construction_matches_newton_reference(g):
+    # the same forms, expression and eliminated name, or the same error, for
+    # every choice of the eliminated variable
+    g = UniPoly(list(g))
+    for eliminate in (None, *FULL_VARS):
+        assert (_construction_or_error(curve_from_field, g, eliminate)
+                == _construction_or_error(_newton_reference, g, eliminate))
+
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_rationals, min_size=5, max_size=5), st.sampled_from([None, *FULL_VARS]))
+def test_trace_form_construction_matches_newton_reference_on_random_fields(low, eliminate):
+    g = UniPoly(low + [1])
+    assert (_construction_or_error(curve_from_field, g, eliminate)
+            == _construction_or_error(_newton_reference, g, eliminate))
+
+
+def test_construction_errors_name_the_cause():
+    g = UniPoly([F(1, 2), F(3, 7), 0, F(-5, 3), 0, 1])
+    for eliminate in ("b", "d"):
+        with pytest.raises(ValueError) as error:
+            curve_from_field(g, eliminate=eliminate)
+        assert str(error.value) == f"cannot eliminate {eliminate}: zero trace coefficient"
+    reducible = UniPoly([1, 1, 0, 0, 0, 1])
+    with pytest.raises(ValueError) as error:
+        curve_from_field(reducible)
+    assert str(error.value) == f"{reducible} is reducible over Q"
+    with pytest.raises(ValueError, match="need a monic quintic"):
+        curve_from_field(UniPoly([1, 1, 0, 0, 1]))
+
+
 def _general_reference(curve, H):
     """Brute force in Fractions: every live tuple in [-H, H]^4, the eliminated
     coordinate from the trace condition, then normalization, the height bound

@@ -11,7 +11,7 @@ from quintic_trinomials.surface import (SURFACE_FORM, on_surface, recover_t, t_p
                                         eliminate_t_from_curve_forms,
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
 from quintic_trinomials import cli, report, surface
-from quintic_trinomials.curve import CurvePoint, curve_from_t, point_search
+from quintic_trinomials.curve import CurvePoint, T_FORM_QUADRIC, curve_from_t, point_search
 from quintic_trinomials.multipoly import MultiPoly
 
 from test_multipoly import reference_evaluate
@@ -163,14 +163,29 @@ def test_consistency_with_curve():
 
 def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
     # 250 curve samples and 250 line samples; recover_t checks membership itself,
-    # and reads t off the quadric's two t-coefficients at the 200 samples on X
+    # and reads t off the quadric's two t-coefficients from integer tables,
+    # without a MultiPoly evaluation
     calls = []
     evaluate = MultiPoly.evaluate
     monkeypatch.setattr(MultiPoly, "evaluate",
                         lambda self, values: calls.append(self) or evaluate(self, values))
     assert report._c7_surface().passed
-    counts = [sum(form is f for f in calls) for form in (SURFACE_FORM, *surface._T_COEFFICIENTS)]
-    assert counts == [500, 200, 200] and len(calls) == 900
+    assert len(calls) == 500 and all(form is SURFACE_FORM for form in calls)
+
+
+def test_t_parts_match_the_evaluated_quadric_coefficients():
+    # on criterion 7's samples of R1-R5 and of the five lines, t's numerator
+    # and denominator are the quadric's t^0 and t^1 coefficients evaluated
+    # as MultiPolys; all of R4 and R5 lie in the base locus (0/0)
+    forms = [T_FORM_QUADRIC.coefficient_of("t", k) for k in (0, 1)]
+    points = [rational_curve(name, F(k, 3)) for name in CURVE_NAMES for k in range(1, 51)]
+    points += [line_point(name, F(k), F(k + 1)) for name in LINE_NAMES for k in range(1, 51)]
+    base_locus = 0
+    for pt in points:
+        minus_num, den = (form.evaluate(dict(zip("abcd", pt.coords), t=0)) for form in forms)
+        assert t_parts(pt) == (-minus_num, den)
+        base_locus += t_parts(pt) == (0, 0)
+    assert base_locus >= 100
 
 
 @pytest.mark.parametrize("argv, on_curve", [
