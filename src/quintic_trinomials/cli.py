@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact search and verification for quintic trinomials x^5+ax+b")
     parser.add_argument("--config", help="key = value file overriding defaults")
     parser.add_argument("--prime-bound", type=int, dest="prime_bound")
-    parser.add_argument("--jobs", type=int, help="task parallelism (default: cpu count)")
+    parser.add_argument("--jobs", type=int,
+                        help="at most this many worker processes (default: cpu count)")
     parser.add_argument("--output", help="write to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

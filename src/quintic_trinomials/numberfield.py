@@ -1,11 +1,12 @@
 """Arithmetic in quintic number fields K = Q[x]/(g).
 
 Elements are coordinate vectors over the power basis 1, alpha, ...,
-alpha^4; a product is the polynomial product reduced mod g, as in
-`charpoly_mod`.  The characteristic polynomial of the multiplication-by-beta
-map is computed from the traces of the powers of beta by Newton's
-identities; it equals the minimal polynomial of beta whenever beta is
-irrational (degree five is prime, so there are no intermediate fields).
+alpha^4; a product is the polynomial product reduced mod g.  The
+characteristic polynomial of the multiplication-by-beta map is computed
+in integers, from the traces of the powers of an integral multiple of
+beta by Newton's identities (`charpoly_mod`); it equals the minimal
+polynomial of beta whenever beta is irrational (degree five is prime, so
+there are no intermediate fields).
 
 Whether an irreducible quintic f has a root in K is decided at a prime
 (Cohen, "A Course in Computational Algebraic Number Theory", ch. 3-4;
@@ -35,26 +36,42 @@ from .factor import factor_over_Q, frobenius_traces, gf_p2_roots, primes_below, 
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     """Characteristic polynomial of multiplication by the element with given coords.
 
-    Its roots are the conjugates of beta, so its power sums are the
-    traces Tr(beta^m) = sum_i [alpha^i] beta^m * Tr(alpha^i).
+    Computed in integers: theta = d alpha is a root of the monic integer
+    G = `g.integral_rescaling()`, and D beta = sum B_i theta^i with integer
+    B_i for the least such D.  Its roots are the conjugates of beta, so with
+    p_m = Tr((D beta)^m) = sum_i [theta^i] (D beta)^m * Tr(theta^i), every
+    power reduced modulo G, Newton's identities m e_m = sum_i (-1)^(i-1)
+    e_(m-i) p_i give the elementary symmetric functions e_m of the
+    conjugates of D beta, integers as D beta is integral over Z, by exact
+    division; the coefficient of x^(n-m) is (-1)^m e_m / D^m (H. Cohen,
+    GTM 138, section 4.2).
     """
-    traces = g.power_sums(g.degree - 1)
-    beta = UniPoly(coords) % g
-    power = UniPoly.one()
-    psums = [Fraction(g.degree)]
-    for _ in range(g.degree):
-        power = (power * beta) % g
-        psums.append(sum(power[i] * traces[i] for i in range(g.degree)))
-    return _monic_from_power_sums(psums)
-
-
-def _monic_from_power_sums(psums: Sequence[Fraction]) -> UniPoly:
-    """The monic polynomial of degree n whose roots have power sums psums[1..n] (Newton)."""
-    n = len(psums) - 1
-    e = [Fraction(1)]  # elementary symmetric functions of the roots
+    d, G = g.integral_rescaling()
+    n = len(G) - 1
+    scaled = [Fraction(c) / d ** i for i, c in enumerate(coords)]
+    D = math.lcm(*(c.denominator for c in scaled))
+    B = _reduce_monic([c.numerator * (D // c.denominator) for c in scaled], G)
+    # integer power sums Tr(theta^i), i < n, of the monic G (Newton)
+    traces = [n]
+    for m in range(1, n):
+        traces.append(-m * G[n - m] - sum(G[n - i] * traces[m - i] for i in range(1, m)))
+    e, psums, power = [1], [], [1]
     for m in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[m - i] * psums[i] for i in range(1, m + 1)) / m)
-    return UniPoly((-1) ** m * e[m] for m in range(n, -1, -1))
+        power = _reduce_monic(z_mul(power, B), G)
+        psums.append(sum(c * s for c, s in zip(power, traces)))
+        e.append(sum((-1) ** (i - 1) * e[m - i] * psums[i - 1] for i in range(1, m + 1)) // m)
+    return UniPoly(Fraction((-1) ** m * e[m], D ** m) for m in range(n, -1, -1))
+
+
+def _reduce_monic(prod: List[int], G: Sequence[int]) -> List[int]:
+    """The remainder of prod (ascending integer coefficients) modulo the monic
+    integer G, computed in place: x^top = x^(top-n) (x^n - G) mod G."""
+    n = len(G) - 1
+    for top in range(len(prod) - 1, n - 1, -1):
+        c = prod.pop()
+        for j in range(n):
+            prod[top - n + j] -= c * G[j]
+    return prod
 
 
 class NumberField:
@@ -395,15 +412,9 @@ def _vanishes(F: List[int], G: List[int], h: List[int], scale: int) -> bool:
     Horner's rule on scale^n F(h / scale) = sum F_i scale^(n-i) h^i, with
     every product reduced modulo G: an exact evaluation in K.
     """
-    n = len(G) - 1
     acc = [1]
     for i in range(len(F) - 2, -1, -1):
-        prod = z_mul(acc, h)
-        for top in range(len(prod) - 1, n - 1, -1):  # x^top = x^(top-n) (x^n - G) mod G
-            c = prod.pop()
-            for j in range(n):
-                prod[top - n + j] -= c * G[j]
-        acc = prod
+        acc = _reduce_monic(z_mul(acc, h), G)
         acc[0] += F[i] * scale ** (len(F) - 1 - i)
     return not any(acc)
 

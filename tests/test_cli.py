@@ -174,8 +174,11 @@ def _die(*args):
     (("verify", "paper"), report, "j_invariant"),
 ])
 def test_dead_worker_is_an_internal_error(capsys, monkeypatch, argv, module, name):
-    # forked workers inherit the patch and exit at once; the pool breaks
+    # forked workers inherit the patch and exit at once; the pool breaks.  A
+    # height-40 box is too small to pay for workers, so the search is made
+    # to start its pool at any size.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(curve, "_CELLS_PER_WORKER", 1)
     monkeypatch.setattr(module, name, _die)
     code, out, err = run_cli(capsys, "--jobs", "2", *argv)
     assert code == EXIT_INTERNAL

@@ -2,11 +2,15 @@
 
 import functools
 import itertools
+import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,11 +140,65 @@ def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows):
         assert H != 88 or CurvePoint((88, 70, 75, -60)) in expected[0]
 
 
-def test_point_search_parallel_matches_serial():
+@pytest.fixture
+def pooled(monkeypatch):
+    # a box of any size pays for workers, so jobs >= 2 runs the pool path
+    monkeypatch.setattr(curve_module, "_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_point_search_parallel_matches_serial(pooled):
     curve = curve_from_t(T65)
     serial = point_search(curve, 60)
     parallel = point_search(curve, 60, jobs=2)
     assert serial == parallel
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refusing_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that records max_workers and starts nothing."""
+    def pool(*args, max_workers, **kwargs):
+        sizes.append(max_workers)
+        raise _Refused
+    return pool
+
+
+def test_search_below_the_box_threshold_starts_no_pool(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(curve_module, "ProcessPoolExecutor", _refusing_pool(sizes))
+    curve = curve_from_t(T65)
+    assert point_search(curve, 200, jobs=2) == point_search(curve, 200)
+    assert sizes == []
+
+
+def _half_box(H):
+    return (H + 1) * (2 * H + 1) ** 2
+
+
+@pytest.mark.parametrize("jobs, cpus, H, cells_per_worker, workers", [
+    (8, 3, 5, 1, 3),  # the CPU count binds
+    (2, 3, 5, 1, 2),  # jobs binds
+    (8, 3, 1, 1, 2),  # two slices, so two chunks
+    (8, 3, 20, _half_box(20) // 2 + 1, 2),  # the box pays for two workers
+    (8, 3, 20, _half_box(20), 1),  # the box pays for one: no pool
+])
+def test_pool_size_is_the_least_of_jobs_cpus_chunks_and_box(monkeypatch, jobs, cpus, H,
+                                                            cells_per_worker, workers):
+    sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(curve_module, "_CELLS_PER_WORKER", cells_per_worker)
+    monkeypatch.setattr(curve_module, "ProcessPoolExecutor", _refusing_pool(sizes))
+    curve = curve_from_t(T65)
+    if workers == 1:
+        assert point_search(curve, H, jobs=jobs) == point_search(curve, H)
+    else:
+        with pytest.raises(_Refused):
+            point_search(curve, H, jobs=jobs)
+    assert sizes == ([workers] if workers > 1 else [])
 
 
 def test_point_search_python_path_on_large_t():
@@ -177,6 +235,37 @@ def test_search_finds_the_rational_roots_of_the_cubic_on_a_line_of_the_quadric()
     result = point_search(curve, 3)
     assert set(result.points + result.degenerate) == _brute_force_points(curve, 3)
     assert CurvePoint((3, 0, 2, 0)) in result.points
+
+
+# (a + b)^2 and b^3 + c^2 d
+_DOUBLE_PLANE_SPECS = ([(1, {"a": 2}), (2, {"a": 1, "b": 1}), (1, {"b": 2})],
+                       [(1, {"b": 3}), (1, {"c": 2, "d": 1})])
+_DOUBLE_PLANE_SEARCH = f"""
+import json, sys
+from fractions import Fraction
+from quintic_trinomials.curve import CURVE_VARS, TrinomialCurve, point_search
+from quintic_trinomials.multipoly import MultiPoly
+quadric, cubic = (MultiPoly.from_spec(CURVE_VARS, spec) for spec in {_DOUBLE_PLANE_SPECS!r})
+result = point_search(TrinomialCurve(t=Fraction(1), quadric=quadric, cubic=cubic), 4)
+print(json.dumps([pt.coords for pt in result.points + result.degenerate]))
+"""
+
+
+def test_search_of_a_double_plane_quadric_terminates_with_its_points():
+    # the quadric (a + b)^2 has discriminant 0 in a at every cell, one root
+    # a = -b and no content to take square factors from.  The search runs in
+    # a child under a timeout, as a hang would stop the whole test run.
+    src = Path(curve_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _DOUBLE_PLANE_SEARCH], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    found = {CurvePoint(tuple(coords)) for coords in json.loads(proc.stdout)}
+    quadric, cubic = (MultiPoly.from_spec(CURVE_VARS, spec) for spec in _DOUBLE_PLANE_SPECS)
+    curve = TrinomialCurve(t=F(1), quadric=quadric, cubic=cubic)
+    assert found == _brute_force_points(curve, 4) == {
+        CurvePoint(c) for c in ((0, 0, 0, 1), (0, 0, 1, 0), (1, -1, 1, 1), (1, -1, -1, 1))}
 
 
 def test_search_finds_every_point_of_a_line_on_the_curve():
@@ -404,7 +493,7 @@ def _reference_search(curve, H):
     (T65, 12, 1), (F(-3125, 20736), 10, 1), (F(7, 3), 10, 1), (F(-1), 10, 1),
     (F(2 ** 66 + 1, 7), 10, 1), (F(3, 2 ** 44 + 5), 10, 1), (F(2 ** 66 + 1, 7), 8, 2),
 ])
-def test_point_search_matches_fraction_reference(t, H, jobs):
+def test_point_search_matches_fraction_reference(pooled, t, H, jobs):
     curve = curve_from_t(t)
     assert point_search(curve, H, jobs=jobs) == _reference_search(curve, H)
 

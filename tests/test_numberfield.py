@@ -14,8 +14,9 @@ from quintic_trinomials import numberfield
 from quintic_trinomials.numberfield import (NumberField, has_root_in_field, charpoly_mod,
                                             _interpolated_roots, _lifted_roots, _root_bound,
                                             _sqrt_div, _sqrt_horner, _sqrt_mul)
+from quintic_trinomials.curve import curve_from_t, point_search
 
-from trager_oracle import trager_has_root, trager_norm
+from trager_oracle import monic_from_power_sums, trager_has_root, trager_norm
 
 K18 = NumberField(UniPoly([-18, 0, 0, 0, 0, 1]))
 
@@ -183,6 +184,45 @@ def test_charpoly_mod_matches_field_elements():
     for _ in range(5):
         coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
         assert charpoly_mod(g, coords) == field.element(coords).char_poly()
+
+
+def _charpoly_reference(g, coords):
+    """The Fraction computation: traces of the powers of beta mod g, then Newton."""
+    traces = g.power_sums(g.degree - 1)
+    beta = UniPoly(coords) % g
+    power = UniPoly.one()
+    psums = [F(g.degree)]
+    for _ in range(g.degree):
+        power = (power * beta) % g
+        psums.append(sum(power[i] * traces[i] for i in range(g.degree)))
+    return monic_from_power_sums(psums)
+
+
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 24))
+
+
+@settings(max_examples=150, deadline=None)
+@given(low=st.lists(_rationals, min_size=5, max_size=5),
+       coords=st.one_of(st.lists(_rationals, min_size=5, max_size=5),
+                        _rationals.map(lambda q: [q, 0, 0, 0, 0]),
+                        st.just([0, 0, 0, 0, 0])))
+def test_integer_charpoly_matches_the_fraction_reference(low, coords):
+    # monic quintics with rational coefficients: the rescaling d of G = d^5 g(x / d)
+    # exceeds 1 whenever a coefficient has a denominator; random, rational and zero elements
+    g = UniPoly([*low, 1])
+    assert charpoly_mod(g, coords) == _charpoly_reference(g, coords)
+
+
+def test_integer_charpoly_matches_the_fraction_reference_on_the_t65_points():
+    curve = curve_from_t(F(6, 5))
+    points = point_search(curve, 200).points
+    assert len(points) == 5
+    for pt in points:
+        coords = curve.beta_coords(pt)
+        assert charpoly_mod(curve.defining_poly, coords) == _charpoly_reference(
+            curve.defining_poly, coords)
+    # x^5 + 6/5 x + 6/5 rescales with d = 5: theta = 5 alpha
+    assert curve.defining_poly.integral_rescaling()[0] == 5
 
 
 def test_certification_roundtrip_on_random_fields():
