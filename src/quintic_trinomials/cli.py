@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qpoly import (UniPoly, discriminant, format_rational, parse_rational,
-                    poly_to_strings)
+from .qpoly import UniPoly, format_rational, parse_rational, poly_to_strings
 from .factor import factor_over_Q
 from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc,

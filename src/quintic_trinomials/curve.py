@@ -389,7 +389,7 @@ class _SearchForms:
     checks: Tuple[_Table, ...]
 
 
-def _cleared_table(form: MultiPoly, order: Sequence[str]) -> _Table:
+def cleared_table(form: MultiPoly, order: Sequence[str]) -> _Table:
     """The form times the lcm of its denominators, with exponents over the
     variables `order` (any other variable of the form must not occur)."""
     scale = math.lcm(*(c.denominator for c in form.terms.values()))
@@ -472,7 +472,7 @@ def _search_forms(curve) -> _SearchForms:
     if solve is None:
         raise ValueError("quadric involves no live variable")
     order = (solve, *(n for n in live if n != solve))
-    rest, linear, square = _split_by_v(_cleared_table(curve.quadric, order), 2)
+    rest, linear, square = _split_by_v(cleared_table(curve.quadric, order), 2)
     lead = next((k for e, k in square if not any(e)), 0)
     # disc = linear^2 - 4 lead rest, in integers
     terms: Dict[Tuple[int, ...], int] = {}
@@ -497,16 +497,17 @@ def _search_forms(curve) -> _SearchForms:
     weights = {names[e.index(1)]: int(c * den) for e, c in expr.terms.items()}
     coordinate_map = tuple(
         tuple(den * (n == m) if n in order else weights.get(m, 0) for m in order) for n in names)
-    cubic_in_v = _split_by_v(_cleared_table(curve.cubic, order), 3)
+    cubic_in_v = _split_by_v(cleared_table(curve.cubic, order), 3)
     return _SearchForms(
         lead=lead, linear=linear, rest=rest,
         disc=tuple((e, k // root_scale ** 2) for e, k in disc), root_scale=root_scale,
         cubic_in_v=cubic_in_v, resultant=_resultant(lead, linear, rest, cubic_in_v),
         coordinate_map=coordinate_map,
-        checks=tuple(_cleared_table(f, names) for f in checks))
+        checks=tuple(cleared_table(f, names) for f in checks))
 
 
-def _form_value(table: _Table, coords) -> int:
+def form_value(table: _Table, coords) -> int:
+    """The value of an integer table at integer coordinates."""
     total = 0
     for exps, k in table:
         for x, e in zip(coords, exps):
@@ -580,7 +581,7 @@ def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> 
     """Map live integer coordinates to the output, normalize, and check exactly."""
     pt = CurvePoint.from_integers(
         [sum(k * w for k, w in zip(row, live)) for row in forms.coordinate_map])
-    if pt.height <= height_bound and not any(_form_value(t, pt.coords) for t in forms.checks):
+    if pt.height <= height_bound and not any(form_value(t, pt.coords) for t in forms.checks):
         out.add(pt)
 
 
@@ -596,9 +597,9 @@ def _confirm(forms: _SearchForms, height_bound: int, cell, out: set) -> None:
     """
     H = height_bound
     live = (0, *cell)
-    lin = _form_value(forms.linear, live)
+    lin = form_value(forms.linear, live)
     if forms.lead:
-        disc = _form_value(forms.disc, live)
+        disc = form_value(forms.disc, live)
         s = math.isqrt(max(disc, 0))
         if s * s == disc:
             scale = 2 * forms.lead
@@ -606,13 +607,13 @@ def _confirm(forms: _SearchForms, height_bound: int, cell, out: set) -> None:
             for v in {s - lin, -s - lin}:
                 _add_if_on_curve(forms, H, (v, *(scale * w for w in cell)), out)
         return
-    rest = _form_value(forms.rest, live)
+    rest = form_value(forms.rest, live)
     if lin:
         _add_if_on_curve(forms, H, (-rest, *(lin * w for w in cell)), out)
         return
     if rest:
         return
-    cubic = UniPoly([_form_value(table, live) for table in forms.cubic_in_v])
+    cubic = UniPoly([form_value(table, live) for table in forms.cubic_in_v])
     if cubic.is_zero:
         candidates = [(p, q) for q in range(1, H // max(map(abs, cell)) + 1)
                       for p in range(-H, H + 1) if math.gcd(p, q) == 1]

@@ -4,9 +4,9 @@ The rational factorization pipeline is the classical small-degree route:
 clear denominators, take the squarefree decomposition, lift a modular
 factorization past the Landau-Mignotte coefficient bound, and recombine
 the lifted factors by subset search.  The library factors quintics, so
-the subset search stays cheap and no lattice machinery is involved.  A
-squarefreeness proof modulo a small prime skips the rational gcd of the
-squarefree decomposition.
+the subset search stays cheap and no lattice machinery is involved.  The
+integer discriminant is the one squarefree test: a nonzero one skips the
+rational gcds of the squarefree split, and good primes do not divide it.
 
 Everything modulo p starts from the Frobenius matrix of f: its rows are
 x^(ip) mod f, built from one x^p mod f.  Distinct-degree splitting gets
@@ -40,7 +40,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .qpoly import UniPoly
+from .qpoly import UniPoly, discriminant, integer_discriminant
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -519,7 +519,7 @@ def cycle_types(ints: Sequence[int], primes: Sequence[int]) -> List[Tuple[int, .
     """`cycle_type_mod_p` of a monic integer polynomial at each prime, where it is squarefree.
 
     Primes p <= deg are factored one at a time; the rest go, in blocks of
-    at most 256, to the batched Frobenius-trace kernel, which needs p > deg.
+    at most 256, to the batched Frobenius-trace kernel.
     """
     n = len(ints) - 1
     large = [p for p in primes if p > n]
@@ -622,20 +622,20 @@ def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
     n = len(ints) - 1
     if n == 1:
         return [ints]
-    # among the first few good odd primes, lift at the one with the fewest
-    # factors, counted from the distinct-degree split; one factor proves
+    # among the first few good odd primes, where the monic ints stay squarefree
+    # as they do not divide disc, lift at the one with the fewest factors,
+    # counted from the distinct-degree split; one factor proves
     # irreducibility, and only the chosen prime's parts are split further
+    disc = integer_discriminant(ints)
     candidates = []
     p = 3
     while len(candidates) < 5:
-        if is_prime(p):
-            fbar = [c % p for c in ints]
-            if _gf_is_squarefree(fbar, p):
-                parts = _distinct_degree(fbar, p)
-                count = sum((len(part) - 1) // d for part, d in parts)
-                if count == 1:
-                    return [ints]
-                candidates.append((count, p, parts))
+        if disc % p and is_prime(p):
+            parts = _distinct_degree([c % p for c in ints], p)
+            count = sum((len(part) - 1) // d for part, d in parts)
+            if count == 1:
+                return [ints]
+            candidates.append((count, p, parts))
         p += 2
     _, p, parts = min(candidates, key=lambda c: c[:2])
     rng = random.Random(_EDF_SEED)
@@ -704,15 +704,9 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-def _squarefree_mod_small_prime(ints: Sequence[int]) -> bool:
-    """Squarefree modulo a small prime not dividing the lc, hence squarefree over Q."""
-    return any(ints[-1] % p and _gf_is_squarefree([c % p for c in ints], p)
-               for p in _SMALL_PRIMES)
-
-
 def _yun_squarefree(f: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Yun decomposition of monic f: [(squarefree factor, multiplicity)]."""
-    if _squarefree_mod_small_prime(f.content_and_primitive()[1]):
+    """Yun decomposition of monic f: [(squarefree factor, multiplicity)], no gcd if disc f != 0."""
+    if discriminant(f):
         return [(f, 1)]
     fp = f.derivative()
     a0 = f.gcd(fp)

@@ -17,7 +17,7 @@ split prime of an S5 field has 1/120), the roots of f in K are
 interpolated p-adically under a proven bound and verified exactly
 (`_decide_at_prime`); when none verifies, "absent" is proven.  Of several
 roots (K cyclic) the one of least height is returned, ties broken by
-coordinates.
+coordinates.  K's signature, rescaling G and disc(G) are computed once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qpoly import UniPoly, count_real_roots, discriminant, format_terms
+from .qpoly import UniPoly, count_real_roots, format_terms, integer_discriminant
 from .factor import factor_over_Q, frobenius_traces, gf_p2_roots, primes_below, z_mul
 
 
@@ -110,6 +110,12 @@ class NumberField:
         """(real embeddings, conjugate pairs), counted once per field."""
         r = count_real_roots(self.defining_poly)
         return r, (5 - r) // 2
+
+    @functools.cached_property
+    def integral_model(self) -> Tuple[int, List[int], int]:
+        """(e, G, disc(G)), G = e^5 g(x / e) the monic integral rescaling, once per field."""
+        e, G = self.defining_poly.integral_rescaling()
+        return e, G, integer_discriminant(G)
 
 
 class FieldElement:
@@ -261,13 +267,13 @@ def _root_of_irreducible(f: UniPoly, K: NumberField) -> RootSearchResult:
     return _decide_at_prime(f, K)
 
 
-def _prime_blocks(bad: int):
-    """Ascending primes p > 5 not dividing bad, in lists of 8, 16, ..., 256, 256, ...
+def _prime_blocks(bad: int, degree: int):
+    """Ascending primes p > degree not dividing bad, in lists of 8, 16, ..., 256, 256, ...
 
     Most decisions need a few primes; naming an S5 field's split prime takes about 120.
     """
     primes = (p for e in itertools.count(3) for p in primes_below(1 << e)
-              if p > 5 and p >= 1 << e - 1 and bad % p)
+              if p > degree and p >= 1 << e - 1 and bad % p)
     for size in itertools.chain((8, 16, 32, 64, 128), itertools.repeat(256)):
         yield list(itertools.islice(primes, size))
 
@@ -283,11 +289,9 @@ def _decide_at_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
     first prime where the root counts differ, or else where G splits.
     """
     d, F = f.integral_rescaling()
-    e, G = K.defining_poly.integral_rescaling()
-    disc_g = int(discriminant(UniPoly(G)))
-    bad = int(discriminant(UniPoly(F))) * disc_g
+    e, G, disc_g = K.integral_model
     roots = None
-    for block in _prime_blocks(bad):
+    for block in _prime_blocks(integer_discriminant(F) * disc_g, len(F) - 1):
         traces = frobenius_traces([F, G], block, 2).tolist()
         for p, (f1, f2), (g1, g2) in zip(block, *traces):
             if f1 != g1:

@@ -2,8 +2,11 @@
 
 Coefficients are `fractions.Fraction` stored in ascending degree order;
 the zero polynomial has an empty coefficient tuple.  Everything here is
-exact: resultants and discriminants come from a polynomial remainder
-sequence, real-root counting from Sturm chains.
+exact.  Resultants, discriminants and real-root counts clear denominators
+once and run a remainder sequence in Python integers: the subresultant
+sequence for the first two (G. E. Collins, J. ACM 14, 1967; H. Cohen,
+GTM 138, section 3.3), a primitive pseudo-remainder Sturm sequence for
+the count.
 """
 
 from __future__ import annotations
@@ -209,21 +212,6 @@ class UniPoly:
 
     # -- integer normal forms ------------------------------------------------
 
-    def content_and_primitive(self):
-        """Write p = content * P with P primitive in Z[x] and lc(P) > 0.
-
-        Returns (content: Fraction, primitive integer coefficient list).
-        Zero polynomial yields (0, []).
-        """
-        if self.is_zero:
-            return Fraction(0), []
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*(abs(v) for v in ints))
-        sign = -1 if ints[-1] < 0 else 1
-        ints = [v // (sign * g) for v in ints]
-        return Fraction(sign * g, den), ints
-
     def integral_rescaling(self) -> Tuple[int, list]:
         """(d, coefficients of d^n q(x / d)), q = p / lc(p) of degree n: a monic integer polynomial.
 
@@ -243,7 +231,7 @@ class UniPoly:
     def from_int_coeffs(ints: Sequence[int]) -> "UniPoly":
         return UniPoly(Fraction(v) for v in ints)
 
-    # -- gcd, resultants, Sturm ------------------------------------------------
+    # -- gcd --------------------------------------------------------------------
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd over Q."""
@@ -251,12 +239,6 @@ class UniPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def squarefree_part(self) -> "UniPoly":
-        """Monic product of the distinct irreducible factors."""
-        if self.degree < 1:
-            return self.monic()
-        return (self // self.gcd(self.derivative())).monic()
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
@@ -289,70 +271,99 @@ def format_terms(terms: Iterable[Tuple[Fraction, str]]) -> str:
     return " ".join(parts) or "0"
 
 
+def _cleared(p: UniPoly) -> Tuple[int, list]:
+    """(D, coefficients of D p): the least D > 0 that makes p integral."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _prem(a: list, b: list) -> list:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in Z[x], deg a >= deg b >= 0."""
+    a, lead, db = a[:], b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        top = a.pop()
+        a = [lead * c for c in a]
+        for j in range(db):
+            a[k + j] -= top * b[j]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _int_resultant(a: list, b: list) -> int:
+    """Res(a, b) of nonzero integer polynomials by the subresultant PRS (H. Cohen, GTM 138,
+    Alg. 3.3.7; G. E. Collins, J. ACM 14, 1967): every division in it is exact."""
+    if len(a) < len(b):
+        return (-1) ** ((len(a) - 1) * (len(b) - 1)) * _int_resultant(b, a)
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
+    sign, g, h = 1, 1, 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return 0
+        a, b = b, [c // (g * h ** delta) for c in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    return sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2)
+
+
 def resultant(p: UniPoly, q: UniPoly) -> Fraction:
     """Res(p, q); zero exactly when p and q share a complex root.
 
-    Euclidean remainder sequence with the standard transformation rules,
-    exact over Q.
+    Res(D p, E q) = D^deg q E^deg p Res(p, q) for the integral D p and E q.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("resultant of two zero polynomials is undefined")
     if p.is_zero or q.is_zero:
         return Fraction(0)
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.lc ** n
-    if n == 0:
-        return q.lc ** m
-    if m < n:
-        return (-1) ** (m * n) * resultant(q, p)
-    r = p % q
-    if r.is_zero:
-        return Fraction(0)
-    return (-1) ** (m * n) * q.lc ** (m - r.degree) * resultant(q, r)
+    (d, a), (e, b) = _cleared(p), _cleared(q)
+    return Fraction(_int_resultant(a, b), d ** q.degree * e ** p.degree)
+
+
+def integer_discriminant(ints: Sequence[int]) -> int:
+    """disc P = (-1)^(n(n-1)/2) Res(P, P') / lc(P) of the integer P = sum ints[i] x^i, n >= 1."""
+    n = len(ints) - 1
+    res = _int_resultant(list(ints), [i * c for i, c in enumerate(ints)][1:])
+    return (-1) ** (n * (n - 1) // 2) * res // ints[-1]
 
 
 def discriminant(p: UniPoly) -> Fraction:
-    """disc(p) = (-1)^(n(n-1)/2) Res(p, p') / lc(p); zero iff p has a repeated root."""
+    """disc(p), zero iff p has a repeated root: disc(D p) / D^(2n-2) for the integral D p."""
     n = p.degree
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lc
+    d, ints = _cleared(p)
+    return Fraction(integer_discriminant(ints), d ** (2 * n - 2))
 
 
 def _sign_variations(values) -> int:
-    count = 0
-    prev = 0
-    for v in values:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def sturm_chain(p: UniPoly):
-    """Sturm sequence of the squarefree part of p."""
-    f = p.squarefree_part()
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots of p (exact, via Sturm)."""
+    """Number of distinct real roots of p (exact, via Sturm).
+
+    The Sturm sequence of p and p' counts distinct roots also when one
+    repeats.  It runs on the integer D p as a primitive pseudo-remainder
+    sequence: a pseudo-remainder of b is lc(b)^(delta+1) times the
+    remainder, so it is negated once more where that multiplier is negative.
+    """
     if p.degree < 1:
         return 0
-    chain = sturm_chain(p)
-    at_minus_inf = _sign_variations(
-        [(-1) ** f.degree * f.lc for f in chain])
-    at_plus_inf = _sign_variations([f.lc for f in chain])
-    return at_minus_inf - at_plus_inf
+    a = _cleared(p)[1]
+    chain = [a, [i * c for i, c in enumerate(a)][1:]]
+    while len(chain[-1]) > 1 and (r := _prem(*chain[-2:])):
+        a, b = chain[-2:]
+        sign = 1 if b[-1] < 0 and (len(a) - len(b)) % 2 == 0 else -1
+        content = math.gcd(*r)
+        chain.append([sign * c // content for c in r])
+    at_minus_inf = _sign_variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
+    return at_minus_inf - _sign_variations([c[-1] for c in chain])
 
 
 def is_rational_square(x: Fraction) -> bool:

@@ -28,7 +28,6 @@ from functools import partial
 from typing import List
 
 from .qpoly import UniPoly, discriminant, format_rational
-from .factor import fifth_power_class
 from .numberfield import NumberField, has_root_in_field
 from .trinomial import (Trinomial, equiv_class, trinomial_disc, weber_family,
                         dihedral_family, two_trinomial_family, EquivClass,

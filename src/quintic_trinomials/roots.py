@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import mpmath
 
-from .qpoly import UniPoly, count_real_roots
+from .qpoly import UniPoly, count_real_roots, discriminant
 
 
 class PrecisionExhausted(Exception):
@@ -182,7 +182,7 @@ def complex_roots(p: UniPoly, precision_bits: int = 128) -> List[ComplexBall]:
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    if p.gcd(p.derivative()).degree > 0:
+    if not discriminant(p):
         raise ValueError("polynomial must be squarefree")
     monic = p.monic()
     n = monic.degree

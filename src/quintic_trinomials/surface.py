@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 from .multipoly import MultiPoly, resultant_in
 from .curve import (CURVE_VARS, CurvePoint, T_EXCLUDED, T_FORM_CUBIC, T_FORM_QUADRIC,
-                    curve_from_t)
+                    cleared_table, curve_from_t, form_value)
 
 SURFACE_VARS = CURVE_VARS
 
@@ -62,22 +62,12 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
     (2000, {"b": 2, "c": 3, "d": 1}),
 ])
 
+_SEXTIC = cleared_table(SURFACE_FORM, SURFACE_VARS)
+
 # the quadric is den*t - num, so t = num/den at a point of the surface;
-# its t^0 and t^1 coefficients as integer tables of (exponents of
-# (a, b, c, d), coefficient)
-_T_COEFFICIENTS = tuple(tuple((e[:4], int(c)) for e, c in T_FORM_QUADRIC.terms.items() if e[4] == k)
+# its t^0 and t^1 coefficients as integer tables over (a, b, c, d)
+_T_COEFFICIENTS = tuple(cleared_table(T_FORM_QUADRIC.coefficient_of("t", k), CURVE_VARS)
                         for k in (0, 1))
-
-
-def _value(table, coords) -> int:
-    """An integer table at integer coordinates."""
-    total = 0
-    for exps, k in table:
-        for x, e in zip(coords, exps):
-            if e:
-                k *= x ** e
-        total += k
-    return total
 
 
 def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
@@ -88,7 +78,7 @@ def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
 
 def on_surface(point: CurvePoint) -> bool:
     """Exact evaluation of the sextic form."""
-    return SURFACE_FORM.evaluate(dict(zip(SURFACE_VARS, _coordinates(point)))) == 0
+    return form_value(_SEXTIC, _coordinates(point)) == 0
 
 
 def t_parts(point: CurvePoint) -> Tuple[int, int]:
@@ -98,7 +88,7 @@ def t_parts(point: CurvePoint) -> Tuple[int, int]:
     t is 0/0 and no single value is attached to the point.
     """
     coords = _coordinates(point)
-    minus_num, den = (_value(table, coords) for table in _T_COEFFICIENTS)
+    minus_num, den = (form_value(table, coords) for table in _T_COEFFICIENTS)
     return -minus_num, den
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .qpoly import UniPoly, discriminant, is_rational_square, format_rational
+from .qpoly import UniPoly, is_rational_square, format_rational
 from .factor import cycle_types, factor_over_Q, fifth_power_class, primes_below
 
 

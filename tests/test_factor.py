@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quintic_trinomials.qpoly import UniPoly, discriminant
+from quintic_trinomials.qpoly import UniPoly, discriminant, integer_discriminant
 from quintic_trinomials import factor
 from quintic_trinomials.factor import (factor_over_Q, is_irreducible, factor_int,
                                        fifth_power_class, cycle_type_mod_p, factor_mod_p,
                                        is_prime, primes_below)
+from qpoly_reference import content_and_primitive
 from trager_oracle import trager_norm
 
 
@@ -76,6 +77,8 @@ def test_random_products_multiply_back():
 
 
 def test_squarefree_shortcut_matches_yun(monkeypatch):
+    # a nonzero discriminant skips Yun's rational gcds exactly when no factor
+    # repeats, and mod p it is the squarefree test of the Hensel-prime scan
     rng = random.Random(22)
     pool = [UniPoly([1, 1]), UniPoly([-2, 1]), UniPoly([1, 0, 1]), UniPoly([3, 1, 1]),
             UniPoly([-2, 0, 1]), UniPoly([1, -1, 0, 1]), UniPoly([2, 0, 0, 0, 0, 1]),
@@ -88,9 +91,12 @@ def test_squarefree_shortcut_matches_yun(monkeypatch):
         polys.append(p)
     with_shortcut = [factor_over_Q(p) for p in polys]
     for p, fac in zip(polys, with_shortcut):
-        if any(m > 1 for _, m in fac.factors):
-            assert not factor._squarefree_mod_small_prime(p.content_and_primitive()[1])
-    monkeypatch.setattr(factor, "_squarefree_mod_small_prime", lambda ints: False)
+        assert (discriminant(p) == 0) == any(m > 1 for _, m in fac.factors)
+        _, ints = p.integral_rescaling()
+        disc = integer_discriminant(ints)
+        assert [q for q in primes_below(60) if disc % q] == [
+            q for q in primes_below(60) if factor._gf_is_squarefree([c % q for c in ints], q)]
+    monkeypatch.setattr(factor, "discriminant", lambda f: 0)
     assert [factor_over_Q(p) for p in polys] == with_shortcut
 
 
@@ -385,7 +391,7 @@ def _sympy_factors(poly):
 
 
 def _our_factors(poly):
-    return {(tuple(f.content_and_primitive()[1]), m) for f, m in factor_over_Q(poly).factors}
+    return {(tuple(content_and_primitive(f)[1]), m) for f, m in factor_over_Q(poly).factors}
 
 
 def test_factor_over_Q_matches_sympy_on_random_products():

@@ -1,15 +1,16 @@
 """Exact polynomial layer: resultants, discriminants, Sturm counting.
 
-The resultant implementation (remainder sequence) is checked against an
-independent Sylvester-matrix determinant oracle and against sympy's
-resultant.
+The integer resultant (subresultant sequence) is checked against an
+independent Sylvester-matrix determinant oracle, against sympy's
+resultant, and with the discriminant and the Sturm count against the
+Fraction Euclidean sequences kept in `qpoly_reference`.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import (UniPoly, resultant, discriminant,
                                       count_real_roots, is_rational_square,
@@ -17,6 +18,8 @@ from quintic_trinomials.qpoly import (UniPoly, resultant, discriminant,
                                       poly_to_strings)
 from quintic_trinomials.factor import factor_int, factor_over_Q
 from quintic_trinomials import cli
+from qpoly_reference import (count_real_roots_reference, discriminant_reference,
+                             resultant_reference, squarefree_part)
 
 
 def exact_det(rows):
@@ -150,7 +153,7 @@ def test_division_and_gcd():
     quo, rem = divmod(f, g)
     assert rem.is_zero and quo == UniPoly([2, 1])
     assert f.gcd(UniPoly([-1, 0, 1])) == UniPoly([1, 1])
-    assert (f * g).squarefree_part() == f.monic()
+    assert squarefree_part(f * g) == f.monic()
 
 
 def test_power_sums_match_roots():
@@ -264,3 +267,55 @@ def test_str_prints_signs_units_and_zero():
     assert str(UniPoly([0, F(-7, 4)])) == "-7/4*x"
     assert str(UniPoly([-3])) == "-3"
     assert str(UniPoly.zero()) == "0"
+
+
+# half of the coefficients zero: sparse polynomials make remainder sequences
+# skip degrees, where the signs and divisors of the integer sequences differ
+_SMALL_COEFFS = st.just(F(0)) | st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 7]))
+_LEADS = st.builds(F, st.integers(1, 30) | st.integers(-30, -1), st.sampled_from([1, 2, 5]))
+
+
+def _poly_of_degree(low, high):
+    return st.builds(lambda cs, lead: UniPoly(cs + [lead]),
+                     st.lists(_SMALL_COEFFS, min_size=low, max_size=high), _LEADS)
+
+
+@st.composite
+def _with_repeated_factors(draw):
+    """Degree 1..8, a leading coefficient of either sign; half of them q^k r with k = 2 or 3."""
+    if draw(st.booleans()):
+        return draw(_poly_of_degree(1, 8))
+    k, q = draw(st.integers(2, 3)), draw(_poly_of_degree(1, 2))
+    return q ** k * draw(_poly_of_degree(0, 8 - k * q.degree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_with_repeated_factors(), _with_repeated_factors(), st.sampled_from([1, -1, F(-2, 3)]))
+# the Sturm sequence of x^4 + x drops from degree 3 to 1, and the next
+# multiplier lc^3 is negative; the subresultant sequence of x^7 and
+# x^6 + 2x^5 + 1 drops from degree 5 to 2, where h = g^3 / h^2 divides by 16
+@example(UniPoly([0, 1, 0, 0, 1]), UniPoly([1, 1]), 1)
+@example(UniPoly([0, 0, 0, 0, 0, 0, 0, 1]), UniPoly([1, 0, 0, 0, 0, 2, 1]), 1)
+def test_integer_sequences_match_the_fraction_references(p, q, scale):
+    p = p * scale
+    assert resultant(p, q) == resultant_reference(p, q)
+    assert resultant(q, p) == resultant_reference(q, p)
+    assert resultant(p, p.derivative() * scale) == resultant_reference(p, p.derivative() * scale)
+    assert discriminant(p) == discriminant_reference(p)
+    assert count_real_roots(p) == count_real_roots_reference(p)
+    assert count_real_roots(-p) == count_real_roots(p)
+
+
+def test_integer_sequences_raise_like_the_references():
+    zero, c = UniPoly.zero(), UniPoly([F(-3, 2)])
+    for fn in (resultant, resultant_reference):
+        with pytest.raises(ValueError, match="two zero polynomials"):
+            fn(zero, zero)
+        assert fn(zero, c) == fn(c, zero) == 0
+    for fn in (discriminant, discriminant_reference):
+        for p in (zero, c):
+            with pytest.raises(ValueError, match="degree >= 1"):
+                fn(p)
+    assert count_real_roots(zero) == count_real_roots(c) == count_real_roots_reference(c) == 0
+    assert resultant(c, UniPoly([1, 2, 3])) == resultant_reference(c, UniPoly([1, 2, 3])) == F(9, 4)
+    assert resultant(c, c) == resultant_reference(c, c) == 1

@@ -163,14 +163,20 @@ def test_consistency_with_curve():
 
 def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
     # 250 curve samples and 250 line samples; recover_t checks membership itself,
-    # and reads t off the quadric's two t-coefficients from integer tables,
-    # without a MultiPoly evaluation
-    calls = []
-    evaluate = MultiPoly.evaluate
-    monkeypatch.setattr(MultiPoly, "evaluate",
-                        lambda self, values: calls.append(self) or evaluate(self, values))
+    # and reads t off the quadric's two t-coefficients; every form is an integer
+    # table evaluated by `form_value`, none a MultiPoly evaluation
+    sextic, evaluations = [], []
+    form_value = surface.form_value
+
+    def spy(table, coords):
+        (sextic if table is surface._SEXTIC else evaluations).append(coords)
+        return form_value(table, coords)
+
+    monkeypatch.setattr(surface, "form_value", spy)
+    monkeypatch.setattr(MultiPoly, "evaluate", lambda self, values: evaluations.append(self))
     assert report._c7_surface().passed
-    assert len(calls) == 500 and all(form is SURFACE_FORM for form in calls)
+    assert len(sextic) == 500
+    assert len(evaluations) == 2 * 200  # the t^0 and t^1 tables at the four lines with a t
 
 
 def test_t_parts_match_the_evaluated_quadric_coefficients():
@@ -194,13 +200,13 @@ def test_t_parts_match_the_evaluated_quadric_coefficients():
     (("check", "--point", "1,1,1,1"), False),  # off the surface
 ])
 def test_surface_command_evaluates_the_sextic_once(monkeypatch, capsys, argv, on_curve):
-    calls = []
-    evaluate = MultiPoly.evaluate
-    monkeypatch.setattr(MultiPoly, "evaluate",
-                        lambda self, values: calls.append(self) or evaluate(self, values))
+    tables = []
+    form_value = surface.form_value
+    monkeypatch.setattr(surface, "form_value",
+                        lambda table, coords: tables.append(table) or form_value(table, coords))
     assert cli.main(["surface", *argv]) == 0
     assert ("on_curve" in json.loads(capsys.readouterr().out)) == on_curve
-    assert [form is SURFACE_FORM for form in calls].count(True) == 1
+    assert [table is surface._SEXTIC for table in tables].count(True) == 1
 
 
 def test_t_zero_line_is_degenerate_for_consistency():

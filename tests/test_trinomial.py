@@ -14,6 +14,7 @@ from quintic_trinomials.trinomial import (Trinomial, ScaledTrinomial, EquivClass
                                           trinomial_disc, galois_type_heuristic, GaloisEvidence,
                                           weber_family, dihedral_family,
                                           sw2_family, two_trinomial_family)
+from qpoly_reference import content_and_primitive
 
 
 def test_equiv_class_kinds():
@@ -99,7 +100,7 @@ def test_galois_heuristic_generic_s5():
 def _reference_evidence(f, prime_bound):
     """The per-prime loop over every good prime, kept as the oracle of the batched kernel."""
     disc = trinomial_disc(f)
-    _, ints = f.as_unipoly().content_and_primitive()
+    _, ints = content_and_primitive(f.as_unipoly())
     observed = set()
     used = 0
     for p in primes_below(prime_bound):

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from quintic_trinomials.factor import factor_over_Q
 from quintic_trinomials.qpoly import UniPoly
+from qpoly_reference import squarefree_part
 
 
 def monic_from_power_sums(psums):
@@ -37,7 +38,7 @@ def trager_norm(f, g, k):
 
 def trager_has_root(f, g):
     """Whether f has a root in Q[x]/(g), by the first k = 1, 2, ... with N_k squarefree."""
-    f = f.squarefree_part().monic()
+    f = squarefree_part(f)
     k = 1
     while True:
         fac = factor_over_Q(trager_norm(f, g.monic(), k))
