@@ -15,8 +15,8 @@ and since Tr(beta) = 0 the x^3 and x^2 coefficients of the
 characteristic polynomial are -Tr(beta^2)/2 and -Tr(beta^3)/3 (Newton's
 identities; H. Cohen, GTM 138, section 4.2).  Each monomial's coefficient
 is a trace of a product of two or three gamma_i, a sum of 4 or 8
-products of power sums, computed in integers after scaling the s_n to
-a common denominator.  The t-form constructor instead stores a cubic
+products of power sums, computed in integers from the power sums of the
+monic integral rescaling of g.  The t-form constructor instead stores a cubic
 already reduced by a multiple of the quadric (same ideal, fewer monomials).
 
 Point search is one engine for both kinds of curve.  One live variable
@@ -57,7 +57,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qpoly import UniPoly
+from .qpoly import UniPoly, integer_power_sums
 from .factor import factor_over_Q
 from .multipoly import MultiPoly
 from .numberfield import NumberField, FieldElement, charpoly_mod
@@ -145,9 +145,7 @@ class TrinomialCurve:
         return (a, b, c, d, self.e_coordinate(a))
 
     def contains(self, point: CurvePoint) -> bool:
-        values = dict(zip(CURVE_VARS, (Fraction(v) for v in point.coords)))
-        return (self.quadric.evaluate(values) == 0
-                and self.cubic.evaluate(values) == 0)
+        return _forms_vanish((self.quadric, self.cubic), point.coords)
 
 
 def curve_from_t(t: Fraction) -> TrinomialCurve:
@@ -196,17 +194,21 @@ class GeneralCurve:
     def field(self) -> NumberField:
         return NumberField(self.g)
 
-    def full_coords(self, live_values: Dict[str, Fraction]) -> Tuple[Fraction, ...]:
-        values = dict(live_values)
-        values[self.eliminated] = self.elimination_expr.evaluate(
-            {**values, self.eliminated: Fraction(0)})
-        return tuple(values[v] for v in FULL_VARS)
-
     def contains(self, coords: Sequence[Fraction]) -> bool:
-        values = dict(zip(FULL_VARS, (Fraction(v) for v in coords)))
-        return (self.linear.evaluate(values) == 0
-                and self.quadric.evaluate(values) == 0
-                and self.cubic.evaluate(values) == 0)
+        return _forms_vanish((self.linear, self.quadric, self.cubic), coords)
+
+
+def _forms_vanish(forms: Sequence[MultiPoly], coords: Sequence[Fraction]) -> bool:
+    """Whether the homogeneous forms all vanish at the coordinates, one per
+    variable: rational ones are scaled to integers by the lcm of their
+    denominators, and each form is checked as its integer table."""
+    if len(coords) != len(forms[0].vars):
+        raise ValueError(f"need {len(forms[0].vars)} coordinates, got {len(coords)}")
+    if not all(isinstance(v, int) for v in coords):
+        values = [Fraction(v) for v in coords]
+        den = math.lcm(*(v.denominator for v in values))
+        coords = [v.numerator * (den // v.denominator) for v in values]
+    return not any(form_value(cleared_table(f, f.vars), coords) for f in forms)
 
 
 def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurve:
@@ -217,14 +219,16 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
     variable; x^5+tx+t fields therefore eliminate the alpha^4 coordinate
     whenever |4t| >= 5.
 
-    With s_n = Tr(alpha^n) scaled to integers S_n = L s_n (L the lcm of
-    their denominators) and x_k the eliminated coordinate, the trace
-    hyperplane gives S_k beta = sum x_i gamma_i over the live i, with
+    With s_n = Tr(alpha^n) = T_n / d^n, T_n = Tr(theta^n) for the root
+    theta = d alpha of the monic integer G = d^5 g(x / d), scaled to
+    integers S_n = L s_n = T_n d^(12 - n) with L = d^12 (n <= 12), and x_k
+    the eliminated coordinate, the trace hyperplane gives
+    S_k beta = sum x_i gamma_i over the live i, with
     gamma_i = S_k alpha^i - S_i alpha^k.  The x^3 and x^2 conditions are
     -Tr(beta^n)/n for n = 2, 3: the monomial prod_I x_i (I a multiset of
     n live indices, c its multinomial count) has the coefficient
     c T_I / (-n S_k^n L), where T_I = L Tr(prod_I gamma_i) is an integer
-    sum of 2^n products of the S_m.
+    sum of 2^n products of the S_m; it does not depend on the choice of L.
     """
     if g.degree != 5 or g.lc != 1:
         raise ValueError("need a monic quintic")
@@ -232,7 +236,9 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
         raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
-    sums = g.power_sums(12)
+    d, G = g.integral_rescaling()
+    traces = integer_power_sums(G, 12)
+    sums = [Fraction(t, d ** m) for m, t in enumerate(traces[:5])]
     # linear = -Tr(beta) = -sum s_i x_i
     coeffs = {name: -s for name, s in zip(FULL_VARS, sums)}
     if eliminate is None:
@@ -245,8 +251,8 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
     linear = MultiPoly(FULL_VARS, {units[i]: -s for i, s in enumerate(sums[:5])})
     # x_k = -sum s_i x_i / s_k over the live i
     expr = MultiPoly(FULL_VARS, {units[i]: -sums[i] / sums[k] for i in range(5) if i != k})
-    scale = math.lcm(*(s.denominator for s in sums))
-    S = [s.numerator * (scale // s.denominator) for s in sums]
+    scale = d ** 12
+    S = [t * d ** (12 - m) for m, t in enumerate(traces)]
     # gamma_i as its two (coefficient, power of alpha) terms
     gamma = {i: ((S[k], i), (-S[i], k)) for i in range(5) if i != k}
     forms = []

@@ -40,7 +40,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .qpoly import UniPoly, discriminant, integer_discriminant
+from .qpoly import UniPoly, integer_discriminant
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -175,6 +175,20 @@ def z_mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def z_divmod(a, b):
+    """(q, r) with a = q b + r in Z[x], for ascending coefficient lists and a
+    monic b of degree n >= 1; r keeps min(len(a), n) coefficients, zeros too."""
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r.pop()
+        if c:
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    return q, r
 
 
 def _z_sub(a, b):
@@ -511,20 +525,21 @@ def cycle_type_mod_p(int_coeffs: Sequence[int], p: int) -> Tuple[int, ...]:
     return tuple(sorted(degs))
 
 
-# primes per call of the batched kernel; keeps its lane memory independent of the prime count
-_PRIME_BLOCK = 256
+# primes per call of the batched kernels: keeps their lane memory independent
+# of the prime count (`cycle_types` here, `numberfield`'s root-count scans)
+PRIME_BLOCK = 256
 
 
 def cycle_types(ints: Sequence[int], primes: Sequence[int]) -> List[Tuple[int, ...]]:
     """`cycle_type_mod_p` of a monic integer polynomial at each prime, where it is squarefree.
 
     Primes p <= deg are factored one at a time; the rest go, in blocks of
-    at most 256, to the batched Frobenius-trace kernel.
+    at most PRIME_BLOCK, to the batched Frobenius-trace kernel.
     """
     n = len(ints) - 1
     large = [p for p in primes if p > n]
-    batched = (t for i in range(0, len(large), _PRIME_BLOCK)
-               for t in _cycle_types_batch([ints], large[i:i + _PRIME_BLOCK])[0])
+    batched = (t for i in range(0, len(large), PRIME_BLOCK)
+               for t in _cycle_types_batch([ints], large[i:i + PRIME_BLOCK])[0])
     return [cycle_type_mod_p(ints, p) if p <= n else next(batched) for p in primes]
 
 
@@ -602,23 +617,8 @@ def _mignotte_bound(ints: Sequence[int]) -> int:
     return 2 ** len(ints) * norm2 * abs(ints[-1])
 
 
-def _z_exact_quotient(a, b):
-    """a / b in Z[x] for monic b, or None when b does not divide a."""
-    db = len(b) - 1
-    if len(a) <= db or (a[0] % b[0] if b[0] else a[0]):
-        return None
-    a = a[:]
-    quo = [0] * (len(a) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + db]
-        if c:
-            for j in range(db):
-                a[k + j] -= c * b[j]
-    return None if any(a[:db]) else quo
-
-
-def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
-    """Irreducible factors in Z[x] of a monic squarefree integer polynomial."""
+def _factor_squarefree_monic_int(ints: List[int], disc: int) -> List[List[int]]:
+    """Irreducible factors in Z[x] of a monic squarefree integer polynomial of discriminant disc."""
     n = len(ints) - 1
     if n == 1:
         return [ints]
@@ -626,7 +626,6 @@ def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
     # as they do not divide disc, lift at the one with the fewest factors,
     # counted from the distinct-degree split; one factor proves
     # irreducibility, and only the chosen prime's parts are split further
-    disc = integer_discriminant(ints)
     candidates = []
     p = 3
     while len(candidates) < 5:
@@ -660,8 +659,11 @@ def _factor_squarefree_monic_int(ints: List[int]) -> List[List[int]]:
             for i in subset:
                 cand = [c % modulus for c in z_mul(cand, lifted[i])]
             cand = _z_centered(cand, modulus)
-            quo = _z_exact_quotient(current, cand)
-            if quo is not None:
+            # cand divides current only if its constant term divides current's
+            if current[0] % cand[0] if cand[0] else current[0]:
+                continue
+            quo, rem = z_divmod(current, cand)
+            if not any(rem):
                 hit = (subset, cand, quo)
                 break
         if hit is None:
@@ -705,13 +707,9 @@ class Factorization:
 
 
 def _yun_squarefree(f: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Yun decomposition of monic f: [(squarefree factor, multiplicity)], no gcd if disc f != 0."""
-    if discriminant(f):
-        return [(f, 1)]
+    """Yun decomposition of monic f: [(squarefree factor, multiplicity)]."""
     fp = f.derivative()
     a0 = f.gcd(fp)
-    if a0.degree == 0:
-        return [(f, 1)]
     out = []
     b = f // a0
     c = fp // a0
@@ -738,10 +736,14 @@ def factor_over_Q(p: UniPoly) -> Factorization:
         raise ValueError("factorization needs degree >= 1")
     unit = p.lc
     collected: List[Tuple[UniPoly, int]] = []
-    for sqfree, mult in _yun_squarefree(p.monic()):
-        # the factors of d^n sqfree(x / d) are those of sqfree, their roots scaled by d
-        d, ints = sqfree.integral_rescaling()
-        for fac in _factor_squarefree_monic_int(ints):
+    # the factors of d^n q(x / d) are those of q, their roots scaled by d;
+    # a squarefree p, of nonzero discriminant, is its own squarefree part
+    d, ints = p.integral_rescaling()
+    disc = integer_discriminant(ints)
+    for sqfree, mult in [(p, 1)] if disc else _yun_squarefree(p.monic()):
+        if not disc:
+            d, ints = sqfree.integral_rescaling()
+        for fac in _factor_squarefree_monic_int(ints, disc or integer_discriminant(ints)):
             back = UniPoly.from_int_coeffs(fac)
             collected.append((back.scale_argument(d).monic() if d > 1 else back, mult))
     merged: Dict[UniPoly, int] = {}

@@ -2,16 +2,15 @@
 
 Just enough ring machinery for the curve and surface constructions:
 terms are {exponent tuple: Fraction} over a fixed variable list, with
-evaluation, partial evaluation, exact division by a variable, and
-proportionality testing.  Term order (lexicographic on exponent tuples)
-is fixed, so serialized output is deterministic.
+partial evaluation, exact division by a variable, and proportionality
+testing.  A form is evaluated at a point as the integer table of
+`curve.cleared_table`, by `curve.form_value`.  Term order (lexicographic
+on exponent tuples) is fixed, so serialized output is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import getitem
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .qpoly import format_terms
@@ -136,7 +135,7 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    # -- substitution and evaluation -------------------------------------------
+    # -- substitution ------------------------------------------------------------
 
     def _vindex(self, name: str) -> int:
         return self.vars.index(name)
@@ -154,36 +153,6 @@ class MultiPoly:
                 key = e[:i] + (0,) + e[i + 1:]
                 terms[key] = terms.get(key, Fraction(0)) + c
         return MultiPoly(self.vars, terms)
-
-    def evaluate(self, values: Dict[str, Fraction]) -> Fraction:
-        """Exact value at a rational point, summed in integers.
-
-        With x_i = n_i/d_i, D_i the degree in x_i and L the lcm of the
-        coefficient denominators, the value is
-        sum(c*L * prod n_i^e_i * d_i^(D_i - e_i)) / (L * prod d_i^D_i):
-        each variable's weighted powers n_i^k * d_i^(D_i - k) are built
-        once, and only the final quotient is a Fraction.
-        """
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        if not self.terms:
-            return Fraction(0)
-        ratios = [c.as_integer_ratio() for c in self.terms.values()]
-        scale = lcm(*(d for _, d in ratios))
-        denominator = scale
-        weighted = []
-        for name, deg in zip(self.vars, map(max, zip(*self.terms))):
-            n, d = Fraction(values[name]).as_integer_ratio()
-            nums, dens = [1], [1]
-            for _ in range(deg):
-                nums.append(nums[-1] * n)
-                dens.append(dens[-1] * d)
-            weighted.append([p * q for p, q in zip(nums, reversed(dens))])
-            denominator *= dens[-1]
-        total = sum(n * (scale // d) * prod(map(getitem, weighted, e))
-                    for e, (n, d) in zip(self.terms, ratios))
-        return Fraction(total, denominator)
 
     def partial_evaluate(self, values: Dict[str, Fraction]) -> "MultiPoly":
         terms: Dict[Tuple[int, ...], Fraction] = {}

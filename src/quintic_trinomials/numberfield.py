@@ -29,8 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qpoly import UniPoly, count_real_roots, format_terms, integer_discriminant
-from .factor import factor_over_Q, frobenius_traces, gf_p2_roots, primes_below, z_mul
+from .qpoly import (UniPoly, count_real_roots, format_terms, integer_discriminant,
+                    integer_power_sums)
+from .factor import (PRIME_BLOCK, factor_over_Q, frobenius_traces, gf_p2_roots, primes_below,
+                     z_divmod, z_mul)
 
 
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
@@ -50,30 +52,14 @@ def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     n = len(G) - 1
     scaled = [Fraction(c) / d ** i for i, c in enumerate(coords)]
     D = math.lcm(*(c.denominator for c in scaled))
-    B = _reduce_monic([c.numerator * (D // c.denominator) for c in scaled], G)
-    # integer power sums Tr(theta^i), i < n, of the monic G (Newton), as
-    # UniPoly.power_sums in ints: its Fraction version takes 56 us of the
-    # 140 us call on a rational quintic (Python 3.11), this loop 5 us
-    traces = [n]
-    for m in range(1, n):
-        traces.append(-m * G[n - m] - sum(G[n - i] * traces[m - i] for i in range(1, m)))
+    B = z_divmod([c.numerator * (D // c.denominator) for c in scaled], G)[1]
+    traces = integer_power_sums(G, n - 1)
     e, psums, power = [1], [], [1]
     for m in range(1, n + 1):
-        power = _reduce_monic(z_mul(power, B), G)
+        power = z_divmod(z_mul(power, B), G)[1]
         psums.append(sum(c * s for c, s in zip(power, traces)))
         e.append(sum((-1) ** (i - 1) * e[m - i] * psums[i - 1] for i in range(1, m + 1)) // m)
     return UniPoly(Fraction((-1) ** m * e[m], D ** m) for m in range(n, -1, -1))
-
-
-def _reduce_monic(prod: List[int], G: Sequence[int]) -> List[int]:
-    """The remainder of prod (ascending integer coefficients) modulo the monic
-    integer G, computed in place: x^top = x^(top-n) (x^n - G) mod G."""
-    n = len(G) - 1
-    for top in range(len(prod) - 1, n - 1, -1):
-        c = prod.pop()
-        for j in range(n):
-            prod[top - n + j] -= c * G[j]
-    return prod
 
 
 class NumberField:
@@ -268,13 +254,13 @@ def _root_of_irreducible(f: UniPoly, K: NumberField) -> RootSearchResult:
 
 
 def _prime_blocks(bad: int, degree: int):
-    """Ascending primes p > degree not dividing bad, in lists of 8, 16, ..., 256, 256, ...
+    """Ascending primes p > degree not dividing bad, in lists of 8, 16, ..., 128, then PRIME_BLOCK.
 
     Most decisions need a few primes; naming an S5 field's split prime takes about 120.
     """
     primes = (p for e in itertools.count(3) for p in primes_below(1 << e)
               if p > degree and p >= 1 << e - 1 and bad % p)
-    for size in itertools.chain((8, 16, 32, 64, 128), itertools.repeat(256)):
+    for size in itertools.chain((8, 16, 32, 64, 128), itertools.repeat(PRIME_BLOCK)):
         yield list(itertools.islice(primes, size))
 
 
@@ -420,7 +406,7 @@ def _vanishes(F: List[int], G: List[int], h: List[int], scale: int) -> bool:
     """
     acc = [1]
     for i in range(len(F) - 2, -1, -1):
-        acc = _reduce_monic(z_mul(acc, h), G)
+        acc = z_divmod(z_mul(acc, h), G)[1]
         acc[0] += F[i] * scale ** (len(F) - 1 - i)
     return not any(acc)
 

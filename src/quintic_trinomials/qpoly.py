@@ -6,7 +6,8 @@ exact.  Resultants, discriminants and real-root counts clear denominators
 once and run a remainder sequence in Python integers: the subresultant
 sequence for the first two (G. E. Collins, J. ACM 14, 1967; H. Cohen,
 GTM 138, section 3.3), a primitive pseudo-remainder Sturm sequence for
-the count.
+the count.  The power sums of the roots of a monic integer polynomial
+come from Newton's identities in integers (`integer_power_sums`).
 """
 
 from __future__ import annotations
@@ -180,18 +181,6 @@ class UniPoly:
             acc = c if acc is None else acc * x + c
         return acc
 
-    def power_sums(self, count: int) -> list:
-        """[s_0, ..., s_count], s_m the sum of the m-th powers of the roots (Newton)."""
-        p = self.monic()
-        n = p.degree
-        sums = [Fraction(n)]
-        for m in range(1, count + 1):
-            s = -m * p[n - m] if m <= n else Fraction(0)
-            for i in range(1, min(m, n + 1)):
-                s -= p[n - i] * sums[m - i]
-            sums.append(s)
-        return sums
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
@@ -329,6 +318,18 @@ def integer_discriminant(ints: Sequence[int]) -> int:
     n = len(ints) - 1
     res = _int_resultant(list(ints), [i * c for i, c in enumerate(ints)][1:])
     return (-1) ** (n * (n - 1) // 2) * res // ints[-1]
+
+
+def integer_power_sums(ints: Sequence[int], count: int) -> list:
+    """[T_0, ..., T_count], T_m the sum of the m-th powers of the roots of the monic
+    integer P = sum ints[i] x^i of degree n, by Newton's identities
+    T_m = -m P[n-m] - sum_(0<i<m, i<=n) P[n-i] T_(m-i), with P[n-m] = 0 for m > n."""
+    n = len(ints) - 1
+    sums = [n]
+    for m in range(1, count + 1):
+        sums.append((-m * ints[n - m] if m <= n else 0)
+                    - sum(ints[n - i] * sums[m - i] for i in range(1, min(m, n + 1))))
+    return sums
 
 
 def discriminant(p: UniPoly) -> Fraction:

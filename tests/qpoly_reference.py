@@ -1,9 +1,11 @@
-"""Fraction references for the integer remainder sequences of `qpoly`.
+"""Fraction references for the integer kernels of `qpoly`.
 
-`resultant` and `discriminant` run a subresultant sequence and
-`count_real_roots` a primitive pseudo-remainder Sturm sequence, all in
-integers.  The Euclidean sequences over Q are kept here as independent
-references, with the helpers that only they and the tests call.
+`resultant` and `discriminant` run a subresultant sequence,
+`count_real_roots` a primitive pseudo-remainder Sturm sequence and
+`integer_power_sums` Newton's identities, all in integers.  The
+Euclidean sequences and Newton's identities over Q are kept here as
+independent references, with the helpers that only they and the tests
+call.
 """
 
 import math
@@ -26,6 +28,19 @@ def content_and_primitive(p: UniPoly):
     sign = -1 if ints[-1] < 0 else 1
     ints = [v // (sign * g) for v in ints]
     return Fraction(sign * g, den), ints
+
+
+def power_sums(p: UniPoly, count: int) -> list:
+    """[s_0, ..., s_count], s_m the sum of the m-th powers of the roots of p (Newton)."""
+    p = p.monic()
+    n = p.degree
+    sums = [Fraction(n)]
+    for m in range(1, count + 1):
+        s = -m * p[n - m] if m <= n else Fraction(0)
+        for i in range(1, min(m, n + 1)):
+            s -= p[n - i] * sums[m - i]
+        sums.append(s)
+    return sums
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

@@ -30,7 +30,27 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       _search_forms, _sieve_tables, worker_count, _MODULI,
                                       _OFFSETS, _Sieve, _packed_rows)
 
+from qpoly_reference import power_sums
+from test_multipoly import reference_evaluate
+
 T65 = F(6, 5)
+
+
+def _on_curve(curve, coords):
+    """Membership by per-term Fraction evaluation, independent of the integer
+    tables that `contains` and the search engine share."""
+    forms = ((curve.linear, curve.quadric, curve.cubic) if isinstance(curve, GeneralCurve)
+             else (curve.quadric, curve.cubic))
+    values = dict(zip(curve.quadric.vars, coords))
+    return all(reference_evaluate(form, values) == 0 for form in forms)
+
+
+def _full_coords(curve, live):
+    """A general curve's five coordinates from its live ones: the eliminated
+    one from the trace condition."""
+    values = {**live, curve.eliminated: 0}
+    values[curve.eliminated] = reference_evaluate(curve.elimination_expr, values)
+    return tuple(values[v] for v in FULL_VARS)
 
 
 def test_curve_point_normalization():
@@ -221,7 +241,7 @@ def _brute_force_points(curve, H):
     """Every nonzero (a, b, c, d) in [-H, H]^4 on both forms, normalized."""
     found = set()
     for coords in itertools.product(range(-H, H + 1), repeat=4):
-        if any(coords) and curve.contains(CurvePoint(coords)):
+        if any(coords) and _on_curve(curve, coords):
             found.add(CurvePoint.from_integers(coords))
     return found
 
@@ -481,7 +501,7 @@ def _reference_search(curve, H):
                         pt = CurvePoint.from_rationals((a, b, c, d))
                     except ValueError:
                         continue
-                    if pt.height <= H and curve.contains(pt):
+                    if pt.height <= H and _on_curve(curve, pt.coords):
                         found.add(pt)
     degenerate = {pt for pt in found if not any(pt.coords[1:])}
     key = lambda pt: (pt.height, pt.coords)
@@ -506,7 +526,7 @@ def test_point_search_points_are_normalized_curve_points(p, q, H):
         assert math.gcd(*pt.coords) == 1
         assert next(v for v in pt.coords if v) > 0
         assert pt.height <= H
-        assert curve.contains(pt)
+        assert _on_curve(curve, pt.coords)
         point_to_trinomial(curve, pt)
 
 
@@ -544,11 +564,11 @@ def _unsieved_reference(curve, H):
         b, a, s = int(c1.flat[i]), int(c2.flat[i]), int(root.flat[i])
         for value in (F(-b + s, 2 * a), F(-b - s, 2 * a)):
             values = {**cell, v: value}
-            coords = (curve.full_coords(values) if general
+            coords = (_full_coords(curve, values) if general
                       else tuple(values[name] for name in curve.quadric.vars))
             if any(coords):
                 pt = CurvePoint.from_rationals(coords)
-                if pt.height <= H and curve.contains(pt.coords if general else pt):
+                if pt.height <= H and _on_curve(curve, pt.coords):
                     found.add(pt)
     return found
 
@@ -685,12 +705,12 @@ def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
             curve = curve_from_field(g, eliminate=eliminate)
             for _ in range(5):
                 live = {v: F(rng.randint(-9, 9), rng.randint(1, 4)) for v in curve.live_vars}
-                coords = curve.full_coords(live)
+                coords = _full_coords(curve, live)
                 values = dict(zip(FULL_VARS, coords))
                 cp = charpoly_mod(g, coords)
                 assert cp[4] == 0
-                assert curve.quadric.evaluate(values) == cp[3]
-                assert curve.cubic.evaluate(values) == cp[2]
+                assert reference_evaluate(curve.quadric, values) == cp[3]
+                assert reference_evaluate(curve.cubic, values) == cp[2]
 
 
 def test_general_construction_rejects_reducible():
@@ -724,7 +744,7 @@ def _newton_reference(g, eliminate=None):
         raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
-    sums = g.power_sums(12)
+    sums = power_sums(g, 12)
 
     def trace_form(k):
         terms = {}
@@ -810,9 +830,9 @@ def _general_reference(curve, H):
     found = set()
     for live in itertools.product(range(-H, H + 1), repeat=4):
         if any(live):
-            coords = curve.full_coords(dict(zip(curve.live_vars, map(F, live))))
+            coords = _full_coords(curve, dict(zip(curve.live_vars, map(F, live))))
             pt = CurvePoint.from_rationals(coords)
-            if pt.height <= H and curve.contains(pt.coords):
+            if pt.height <= H and _on_curve(curve, pt.coords):
                 found.add(pt)
     return sorted(found, key=lambda pt: (pt.height, pt.coords))
 
@@ -950,3 +970,49 @@ def test_point_search_against_brute_force_oracle():
                 and not (pt.coords[1] == 0 and pt.coords[2] == 0 and pt.coords[3] == 0)}
     got = set(point_search(curve, H).points)
     assert got == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _curves_with_points():
+    """T-form and general curves, with points on each: alpha on the curve of a
+    field of a trinomial, and 79 times the root of x^5 - 75x + 465 in the field
+    of x^5 + 75x + 105; the last field has d > 1 power sums."""
+    t_forms = [(curve_from_t(T65), ((88, 70, 75, -60), (F(-168, 55), F(9, 11), F(19, 11), 1),
+                                    (F(36, 35), F(-30, 7), F(24, 7), 1))),
+               (curve_from_t(F(-3125, 20736)), ((0, 1, 0, 0),))]
+    general = [(curve_from_field(UniPoly(g)), ((0, 1, 0, 0, 0), *extra)) for g, extra in (
+        ([-18, 0, 0, 0, 0, 1], ((0, 3, -3, 1, 1),)),
+        ([105, 75, 0, 0, 0, 1], ((-240, -23, -32, 7, -4),)),
+        ([F(1, 3), F(1, 2), 0, 0, 0, 1], ()))]
+    return t_forms + general
+
+
+@pytest.mark.parametrize("index", range(5))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_contains_agrees_with_the_per_term_reference(index, data):
+    # integer and rational points, the zero vector, rational multiples of
+    # points on the curve, and those points with one coordinate moved off it
+    curve, points = _curves_with_points()[index]
+    n = len(curve.quadric.vars)
+    kind = data.draw(st.sampled_from(["integer", "rational", "zero", "on", "off"]))
+    if kind == "integer":
+        coords = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    elif kind == "rational":
+        coords = data.draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                                    min_size=n, max_size=n))
+    elif kind == "zero":
+        coords = [0] * n
+    else:
+        point = data.draw(st.sampled_from(points))
+        scale = data.draw(st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 12)))
+        i = data.draw(st.integers(0, n - 1))
+        coords = [scale * v + (kind == "off" and j == i) for j, v in enumerate(point)]
+    expected = _on_curve(curve, coords)
+    assert expected or kind not in ("zero", "on")
+    if isinstance(curve, TrinomialCurve):
+        assert curve.contains(CurvePoint(tuple(coords))) == expected, coords
+    else:
+        assert curve.contains(coords) == expected, coords
+    with pytest.raises(ValueError, match=f"need {n} coordinates"):
+        curve.contains(CurvePoint(tuple(coords[1:])) if n == 4 else coords[1:])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quintic_trinomials.qpoly import UniPoly, discriminant, integer_discriminant
-from quintic_trinomials import factor
+from quintic_trinomials import factor, qpoly
 from quintic_trinomials.factor import (factor_over_Q, is_irreducible, factor_int,
                                        fifth_power_class, cycle_type_mod_p, factor_mod_p,
                                        is_prime, primes_below)
@@ -76,7 +76,7 @@ def test_random_products_multiply_back():
         checked += 1
 
 
-def test_squarefree_shortcut_matches_yun(monkeypatch):
+def test_squarefree_shortcut_matches_yun():
     # a nonzero discriminant skips Yun's rational gcds exactly when no factor
     # repeats, and mod p it is the squarefree test of the Hensel-prime scan
     rng = random.Random(22)
@@ -89,15 +89,54 @@ def test_squarefree_shortcut_matches_yun(monkeypatch):
         for _ in range(rng.randint(1, 4)):
             p = p * rng.choice(pool)
         polys.append(p)
-    with_shortcut = [factor_over_Q(p) for p in polys]
-    for p, fac in zip(polys, with_shortcut):
+    for p in polys:
+        fac = factor_over_Q(p)
         assert (discriminant(p) == 0) == any(m > 1 for _, m in fac.factors)
+        # Yun's split, which the shortcut skips, leaves exactly a squarefree p whole
+        assert (factor._yun_squarefree(p.monic()) == [(p.monic(), 1)]) == (discriminant(p) != 0)
         _, ints = p.integral_rescaling()
         disc = integer_discriminant(ints)
         assert [q for q in primes_below(60) if disc % q] == [
             q for q in primes_below(60) if factor._gf_is_squarefree([c % q for c in ints], q)]
-    monkeypatch.setattr(factor, "discriminant", lambda f: 0)
-    assert [factor_over_Q(p) for p in polys] == with_shortcut
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=5))
+def test_monic_division_in_z_x(a, low):
+    # a = q b + r with deg r < deg b, the remainder keeping its zero coefficients
+    b = low + [1]
+    q, r = factor.z_divmod(a, b)
+    assert len(r) == min(len(a), len(b) - 1)
+    total = factor.z_mul(q, b) or [0] * len(a)
+    for i, c in enumerate(r):
+        total[i] += c
+    assert total == a
+
+
+def test_squarefree_input_takes_one_discriminant(monkeypatch):
+    # factor_over_Q computes disc of the monic integral rescaling once, and
+    # the Hensel-prime scan reuses it; only a zero one splits by Yun's gcds,
+    # with one more discriminant per squarefree part.  Both names are spied
+    # on, `qpoly`'s own being the one `qpoly.discriminant` calls.
+    calls = []
+    integer_discriminant = qpoly.integer_discriminant
+
+    def spy(ints):
+        calls.append(ints)
+        return integer_discriminant(ints)
+
+    monkeypatch.setattr(factor, "integer_discriminant", spy)
+    monkeypatch.setattr(qpoly, "integer_discriminant", spy)
+    for coeffs in ([-18, 0, 0, 0, 0, 1], [105, 75, 0, 0, 0, 1], [F(1, 3), F(1, 2), 0, 0, 0, 1],
+                   [1, 0, 0, 0, 0, 1], [-1, -1, 0, 0, 0, 1]):
+        calls.clear()
+        factor_over_Q(UniPoly(coeffs))
+        assert len(calls) == 1, coeffs
+    calls.clear()
+    fac = factor_over_Q(UniPoly([1, 0, 1]) ** 2 * UniPoly([0, 1]))  # x (x^2 + 1)^2
+    assert fac.factors == ((UniPoly([0, 1]), 1), (UniPoly([1, 0, 1]), 2))
+    assert len(calls) == 3 and integer_discriminant(calls[0]) == 0
 
 
 def test_factorization_order_is_deterministic():

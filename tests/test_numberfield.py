@@ -16,6 +16,7 @@ from quintic_trinomials.numberfield import (NumberField, has_root_in_field, char
                                             _sqrt_div, _sqrt_horner, _sqrt_mul)
 from quintic_trinomials.curve import curve_from_t, point_search
 
+from qpoly_reference import power_sums
 from trager_oracle import monic_from_power_sums, trager_has_root, trager_norm
 
 K18 = NumberField(UniPoly([-18, 0, 0, 0, 0, 1]))
@@ -188,7 +189,7 @@ def test_charpoly_mod_matches_field_elements():
 
 def _charpoly_reference(g, coords):
     """The Fraction computation: traces of the powers of beta mod g, then Newton."""
-    traces = g.power_sums(g.degree - 1)
+    traces = power_sums(g, g.degree - 1)
     beta = UniPoly(coords) % g
     power = UniPoly.one()
     psums = [F(g.degree)]

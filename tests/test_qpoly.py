@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quintic_trinomials.qpoly import (UniPoly, resultant, discriminant,
+from quintic_trinomials.qpoly import (UniPoly, resultant, discriminant, integer_power_sums,
                                       count_real_roots, is_rational_square,
                                       format_rational, parse_rational,
                                       poly_to_strings)
@@ -157,6 +157,8 @@ def test_division_and_gcd():
 
 
 def test_power_sums_match_roots():
+    # through the monic integral rescaling d^n p(x / d), whose roots are d
+    # times those of p: s_m = T_m / d^m, also for m above the degree
     rng = random.Random(12)
     for _ in range(20):
         roots = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
@@ -164,8 +166,10 @@ def test_power_sums_match_roots():
         p = UniPoly([lead])
         for r in roots:
             p = p * UniPoly([-r, 1])
-        assert p.power_sums(9) == [sum(r ** m for r in roots) for m in range(10)]
-    assert UniPoly([-18, 0, 0, 0, 0, 1]).power_sums(10) == [5, 0, 0, 0, 0, 90, 0, 0, 0, 0, 1620]
+        d, ints = p.integral_rescaling()
+        assert [F(t, d ** m) for m, t in enumerate(integer_power_sums(ints, 9))] == [
+            sum(r ** m for r in roots) for m in range(10)]
+    assert integer_power_sums([-18, 0, 0, 0, 0, 1], 10) == [5, 0, 0, 0, 0, 90, 0, 0, 0, 0, 1620]
 
 
 def test_scale_argument():

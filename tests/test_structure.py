@@ -1,6 +1,10 @@
-"""Module boundaries: no module reaches into a sibling's private names."""
+"""Module boundaries: no module reaches into a sibling's private names, and the
+package itself imports none of its modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quintic_trinomials
@@ -23,3 +27,12 @@ def test_no_module_imports_a_private_name_of_another():
     crossings = [f"{path.name}:{line}: from {module} import {name}"
                  for path in modules for line, module, name in _private_imports(path)]
     assert crossings == []
+
+
+def test_the_package_imports_no_module():
+    # a fresh interpreter: importing one layer loads only it and the layers below
+    code = ("import sys, quintic_trinomials.numberfield; print(sorted(name for name in "
+            "('curve', 'surface', 'elliptic') if 'quintic_trinomials.' + name in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}).stdout
+    assert out.strip() == "[]"

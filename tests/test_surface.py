@@ -37,7 +37,8 @@ def test_homogeneity():
         values = {v: F(rng.randint(-9, 9), rng.randint(1, 4)) for v in "abcd"}
         lam = F(rng.randint(1, 9), rng.randint(1, 9))
         scaled = {v: lam * x for v, x in values.items()}
-        assert SURFACE_FORM.evaluate(scaled) == lam ** 6 * SURFACE_FORM.evaluate(values)
+        assert reference_evaluate(SURFACE_FORM, scaled) == lam ** 6 * reference_evaluate(
+            SURFACE_FORM, values)
 
 
 def _criterion_7_samples():
@@ -62,7 +63,6 @@ def test_membership_agrees_with_reference_near_criterion_7_samples():
                 continue
             values = dict(zip(surface.SURFACE_VARS, moved))
             expected = reference_evaluate(SURFACE_FORM, values)
-            assert SURFACE_FORM.evaluate(values) == expected, moved
             assert on_surface(CurvePoint.from_rationals(moved)) == (expected == 0), moved
             assert i is not None or expected == 0, coords
             checked += 1
@@ -164,7 +164,7 @@ def test_consistency_with_curve():
 def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
     # 250 curve samples and 250 line samples; recover_t checks membership itself,
     # and reads t off the quadric's two t-coefficients; every form is an integer
-    # table evaluated by `form_value`, none a MultiPoly evaluation
+    # table evaluated by `form_value`
     sextic, evaluations = [], []
     form_value = surface.form_value
 
@@ -173,7 +173,6 @@ def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
         return form_value(table, coords)
 
     monkeypatch.setattr(surface, "form_value", spy)
-    monkeypatch.setattr(MultiPoly, "evaluate", lambda self, values: evaluations.append(self))
     assert report._c7_surface().passed
     assert len(sextic) == 500
     assert len(evaluations) == 2 * 200  # the t^0 and t^1 tables at the four lines with a t
@@ -182,13 +181,14 @@ def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
 def test_t_parts_match_the_evaluated_quadric_coefficients():
     # on criterion 7's samples of R1-R5 and of the five lines, t's numerator
     # and denominator are the quadric's t^0 and t^1 coefficients evaluated
-    # as MultiPolys; all of R4 and R5 lie in the base locus (0/0)
+    # term by term; all of R4 and R5 lie in the base locus (0/0)
     forms = [T_FORM_QUADRIC.coefficient_of("t", k) for k in (0, 1)]
     points = [rational_curve(name, F(k, 3)) for name in CURVE_NAMES for k in range(1, 51)]
     points += [line_point(name, F(k), F(k + 1)) for name in LINE_NAMES for k in range(1, 51)]
     base_locus = 0
     for pt in points:
-        minus_num, den = (form.evaluate(dict(zip("abcd", pt.coords), t=0)) for form in forms)
+        minus_num, den = (reference_evaluate(form, dict(zip("abcd", pt.coords), t=0))
+                          for form in forms)
         assert t_parts(pt) == (-minus_num, den)
         base_locus += t_parts(pt) == (0, 0)
     assert base_locus >= 100

@@ -7,7 +7,8 @@ multiplied by 5; so f has a root in K exactly when N_k has an
 irreducible factor of degree 5 (Trager, SYMSAC 1976).
 
 Both the norms here and the Fraction reference of `charpoly_mod` in the
-tests are monic polynomials built from power sums by Newton's identities.
+tests are monic polynomials built from power sums by Newton's identities,
+the power sums from `qpoly_reference`, in Fractions.
 """
 
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from quintic_trinomials.factor import factor_over_Q
 from quintic_trinomials.qpoly import UniPoly
-from qpoly_reference import squarefree_part
+from qpoly_reference import power_sums, squarefree_part
 
 
 def monic_from_power_sums(psums):
@@ -30,7 +31,7 @@ def monic_from_power_sums(psums):
 def trager_norm(f, g, k):
     """N_k(x) for monic f and g, from power sums: its roots are beta_j + k alpha_i."""
     n = f.degree * g.degree
-    sf, sg = f.power_sums(n), g.power_sums(n)
+    sf, sg = power_sums(f, n), power_sums(g, n)
     return monic_from_power_sums(
         [sum(math.comb(m, r) * k ** (m - r) * sf[r] * sg[m - r] for r in range(m + 1))
          for m in range(n + 1)])
