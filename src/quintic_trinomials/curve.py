@@ -31,8 +31,12 @@ its quadric, modulo five small primes with bit-packed rows, as M. Stoll's
 `ratpoints` does for its curves: once per search, for every prime p, z
 residue and x residue it packs "disc is a square mod p and R = 0 mod p"
 over the columns y into 64-bit words, and a row (z, x) of the box is then
-the AND of five packed rows.  Rows are sieved in tiles of a fixed size,
-so working memory grows as O(H), not with the (2H+1)^2 cells of a slice.
+the AND of five packed rows.  Both forms are homogeneous, so that test
+is the same at every cell of a line through the origin mod p: it is
+evaluated once at each of the p^2 + p + 1 points of P^2(F_p), and the
+p^3 residue cells read it through an index of their lines that depends
+only on p.  Rows are sieved in tiles of a fixed size, so working memory
+grows as O(H), not with the (2H+1)^2 cells of a slice.
 A multiple of a cell carries the same projective points as the cell, and
 the primitive cell of a point survives the sieve too, so only primitive
 survivors are confirmed, each once, in Python integers: an exact square
@@ -341,11 +345,31 @@ class SearchResult:
 # (exponents, integer coefficient) pairs
 _Table = Tuple[Tuple[Tuple[int, ...], int], ...]
 
-# The sieve's prime moduli, and _SQUARES[k][r] for r < m^2 + 2m: is r a square
-# mod m = _MODULI[k].  With the resultant in the sieve, more or larger moduli
-# cost more than the survivors they remove.
+# The sieve's prime moduli, and _SQUARES[k][r] for r < m: is r a square mod
+# m = _MODULI[k].  With the resultant in the sieve, more or larger moduli
+# cost more than the survivors they remove.  A modulus costs each search
+# about m^2 evaluations of the two forms and one gather of m^3 cells.
 _MODULI = (11, 17, 19, 23, 29)
-_SQUARES = tuple(np.isin(np.arange(m * m + 2 * m) % m, np.arange(m) ** 2 % m) for m in _MODULI)
+_SQUARES = tuple(np.isin(np.arange(m), np.arange(m) ** 2 % m) for m in _MODULI)
+
+
+def _orbit_index(m: int) -> np.ndarray:
+    """I[r, x, y], the point of P^2(F_m) on the line through the residue cell
+    (x, y, r) for the prime m: x' m + y' for (x' : y' : 1), m^2 + x' for
+    (x' : 1 : 0), m^2 + m for (1 : 0 : 0) and m^2 + m + 1 for the zero cell."""
+    inverse = np.array([0, *(pow(r, -1, m) for r in range(1, m))])
+    residues, units = np.arange(m), inverse[1:, None, None]
+    index = np.empty((m, m, m), dtype=np.uint16)
+    index[1:] = residues[:, None] * units % m * m + residues * units % m
+    index[0] = m * m + residues[:, None] * inverse % m
+    index[0, :, 0] = m * m + m
+    index[0, 0, 0] = m * m + m + 1
+    return index
+
+
+# _ORBITS[k] = _orbit_index(_MODULI[k]), built once; it depends only on m
+_ORBITS = tuple(_orbit_index(m) for m in _MODULI)
+
 # The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
 _OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
 
@@ -526,27 +550,36 @@ def form_value(table: _Table, coords) -> int:
 def _sieve_tables(forms: _SearchForms, layers: int) -> Iterator[np.ndarray]:
     """For each m of _MODULI in turn, the table T with T[r, x, y] = (disc(x, y, r)
     is a square mod m and resultant(x, y, r) = 0 mod m), for residues x, y
-    and r < min(m, layers)."""
+    and r < min(m, layers).
+
+    Both forms are homogeneous, so T is constant on every line through the
+    origin: the predicate is evaluated once per point of P^2(F_m), in the
+    order of _ORBITS, and T is one gather through _ORBITS[k].
+    """
     disc = {e[1:]: k for e, k in forms.disc}
     degree = max((sum(e) for e, _ in forms.resultant), default=0)
-    for m, squares in zip(_MODULI, _SQUARES):
+    for m, squares, orbits in zip(_MODULI, _SQUARES, _ORBITS):
         kxx, kxy, kyy, kxz, kyz, kzz = (
             disc.get(e, 0) % m
             for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))
         x, y = np.arange(m)[:, None], np.arange(m)[None, :]
-        r = np.arange(min(m, layers))[:, None, None]
-        # each part is reduced before the sum, which stays below len(squares)
-        table = squares[((kxx * x + kxy * y) * x + kyy * y * y) % m + kzz * r * r % m
-                        + r * ((kxz * x + kyz * y) % m)]
-        # resultant(x, y, r) = powers[x] . R_r . powers[y], with R_r[i, j] the sum
-        # over k of its x^i y^j z^k coefficient times r^k; m^degree < 2^63
+        # each form at (x : y : 1), (x : 1 : 0), (1 : 0 : 0) and the zero cell,
+        # numbered as in _orbit_index
+        values = np.concatenate((
+            ((kxx * x + kxy * y + kxz) * x + (kyy * y + kyz) * y + kzz).ravel(),
+            (kxx * x[:, 0] + kxy) * x[:, 0] + kyy, (kxx, 0))) % m
+        # resultant(x, y, z) = powers[x] . C_z . powers[y], with C_z[i, j] the sum
+        # over k of its x^i y^j z^k coefficient times z^k: C_1 sums over k, and
+        # C_0 is the slice k = 0; powers[1] = (1, 1, ...), powers[0] = (1, 0, ...)
         coeffs = np.zeros((degree + 1,) * 3, dtype=np.int64)
         for e, k in forms.resultant:
             coeffs[e[1:]] = k % m
         powers = x ** np.arange(degree + 1) % m
-        by_layer = np.moveaxis(coeffs @ powers[:len(table)].T % m, 2, 0)
-        table &= powers @ by_layer % m @ powers.T % m == 0
-        yield table
+        flat = coeffs[:, :, 0]
+        zeros = np.concatenate((
+            (powers @ (coeffs.sum(axis=2) % m) % m @ powers.T).ravel(),
+            powers @ (flat.sum(axis=1) % m), (flat[:, 0].sum(), flat[0, 0]))) % m == 0
+        yield np.take(squares[values] & zeros, orbits[:layers])
 
 
 def _packed_rows(forms: _SearchForms, height_bound: int) -> np.ndarray:

@@ -41,12 +41,6 @@ class MultiPoly:
         return MultiPoly(variables, {(0,) * len(variables): Fraction(c)})
 
     @staticmethod
-    def variable(variables, name) -> "MultiPoly":
-        exps = [0] * len(variables)
-        exps[list(variables).index(name)] = 1
-        return MultiPoly(variables, {tuple(exps): Fraction(1)})
-
-    @staticmethod
     def from_spec(variables, spec: Iterable[Tuple[object, Dict[str, int]]]) -> "MultiPoly":
         """Build from [(coeff, {varname: exponent}), ...]."""
         variables = tuple(variables)

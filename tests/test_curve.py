@@ -28,10 +28,10 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
                                       SearchResult, _search_chunk,
                                       _search_forms, _sieve_tables, worker_count, _MODULI,
-                                      _OFFSETS, _Sieve, _packed_rows)
+                                      _ORBITS, _OFFSETS, _Sieve, _packed_rows)
 
 from qpoly_reference import power_sums
-from test_multipoly import reference_evaluate
+from test_multipoly import reference_evaluate, variable
 
 T65 = F(6, 5)
 
@@ -371,9 +371,18 @@ def _random_curve(rng, bits):
 
 def _sieve_curves():
     # a b*c term in the discriminant, the paper's curve, coefficients above
-    # 2^70, and a quadric linear in v (lead = 0) whose cubic has no v^3 term
+    # 2^70, a quadric linear in v (lead = 0) whose cubic has no v^3 term, the
+    # double-plane quadric (a + b)^2 (disc = 0 at every cell), and the quadric
+    # a b + c d with a cubic of degree 2 in v = a (lead = 0, a resultant of
+    # degree 5)
+    quadric, cubic = (MultiPoly.from_spec(CURVE_VARS, spec) for spec in _DOUBLE_PLANE_SPECS)
+    double_plane = TrinomialCurve(t=F(1), quadric=quadric, cubic=cubic)
+    quadratic_cubic = _line_curve([
+        (3, {"a": 2, "c": 1}), (-2, {"a": 2, "d": 1}), (1, {"a": 1, "b": 2}), (5, {"b": 3}),
+        (-7, {"c": 2, "d": 1}), (1, {"d": 3}), (4, {"a": 1, "c": 1, "d": 1})])
     return [curve_from_field(UniPoly([-20, 5, -5, -10, -5, 1])), curve_from_t(T65),
-            _random_curve(random.Random(5), 72), curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))]
+            _random_curve(random.Random(5), 72), curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1])),
+            double_plane, quadratic_cubic]
 
 
 def _oracle(curve):
@@ -400,6 +409,42 @@ def test_sieve_tables_match_the_resultant_oracle():
             assert table.shape == (m, m, m)
             r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
             assert (table == passes(m, x, y, r)).all()
+
+
+@pytest.mark.parametrize("layers", [1, 6, 12, 28])
+def test_sieve_tables_below_m_layers_match_the_resultant_oracle(layers):
+    # the heights H = 0, 5, 11 and 27 keep layers r <= H of every modulus above H
+    double_plane, quadratic_cubic = map(_search_forms, _sieve_curves()[-2:])
+    assert not double_plane.disc
+    assert quadratic_cubic.lead == 0 and max(sum(e) for e, _ in quadratic_cubic.resultant) == 5
+    for curve in _sieve_curves():
+        forms, passes = _search_forms(curve), _oracle(curve)
+        for m, table in zip(_MODULI, _sieve_tables(forms, layers)):
+            assert table.shape == (min(m, layers), m, m)
+            r, x, y = np.meshgrid(np.arange(min(m, layers)), np.arange(m), np.arange(m),
+                                  indexing="ij")
+            assert (table == passes(m, x, y, r)).all()
+
+
+def test_sieve_tables_are_constant_on_lines_through_the_origin():
+    # the tables are built once per point of P^2(F_m): this rests on the
+    # oracle's predicate being constant on {l c : l in F_m^*} for every residue
+    # cell c, and the tables keep it.  _ORBITS[k] takes one value on each such
+    # line and on the zero cell, and a different one on each of the
+    # m^2 + m + 2 of them.
+    for m, orbits in zip(_MODULI, _ORBITS):
+        assert orbits.shape == (m, m, m)
+        assert len(np.unique(orbits)) == m * m + m + 2
+    for curve in _sieve_curves():
+        forms, passes = _search_forms(curve), _oracle(curve)
+        for m, table, orbits in zip(_MODULI, _sieve_tables(forms, 200), _ORBITS):
+            r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
+            expected = passes(m, x, y, r)
+            for unit in range(2, m):
+                line = (unit * r % m, unit * x % m, unit * y % m)
+                assert (passes(m, line[1], line[2], line[0]) == expected).all()
+                assert (table[line] == table).all()
+                assert (orbits[line] == orbits).all()
 
 
 @pytest.mark.parametrize("H", [31, 70])
@@ -693,7 +738,7 @@ def test_general_construction_auto_elimination():
     assert curve_from_field(UniPoly([105, 75, 0, 0, 0, 1])).eliminated == "e"
     pure = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))
     assert pure.eliminated == "a"
-    assert pure.linear.proportionality(MultiPoly.variable(FULL_VARS, "a")) is not None
+    assert pure.linear.proportionality(variable(FULL_VARS, "a")) is not None
 
 
 def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
@@ -763,7 +808,7 @@ def _newton_reference(g, eliminate=None):
         eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
     if coeffs[eliminate] == 0:
         raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
-    expr = (linear - MultiPoly.variable(FULL_VARS, eliminate) * coeffs[eliminate]) * (-1 / coeffs[eliminate])
+    expr = (linear - variable(FULL_VARS, eliminate) * coeffs[eliminate]) * (-1 / coeffs[eliminate])
     return (linear, _substitute(quadric, eliminate, expr), _substitute(cubic, eliminate, expr),
             eliminate, expr)
 

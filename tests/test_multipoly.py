@@ -10,9 +10,14 @@ from quintic_trinomials.multipoly import MultiPoly, resultant_in
 V = ("x", "y", "z")
 
 
+def variable(variables, name):
+    """The form that is the one variable `name`."""
+    return MultiPoly.from_spec(variables, [(1, {name: 1})])
+
+
 def test_arithmetic_and_equality():
-    x = MultiPoly.variable(V, "x")
-    y = MultiPoly.variable(V, "y")
+    x = variable(V, "x")
+    y = variable(V, "y")
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert (x + y) ** 2 == x * x + 2 * x * y + y * y
@@ -21,7 +26,7 @@ def test_arithmetic_and_equality():
 
 
 def test_evaluate_and_partial_evaluate():
-    x, y, z = (MultiPoly.variable(V, n) for n in V)
+    x, y, z = (variable(V, n) for n in V)
     p = x * x + 3 * y * z
     values = {"x": F(2), "y": F(-1), "z": F(3)}
     assert p.partial_evaluate(values) == 4 - 9
@@ -30,7 +35,7 @@ def test_evaluate_and_partial_evaluate():
 
 
 def test_coefficient_extraction_and_degrees():
-    x, y, z = (MultiPoly.variable(V, n) for n in V)
+    x, y, z = (variable(V, n) for n in V)
     p = 2 * x * x * y + x * z - 5 * y
     assert p.degree_in("x") == 2
     assert p.coefficient_of("x", 2) == 2 * y
@@ -42,14 +47,14 @@ def test_coefficient_extraction_and_degrees():
 
 
 def test_divide_by_variable():
-    x, y, _ = (MultiPoly.variable(V, n) for n in V)
+    x, y, _ = (variable(V, n) for n in V)
     p = x * x * y + 2 * x
     assert p.divide_by_variable("x") == x * y + 2
     assert (p + y).divide_by_variable("x") is None
 
 
 def test_proportionality():
-    x, y, _ = (MultiPoly.variable(V, n) for n in V)
+    x, y, _ = (variable(V, n) for n in V)
     p = 3 * x * y - 6 * y * y
     assert p.proportionality(x * y - 2 * y * y) == 3
     assert p.proportionality(x * y + y * y) is None
@@ -57,7 +62,7 @@ def test_proportionality():
 
 
 def test_resultant_in_low_degrees():
-    x, y, t = (MultiPoly.variable(("x", "y", "t"), n) for n in ("x", "y", "t"))
+    x, y, t = (variable(("x", "y", "t"), n) for n in ("x", "y", "t"))
     # res_t( x*t + y, t^2 - x ) = x^2 * ((y/x)^2 - x)... cleared: y^2 - x^3
     lin = x * t + y
     quad = t * t - x
@@ -69,7 +74,7 @@ def test_resultant_in_low_degrees():
 
 def test_mixed_variable_sets_rejected():
     with pytest.raises(ValueError):
-        MultiPoly.variable(V, "x") + MultiPoly.variable(("a", "b"), "a")
+        variable(V, "x") + variable(("a", "b"), "a")
 
 
 def reference_evaluate(poly, values):
