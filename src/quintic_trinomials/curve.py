@@ -367,7 +367,7 @@ def _orbit_index(m: int) -> np.ndarray:
     return index
 
 
-# _ORBITS[k] = _orbit_index(_MODULI[k]), built once; it depends only on m
+# _ORBITS[k] = _orbit_index(_MODULI[k]), built once at import: it depends on m, not on a curve
 _ORBITS = tuple(_orbit_index(m) for m in _MODULI)
 
 # The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
