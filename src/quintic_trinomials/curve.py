@@ -64,7 +64,7 @@ import numpy as np
 from .qpoly import UniPoly, integer_power_sums
 from .factor import factor_over_Q
 from .multipoly import MultiPoly
-from .numberfield import NumberField, FieldElement, charpoly_mod
+from .numberfield import FieldElement, charpoly_mod
 from .trinomial import Trinomial, EquivClass, equiv_class
 
 CURVE_VARS = ("a", "b", "c", "d")
@@ -137,10 +137,6 @@ class TrinomialCurve:
     def defining_poly(self) -> UniPoly:
         return UniPoly([self.t, self.t, 0, 0, 0, 1])
 
-    @property
-    def field(self) -> NumberField:
-        return NumberField(self.defining_poly)
-
     def e_coordinate(self, a: Fraction) -> Fraction:
         return 5 * Fraction(a) / (4 * self.t)
 
@@ -193,10 +189,6 @@ class GeneralCurve:
     @property
     def live_vars(self) -> Tuple[str, ...]:
         return tuple(v for v in FULL_VARS if v != self.eliminated)
-
-    @property
-    def field(self) -> NumberField:
-        return NumberField(self.g)
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
         return _forms_vanish((self.linear, self.quadric, self.cubic), coords)
@@ -402,8 +394,10 @@ class _SearchForms:
     The engine tables are over the live coordinates (v, x, y, z): the
     quadric is lead*v^2 + linear*v + rest, and (x, y, z) are enumerated as
     row, column and slice.  disc = linear^2 - 4 lead rest, divided by
-    root_scale^2.  `resultant` is Res_v(quadric, cubic), a form in (x, y, z)
-    that vanishes at every cell of a point of the curve.  `coordinate_map`
+    root_scale^2.  `resultant` is `table_resultant`'s Res_v(quadric, cubic)
+    divided by its content, a form in (x, y, z) that vanishes at every cell
+    of a point of the curve.  Both come from one product kernel over the
+    tables `split_by_variable` cuts from the forms.  `coordinate_map`
     sends live coordinates to the curve's output coordinates, where every
     form of `checks` must vanish.
     """
@@ -428,9 +422,9 @@ def cleared_table(form: MultiPoly, order: Sequence[str]) -> _Table:
                         for e, c in form.terms.items()))
 
 
-def _split_by_v(table: _Table, degree: int) -> Tuple[_Table, ...]:
-    """The coefficients of v^0, ..., v^degree of a table over (v, x, y, z),
-    each a table with the exponent of v zero."""
+def split_by_variable(table: _Table, degree: int) -> Tuple[_Table, ...]:
+    """The coefficients of v^0, ..., v^degree of a table whose first exponent
+    is that of v, each a table with the exponent of v zero."""
     parts = [[] for _ in range(degree + 1)]
     for e, k in table:
         parts[e[0]].append(((0, *e[1:]), k))
@@ -445,42 +439,53 @@ _RESULTANT_TERMS = (
     (-1, 1, "bcef"), (-2, 1, "ccdf"), (1, 1, "ccee"), (-1, 0, "bbbdg"), (1, 0, "bbcdf"),
     (-1, 0, "bccde"), (1, 0, "cccdd"))
 
+# the discriminant b^2 - 4 a c of the quadric in v, in the same terms
+_DISCRIMINANT_TERMS = ((1, 0, "bb"), (-4, 1, "c"))
 
-def _resultant(lead: int, linear: _Table, rest: _Table, cubic_in_v) -> _Table:
-    """Res_v(quadric, cubic) over its content, in integer arithmetic: a form in
-    the coordinates after v.  The resultant is A quadric + B cubic for integer
-    forms A and B, so it vanishes wherever both do, at every rational v.
 
-    With a = 0 Sylvester's formula is -d Res_v(b v + c, cubic), identically
-    zero when d is; a quadric linear in v takes the sum of the cubic's
-    coefficients of v^k times (-c)^k b^(n - k) instead, n the cubic's degree in v.
+def _sum_of_products(lead: int, factors: Dict[str, _Table], terms) -> _Table:
+    """The sum over the (coefficient, power, names) terms of coefficient times
+    lead^power times the product of the named tables, in integer arithmetic.
+    The tables are over (v, ...) with the exponent of v zero, and so is the sum.
     """
-    # an exponent of (x, y, z) is one int of three base-16 digits, so that a
-    # product adds them; terms share the products of their common prefixes
-    factors = {name: {(e[1] << 8) + (e[2] << 4) + e[3]: k for e, k in table}
-               for name, table in zip("bcgfed", (linear, rest, *cubic_in_v))}
-    products = {"": {0: 1}}
+    # the exponents after v are one int, a byte each, so that a product adds
+    # them (every exponent here is at most 7); `products` holds each factor
+    # and the product of each prefix of a term's names, shared by the terms
+    width = next((len(e) - 1 for table in factors.values() for e, _ in table), 0)
+    products = {name: {int.from_bytes(bytes(e[1:]), "big"): k for e, k in table}
+                for name, table in factors.items()}
     total: Dict[int, int] = {}
-    terms = _RESULTANT_TERMS
-    if not lead:
-        n = max(k for k, table in enumerate(cubic_in_v) if table)
-        terms = tuple(((-1) ** k, 0, "b" * (n - k) + "c" * k + "gfed"[k]) for k in range(n + 1))
     for coeff, power, names in terms:
-        for i in range(1, len(names) + 1):
+        for i in range(2, len(names) + 1):
             if names[:i] not in products:
                 product: Dict[int, int] = {}
                 for e1, k1 in products[names[:i - 1]].items():
-                    for e2, k2 in factors[names[i - 1]].items():
+                    for e2, k2 in products[names[i - 1]].items():
                         product[e1 + e2] = product.get(e1 + e2, 0) + k1 * k2
                 products[names[:i]] = product
         scale = coeff * lead ** power
         for e, k in products[names].items():
             total[e] = total.get(e, 0) + scale * k
-    # without its content, the form vanishes at the same cells and sieves
-    # moduli that share a factor with the content
-    content = math.gcd(*total.values()) or 1
-    return tuple(sorted(((0, e >> 8, e >> 4 & 15, e & 15), k // content)
-                        for e, k in total.items() if k))
+    return tuple(sorted(((0, *e.to_bytes(width, "big")), k) for e, k in total.items() if k))
+
+
+def table_resultant(lead: int, linear: _Table, rest: _Table, cubic_in_v) -> _Table:
+    """Res_v(lead v^2 + linear v + rest, cubic) in integer arithmetic, for a
+    cubic of degree at most 3 in v given as its coefficients of v^0, v^1, ...:
+    a table over (v, ...) with the exponent of v zero, content not divided out.
+    The resultant is A quadric + B cubic for integer forms A and B, so it
+    vanishes wherever both do, at every rational v (H. Cohen, GTM 138, 3.3).
+
+    With lead = 0 Sylvester's formula is -d Res_v(linear v + rest, cubic),
+    identically zero when d is; a quadric linear in v takes the sum of the
+    cubic's coefficients of v^k times (-rest)^k linear^(n - k) instead, n the
+    cubic's degree in v.
+    """
+    terms = _RESULTANT_TERMS
+    if not lead:
+        n = max(k for k, table in enumerate(cubic_in_v) if table)
+        terms = tuple(((-1) ** k, 0, "b" * (n - k) + "c" * k + "gfed"[k]) for k in range(n + 1))
+    return _sum_of_products(lead, dict(zip("bcgfed", (linear, rest, *cubic_in_v))), terms)
 
 
 def _search_forms(curve) -> _SearchForms:
@@ -502,16 +507,9 @@ def _search_forms(curve) -> _SearchForms:
     if solve is None:
         raise ValueError("quadric involves no live variable")
     order = (solve, *(n for n in live if n != solve))
-    rest, linear, square = _split_by_v(cleared_table(curve.quadric, order), 2)
+    rest, linear, square = split_by_variable(cleared_table(curve.quadric, order), 2)
     lead = next((k for e, k in square if not any(e)), 0)
-    # disc = linear^2 - 4 lead rest, in integers
-    terms: Dict[Tuple[int, ...], int] = {}
-    for (e1, k1), (e2, k2) in itertools.product(linear, repeat=2):
-        e = tuple(map(sum, zip(e1, e2)))
-        terms[e] = terms.get(e, 0) + k1 * k2
-    for e, k in rest:
-        terms[e] = terms.get(e, 0) - 4 * lead * k
-    disc = tuple(sorted((e, k) for e, k in terms.items() if k))
+    disc = _sum_of_products(lead, {"b": linear, "c": rest}, _DISCRIMINANT_TERMS)
     # A square factor of the content hides residues from the sieve, so the
     # engine sieves disc / root_scale^2 and scales its square roots back.
     # disc = 0 (content 0) makes the quadric a double plane, with the one
@@ -527,11 +525,15 @@ def _search_forms(curve) -> _SearchForms:
     weights = {names[e.index(1)]: int(c * den) for e, c in expr.terms.items()}
     coordinate_map = tuple(
         tuple(den * (n == m) if n in order else weights.get(m, 0) for m in order) for n in names)
-    cubic_in_v = _split_by_v(cleared_table(curve.cubic, order), 3)
+    cubic_in_v = split_by_variable(cleared_table(curve.cubic, order), 3)
+    resultant = table_resultant(lead, linear, rest, cubic_in_v)
+    # without its content, the resultant vanishes at the same cells and sieves
+    # moduli that share a factor with the content
+    res_content = math.gcd(*(k for _, k in resultant)) or 1
     return _SearchForms(
         lead=lead, linear=linear, rest=rest,
         disc=tuple((e, k // root_scale ** 2) for e, k in disc), root_scale=root_scale,
-        cubic_in_v=cubic_in_v, resultant=_resultant(lead, linear, rest, cubic_in_v),
+        cubic_in_v=cubic_in_v, resultant=tuple((e, k // res_content) for e, k in resultant),
         coordinate_map=coordinate_map,
         checks=tuple(cleared_table(f, names) for f in checks))
 

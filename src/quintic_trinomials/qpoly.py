@@ -52,10 +52,6 @@ class UniPoly:
         return UniPoly((1,))
 
     @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((0, 1))
-
-    @staticmethod
     def constant(c: Rat) -> "UniPoly":
         return UniPoly((c,))
 

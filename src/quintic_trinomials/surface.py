@@ -14,7 +14,10 @@ the singular locus) and at least five explicit rational curves.
 The 30-term sextic form is transcribed once below and guarded by a
 transcription test against `curve.T_FORM_*`: the resultant in t of the
 two curve forms, divided by the common factor 5a, must reproduce it up
-to a rational unit.
+to a rational unit.  The forms are split by their powers of t into
+integer tables (`curve.split_by_variable`) and the resultant is the
+search engine's own (`curve.table_resultant`); the t^0 and t^1 tables of
+the quadric also give t at a point.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .multipoly import MultiPoly, resultant_in
+from .multipoly import MultiPoly
 from .curve import (CURVE_VARS, CurvePoint, T_EXCLUDED, T_FORM_CUBIC, T_FORM_QUADRIC,
-                    cleared_table, curve_from_t, form_value)
+                    cleared_table, curve_from_t, form_value, split_by_variable, table_resultant)
 
 SURFACE_VARS = CURVE_VARS
 
@@ -64,10 +67,14 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
 
 _SEXTIC = cleared_table(SURFACE_FORM, SURFACE_VARS)
 
+# the curve forms as integer tables over (t, a, b, c, d), split by powers of
+# t: the quadric is linear in t and the cubic quadratic
+_QUADRIC_IN_T, _CUBIC_IN_T = (split_by_variable(cleared_table(form, ("t", *SURFACE_VARS)), n)
+                              for form, n in ((T_FORM_QUADRIC, 1), (T_FORM_CUBIC, 2)))
+
 # the quadric is den*t - num, so t = num/den at a point of the surface;
 # its t^0 and t^1 coefficients as integer tables over (a, b, c, d)
-_T_COEFFICIENTS = tuple(cleared_table(T_FORM_QUADRIC.coefficient_of("t", k), CURVE_VARS)
-                        for k in (0, 1))
+_T_COEFFICIENTS = tuple(tuple((e[1:], k) for e, k in part) for part in _QUADRIC_IN_T)
 
 
 def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
@@ -207,11 +214,9 @@ def eliminate_t_from_curve_forms() -> MultiPoly:
     cubic is 5a times the surface form; the quotient is returned for
     comparison against the transcription.
     """
-    res = resultant_in("t", T_FORM_QUADRIC, T_FORM_CUBIC)
-    quotient = res.divide_by_variable("a")
-    if quotient is None:
+    rest, linear = _QUADRIC_IN_T
+    resultant = table_resultant(0, linear, rest, _CUBIC_IN_T)
+    if any(e[1] == 0 for e, _ in resultant):
         raise ArithmeticError("elimination invariant broken: the resultant is not divisible by a")
-    if quotient.degree_in("t") > 0:
-        raise ArithmeticError("elimination invariant broken: t survives in the resultant")
-    # drop the now-unused t slot
-    return MultiPoly(SURFACE_VARS, {e[:4]: c for e, c in quotient.terms.items()})
+    # drop the t slot, which the resultant has eliminated, and one power of a
+    return MultiPoly(SURFACE_VARS, {(e[1] - 1, *e[2:]): k for e, k in resultant})

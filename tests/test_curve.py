@@ -26,12 +26,13 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       curve_from_field, point_search, general_point_search,
                                       point_to_trinomial, trinomial_to_point,
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
-                                      SearchResult, _search_chunk,
+                                      SearchResult, _search_chunk, split_by_variable,
+                                      table_resultant, cleared_table,
                                       _search_forms, _sieve_tables, worker_count, _MODULI,
                                       _ORBITS, _OFFSETS, _Sieve, _packed_rows)
 
 from qpoly_reference import power_sums
-from test_multipoly import reference_evaluate, variable
+from test_multipoly import reference_evaluate
 
 T65 = F(6, 5)
 
@@ -323,15 +324,26 @@ def test_search_confirms_each_primitive_cell_once(monkeypatch):
         assert z > 0 or y > 0 or (y == 0 and x > 0)
 
 
+def _cleared(form):
+    """The form times the lcm of its denominators."""
+    scale = math.lcm(*(k.denominator for k in form.terms.values()))
+    return MultiPoly(form.vars, {e: k * scale for e, k in form.terms.items()})
+
+
+def _degrees(form, name):
+    """The exponents of the variable `name` in the terms of the form."""
+    i = form.vars.index(name)
+    return {e[i] for e in form.terms}
+
+
 def _split_live(curve):
     """The cleared quadric and cubic, the variable v that the engine solves
     for (the first live one with a square term, else of degree 1), and the
     other live variables, enumerated as (x, y, z)."""
-    quadric, cubic = (f * math.lcm(*(k.denominator for k in f.terms.values()))
-                      for f in (curve.quadric, curve.cubic))
+    quadric, cubic = _cleared(curve.quadric), _cleared(curve.cubic)
     live = curve.live_vars if isinstance(curve, GeneralCurve) else quadric.vars
-    v = (next((n for n in live if quadric.coefficient_of(n, 2)), None)
-         or next(n for n in live if quadric.degree_in(n) == 1))
+    v = (next((n for n in live if 2 in _degrees(quadric, n)), None)
+         or next(n for n in live if max(_degrees(quadric, n)) == 1))
     return quadric, cubic, v, [n for n in live if n != v]
 
 
@@ -466,6 +478,57 @@ def test_packed_rows_match_the_resultant_oracle(H):
             assert (got == passes(m, a, y, r)).all()
 
 
+def test_table_resultant_in_low_degrees():
+    # Res_t(x t + y, t^2 - x) = y^2 - x^3, over (t, x, y)
+    order = ("t", "x", "y")
+    rest, linear = split_by_variable(cleared_table(
+        MultiPoly.from_spec(order, [(1, {"x": 1, "t": 1}), (1, {"y": 1})]), order), 1)
+    quadratic = split_by_variable(cleared_table(
+        MultiPoly.from_spec(order, [(1, {"t": 2}), (-1, {"x": 1})]), order), 2)
+    assert table_resultant(0, linear, rest, quadratic) == (((0, 0, 2), 1), ((0, 3, 0), -1))
+
+
+def _sympy_table(sympy, expression, gens):
+    return tuple(sorted((e, int(k)) for e, k in sympy.Poly(expression, *gens).terms()))
+
+
+@pytest.mark.parametrize("shape", [
+    "surface",  # linear and quadratic in v, forms of degree 2 and 3 in four coordinates
+    "lead",  # the engine's quadric with lead != 0 and a cubic in v
+    "linear-cubic",  # the engine's quadric with lead = 0 and a cubic in v
+    "linear-quadratic",  # lead = 0 and a cubic of degree 2 in v
+])
+def test_table_resultant_matches_sympy(shape):
+    # the raw resultant, content kept; sympy.resultant(p, q) drops the sign
+    # (-1)^(mn) when deg p < deg q (sympy 1.14), so the cubic goes first and
+    # the sign of the swap is put back
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(shape)
+    v, *coords = sympy.symbols("v a b c d" if shape == "surface" else "v x y z")
+
+    def form(degree):
+        return sympy.Add(*(rng.randint(-9, 9) * sympy.Mul(*(x ** k for x, k in zip(coords, e)))
+                           for e in itertools.product(range(degree + 1), repeat=len(coords))
+                           if sum(e) == degree))
+
+    for _ in range(4):
+        lead, top = rng.choice((-3, -1, 2, 5)), rng.choice((-2, 1, 7))
+        if shape == "surface":
+            quadric, cubic = form(2) * v + form(2), form(3) * v ** 2 + form(3) * v + form(3)
+        else:
+            quadric = (lead * v ** 2 if shape == "lead" else 0) + form(1) * v + form(2)
+            cubic = ((0 if shape == "linear-quadratic" else top * v ** 3)
+                     + form(1) * v ** 2 + form(2) * v + form(3))
+        gens = (v, *coords)
+        rest, linear, square = split_by_variable(_sympy_table(sympy, quadric, gens), 2)
+        cubic_in_v = split_by_variable(_sympy_table(sympy, cubic, gens), 3)
+        sign = (-1) ** (sympy.degree(quadric, v) * sympy.degree(cubic, v))
+        expected = _sympy_table(sympy, sign * sympy.resultant(cubic, quadric, v), gens)
+        assert expected
+        assert table_resultant(dict(square).get((0,) * len(gens), 0), linear, rest,
+                               cubic_in_v) == expected
+
+
 @functools.lru_cache(maxsize=None)
 def _general_points(g, H):
     return general_point_search(curve_from_field(UniPoly(list(g))), H)
@@ -584,13 +647,13 @@ def _unsieved_reference(curve, H):
     for curves whose discriminant stays below 2^61 on the box."""
     general = isinstance(curve, GeneralCurve)
     live = curve.live_vars if general else curve.quadric.vars
-    v = next(n for n in live if curve.quadric.coefficient_of(n, 2))
+    v = next(n for n in live if 2 in _degrees(curve.quadric, n))
     others = [n for n in live if n != v]
-    quadric = curve.quadric * math.lcm(*(k.denominator for k in curve.quadric.terms.values()))
+    quadric, iv = _cleared(curve.quadric), curve.quadric.vars.index(v)
     grid = dict(zip(others, np.meshgrid(*[np.arange(-H, H + 1)] * 3, indexing="ij")))
     coeffs, sizes = [], []
     for n in range(3):
-        terms = quadric.coefficient_of(v, n).terms.items()
+        terms = [(e, k) for e, k in quadric.terms.items() if e[iv] == n]
         sizes.append(sum(abs(int(k)) for _, k in terms) * H ** (2 - n))
         coeff = np.zeros_like(grid[others[0]])
         for e, k in terms:
@@ -672,7 +735,7 @@ def test_point_class_invariant_under_rescaling():
 
 def test_trinomial_to_point_roundtrip():
     curve = curve_from_t(T65)
-    field = curve.field
+    field = NumberField(curve.defining_poly)
     res = has_root_in_field(UniPoly([-324, 0, 0, 0, 0, 1]), field)
     assert res.certified
     pt = trinomial_to_point(curve, res.witness)
@@ -684,14 +747,14 @@ def test_trinomial_to_point_roundtrip():
 
 def test_trinomial_to_point_generator_and_scaling():
     curve = curve_from_t(T65)
-    field = curve.field
+    field = NumberField(curve.defining_poly)
     assert trinomial_to_point(curve, field.generator).coords == (0, 1, 0, 0)
     assert trinomial_to_point(curve, field.generator * 2).coords == (0, 1, 0, 0)
 
 
 def test_trinomial_to_point_rejects_non_trinomial_shape():
     curve = curve_from_t(T65)
-    beta = curve.field.element((1, 1, 0, 0, 0))
+    beta = NumberField(curve.defining_poly).element((1, 1, 0, 0, 0))
     with pytest.raises(ValueError):
         trinomial_to_point(curve, beta)
 
@@ -738,7 +801,7 @@ def test_general_construction_auto_elimination():
     assert curve_from_field(UniPoly([105, 75, 0, 0, 0, 1])).eliminated == "e"
     pure = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))
     assert pure.eliminated == "a"
-    assert pure.linear.proportionality(variable(FULL_VARS, "a")) is not None
+    assert pure.linear.proportionality(MultiPoly.from_spec(FULL_VARS, [(1, {"a": 1})])) is not None
 
 
 def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
@@ -766,51 +829,47 @@ def test_general_construction_rejects_reducible():
         curve_from_field(UniPoly([2, 2, 0, 0, 0, 1]), eliminate="z")
 
 
-def _substitute(form, name, value):
-    """The form with the variable `name` replaced by the form `value`."""
-    i = form.vars.index(name)
-    out = MultiPoly.zero(form.vars)
-    for e, c in form.terms.items():
-        out = out + MultiPoly(form.vars, {e[:i] + (0,) + e[i + 1:]: c}) * value ** e[i]
-    return out
-
-
 def _newton_reference(g, eliminate=None):
-    """An independent construction by Newton's identities: p_k = Tr(beta^k)
-    for the generic beta = sum x_i alpha^i, expanded in five variables as
-    sum s_(i1+...+ik) x_i1...x_ik; the x^4, x^3 and x^2 coefficients of the
-    characteristic polynomial are -p1, (p1^2 - p2)/2 and
-    -(p1^3 - 3 p1 p2 + 2 p3)/6, and the eliminated variable is substituted
-    from the trace condition -p1 = 0.  Returns (linear, quadric, cubic,
-    eliminated, elimination_expr); raises ValueError as curve_from_field does."""
+    """An independent construction by Newton's identities, in sympy: p_k =
+    Tr(beta^k) for the generic beta = sum x_i alpha^i, expanded in five
+    variables as sum s_(i1+...+ik) x_i1...x_ik; the x^4, x^3 and x^2
+    coefficients of the characteristic polynomial are -p1, (p1^2 - p2)/2
+    and -(p1^3 - 3 p1 p2 + 2 p3)/6, and the eliminated variable is
+    substituted from the trace condition -p1 = 0.  Returns (linear, quadric,
+    cubic, eliminated, elimination_expr) as MultiPolys; raises ValueError as
+    curve_from_field does."""
+    sympy = pytest.importorskip("sympy")
     if g.degree != 5 or g.lc != 1:
         raise ValueError("need a monic quintic")
     if eliminate is not None and eliminate not in FULL_VARS:
         raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
-    sums = power_sums(g, 12)
+    _, *xs = sympy.ring(FULL_VARS, sympy.QQ)
+    sums = [sympy.QQ(s.numerator, s.denominator) for s in power_sums(g, 12)]
 
     def trace_form(k):
-        terms = {}
-        for idx in itertools.product(range(5), repeat=k):
-            key = tuple(idx.count(i) for i in range(5))
-            terms[key] = terms.get(key, F(0)) + sums[sum(idx)]
-        return MultiPoly(FULL_VARS, terms)
+        return sum(sums[sum(idx)] * math.prod(xs[i] for i in idx)
+                   for idx in itertools.product(range(5), repeat=k))
+
+    def multipoly(poly):
+        return MultiPoly(FULL_VARS, {e: F(int(c.numerator), int(c.denominator))
+                                     for e, c in poly.terms()})
 
     p1, p2, p3 = (trace_form(k) for k in (1, 2, 3))
     linear = -p1
-    quadric = (p1 * p1 - p2) * F(1, 2)
-    cubic = (p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) * F(-1, 6)
-    coeffs = {n: linear.terms.get(tuple(int(m == n) for m in FULL_VARS), F(0)) for n in FULL_VARS}
+    quadric = (p1 * p1 - p2) / 2
+    cubic = -(p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) / 6
+    coeffs = {n: linear.coeff(x) for n, x in zip(FULL_VARS, xs)}
     if eliminate is None:
         best = max(abs(c) for c in coeffs.values())
         eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
     if coeffs[eliminate] == 0:
         raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
-    expr = (linear - variable(FULL_VARS, eliminate) * coeffs[eliminate]) * (-1 / coeffs[eliminate])
-    return (linear, _substitute(quadric, eliminate, expr), _substitute(cubic, eliminate, expr),
-            eliminate, expr)
+    x = xs[FULL_VARS.index(eliminate)]
+    expr = (linear - coeffs[eliminate] * x) / -coeffs[eliminate]
+    return (multipoly(linear), multipoly(quadric.compose(x, expr)),
+            multipoly(cubic.compose(x, expr)), eliminate, multipoly(expr))
 
 
 def _construction_or_error(build, g, eliminate):

@@ -5,76 +5,44 @@ from fractions import Fraction as F
 import pytest
 
 from quintic_trinomials.curve import T_FORM_QUADRIC, T_FORM_VARS
-from quintic_trinomials.multipoly import MultiPoly, resultant_in
+from quintic_trinomials.multipoly import MultiPoly
 
 V = ("x", "y", "z")
 
 
-def variable(variables, name):
-    """The form that is the one variable `name`."""
-    return MultiPoly.from_spec(variables, [(1, {name: 1})])
-
-
-def test_arithmetic_and_equality():
-    x = variable(V, "x")
-    y = variable(V, "y")
-    p = (x + y) * (x - y)
-    assert p == x * x - y * y
-    assert (x + y) ** 2 == x * x + 2 * x * y + y * y
-    assert p - p == 0
-    assert MultiPoly.zero(V).is_zero
+def test_equality_hash_and_zero():
+    p = MultiPoly.from_spec(V, [(1, {"x": 2}), (-1, {"y": 2}), (F(1, 2), {"x": 1, "z": 1})])
+    q = MultiPoly(V, {(1, 0, 1): F(1, 2), (0, 2, 0): -1, (2, 0, 0): 1, (0, 0, 2): 0})
+    assert p == q and hash(p) == hash(q)
+    assert p != MultiPoly(("x", "y", "w"), q.terms)
+    # repeated monomials add up, and cancel to zero
+    assert MultiPoly.from_spec(V, [(3, {"y": 1}), (-3, {"y": 1})]) == MultiPoly.zero(V)
+    assert MultiPoly.zero(V).is_zero and not p.is_zero
+    with pytest.raises(ValueError, match="length mismatch"):
+        MultiPoly(V, {(1, 0): 1})
 
 
 def test_evaluate_and_partial_evaluate():
-    x, y, z = (variable(V, n) for n in V)
-    p = x * x + 3 * y * z
+    p = MultiPoly.from_spec(V, [(1, {"x": 2}), (3, {"y": 1, "z": 1})])
     values = {"x": F(2), "y": F(-1), "z": F(3)}
-    assert p.partial_evaluate(values) == 4 - 9
+    assert p.partial_evaluate(values) == MultiPoly.from_spec(V, [(4 - 9, {})])
     partial = p.partial_evaluate({"y": F(-1)})
-    assert partial == x * x - 3 * z
-
-
-def test_coefficient_extraction_and_degrees():
-    x, y, z = (variable(V, n) for n in V)
-    p = 2 * x * x * y + x * z - 5 * y
-    assert p.degree_in("x") == 2
-    assert p.coefficient_of("x", 2) == 2 * y
-    assert p.coefficient_of("x", 1) == z
-    assert p.coefficient_of("x", 0) == -5 * y
-    assert p.total_degree() == 3
-    assert not p.is_homogeneous()
-    assert (x * y + z * z).is_homogeneous()
-
-
-def test_divide_by_variable():
-    x, y, _ = (variable(V, n) for n in V)
-    p = x * x * y + 2 * x
-    assert p.divide_by_variable("x") == x * y + 2
-    assert (p + y).divide_by_variable("x") is None
+    assert partial == MultiPoly.from_spec(V, [(1, {"x": 2}), (-3, {"z": 1})])
 
 
 def test_proportionality():
-    x, y, _ = (variable(V, n) for n in V)
-    p = 3 * x * y - 6 * y * y
-    assert p.proportionality(x * y - 2 * y * y) == 3
-    assert p.proportionality(x * y + y * y) is None
+    p = MultiPoly.from_spec(V, [(3, {"x": 1, "y": 1}), (-6, {"y": 2})])
+    q, r = (MultiPoly.from_spec(V, [(1, {"x": 1, "y": 1}), (k, {"y": 2})]) for k in (-2, 1))
+    assert p.proportionality(q) == 3
+    assert p.proportionality(r) is None
     assert p.proportionality(MultiPoly.zero(V)) is None
-
-
-def test_resultant_in_low_degrees():
-    x, y, t = (variable(("x", "y", "t"), n) for n in ("x", "y", "t"))
-    # res_t( x*t + y, t^2 - x ) = x^2 * ((y/x)^2 - x)... cleared: y^2 - x^3
-    lin = x * t + y
-    quad = t * t - x
-    res = resultant_in("t", lin, quad)
-    assert res == y * y - x ** 3
-    with pytest.raises(ValueError):
-        resultant_in("t", quad, lin)
+    assert MultiPoly.zero(V).proportionality(MultiPoly.zero(V)) == 1
 
 
 def test_mixed_variable_sets_rejected():
-    with pytest.raises(ValueError):
-        variable(V, "x") + variable(("a", "b"), "a")
+    with pytest.raises(ValueError, match="mixed variable sets"):
+        MultiPoly.from_spec(V, [(1, {"x": 1})]).proportionality(
+            MultiPoly.from_spec(("a", "b"), [(1, {"a": 1})]))
 
 
 def reference_evaluate(poly, values):
@@ -94,6 +62,6 @@ def reference_evaluate(poly, values):
 def test_str_prints_signs_units_and_zero():
     assert str(T_FORM_QUADRIC) == "-5*a^2 + 50*a*b + 32*b*d*t + 16*c^2*t + 40*c*d*t"
     assert str(MultiPoly.zero(T_FORM_VARS)) == "0"
-    assert str(MultiPoly.constant(T_FORM_VARS, -1)) == "-1"
+    assert str(MultiPoly.from_spec(T_FORM_VARS, [(-1, {})])) == "-1"
     form = MultiPoly.from_spec(("x", "y"), [(F(-2, 3), {"x": 2, "y": 1}), (1, {"y": 3}), (-1, {})])
     assert str(form) == "-2/3*x^2*y + y^3 - 1"

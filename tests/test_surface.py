@@ -12,7 +12,6 @@ from quintic_trinomials.surface import (SURFACE_FORM, on_surface, recover_t, t_p
                                         LINE_NAMES, CURVE_NAMES, LINE_T_VALUES)
 from quintic_trinomials import cli, report, surface
 from quintic_trinomials.curve import CurvePoint, T_FORM_QUADRIC, curve_from_t, point_search
-from quintic_trinomials.multipoly import MultiPoly
 
 from test_multipoly import reference_evaluate
 
@@ -22,7 +21,7 @@ def test_transcription_against_elimination():
     ratio = rebuilt.proportionality(SURFACE_FORM)
     assert ratio is not None
     assert len(SURFACE_FORM.terms) == 30
-    assert SURFACE_FORM.is_homogeneous() and SURFACE_FORM.total_degree() == 6
+    assert {sum(e) for e in SURFACE_FORM.terms} == {6}
 
 
 def test_membership_anchors():
@@ -181,14 +180,15 @@ def test_criterion_7_evaluates_the_sextic_once_per_sample(monkeypatch):
 def test_t_parts_match_the_evaluated_quadric_coefficients():
     # on criterion 7's samples of R1-R5 and of the five lines, t's numerator
     # and denominator are the quadric's t^0 and t^1 coefficients evaluated
-    # term by term; all of R4 and R5 lie in the base locus (0/0)
-    forms = [T_FORM_QUADRIC.coefficient_of("t", k) for k in (0, 1)]
+    # term by term (the quadric is linear in t: its values at t = 0 and the
+    # difference at t = 1); all of R4 and R5 lie in the base locus (0/0)
     points = [rational_curve(name, F(k, 3)) for name in CURVE_NAMES for k in range(1, 51)]
     points += [line_point(name, F(k), F(k + 1)) for name in LINE_NAMES for k in range(1, 51)]
     base_locus = 0
     for pt in points:
-        minus_num, den = (reference_evaluate(form, dict(zip("abcd", pt.coords), t=0))
-                          for form in forms)
+        at_0, at_1 = (reference_evaluate(T_FORM_QUADRIC, dict(zip("abcd", pt.coords), t=t))
+                      for t in (0, 1))
+        minus_num, den = at_0, at_1 - at_0
         assert t_parts(pt) == (-minus_num, den)
         base_locus += t_parts(pt) == (0, 0)
     assert base_locus >= 100
@@ -223,7 +223,8 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     pt = rational_curve("R1", F(1, 2))
     with pytest.raises(ArithmeticError, match="surface-curve invariant broken"):
         consistency_with_curve(pt, recover_t(pt))
-    monkeypatch.setattr(surface, "resultant_in",
-                        lambda name, p, q: MultiPoly.constant(p.vars, 1))
+    # a resultant over (t, a, b, c, d) with a term free of a
+    monkeypatch.setattr(surface, "table_resultant",
+                        lambda lead, linear, rest, cubic_in_v: (((0, 0, 1, 0, 0), 1),))
     with pytest.raises(ArithmeticError, match="elimination invariant broken"):
         eliminate_t_from_curve_forms()
