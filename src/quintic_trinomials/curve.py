@@ -51,6 +51,7 @@ searched in-process.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -144,8 +145,12 @@ class TrinomialCurve:
         a, b, c, d = (Fraction(v) for v in point.coords)
         return (a, b, c, d, self.e_coordinate(a))
 
+    @functools.cached_property
+    def _tables(self) -> Tuple[_Table, ...]:
+        return tuple(cleared_table(f, f.vars) for f in (self.quadric, self.cubic))
+
     def contains(self, point: CurvePoint) -> bool:
-        return _forms_vanish((self.quadric, self.cubic), point.coords)
+        return _forms_vanish(self._tables, len(self.quadric.vars), point.coords)
 
 
 def curve_from_t(t: Fraction) -> TrinomialCurve:
@@ -190,21 +195,25 @@ class GeneralCurve:
     def live_vars(self) -> Tuple[str, ...]:
         return tuple(v for v in FULL_VARS if v != self.eliminated)
 
+    @functools.cached_property
+    def _tables(self) -> Tuple[_Table, ...]:
+        return tuple(cleared_table(f, f.vars) for f in (self.linear, self.quadric, self.cubic))
+
     def contains(self, coords: Sequence[Fraction]) -> bool:
-        return _forms_vanish((self.linear, self.quadric, self.cubic), coords)
+        return _forms_vanish(self._tables, len(self.quadric.vars), coords)
 
 
-def _forms_vanish(forms: Sequence[MultiPoly], coords: Sequence[Fraction]) -> bool:
-    """Whether the homogeneous forms all vanish at the coordinates, one per
-    variable: rational ones are scaled to integers by the lcm of their
-    denominators, and each form is checked as its integer table."""
-    if len(coords) != len(forms[0].vars):
-        raise ValueError(f"need {len(forms[0].vars)} coordinates, got {len(coords)}")
+def _forms_vanish(tables: Sequence[_Table], width: int, coords: Sequence[Fraction]) -> bool:
+    """Whether the integer tables of homogeneous forms in `width` variables,
+    built once per curve, all vanish at the coordinates, one per variable:
+    rational ones are scaled to integers by the lcm of their denominators."""
+    if len(coords) != width:
+        raise ValueError(f"need {width} coordinates, got {len(coords)}")
     if not all(isinstance(v, int) for v in coords):
         values = [Fraction(v) for v in coords]
         den = math.lcm(*(v.denominator for v in values))
         coords = [v.numerator * (den // v.denominator) for v in values]
-    return not any(form_value(cleared_table(f, f.vars), coords) for f in forms)
+    return not any(form_value(table, coords) for table in tables)
 
 
 def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurve:

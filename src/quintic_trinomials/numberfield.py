@@ -1,12 +1,14 @@
 """Arithmetic in quintic number fields K = Q[x]/(g).
 
 Elements are coordinate vectors over the power basis 1, alpha, ...,
-alpha^4; a product is the polynomial product reduced mod g.  The
-characteristic polynomial of the multiplication-by-beta map is computed
-in integers, from the traces of the powers of an integral multiple of
-beta by Newton's identities (`charpoly_mod`); it equals the minimal
-polynomial of beta whenever beta is irrational (degree five is prime, so
-there are no intermediate fields).
+alpha^4.  Products, powers and `vanishes` work in Z[theta]/(G), theta =
+e alpha a root of the monic integral rescaling G of g, on D beta written
+over the powers of theta (`theta_coordinates`).  The characteristic
+polynomial of the multiplication-by-beta map is computed there too, from
+the traces of the powers of D beta by Newton's identities (`charpoly_mod`,
+with G and its traces cached per g); it equals the minimal polynomial of
+beta whenever beta is irrational (degree five is prime, so there are no
+intermediate fields).
 
 Whether an irreducible quintic f has a root in K is decided at a prime
 (Cohen, "A Course in Computational Algebraic Number Theory", ch. 3-4;
@@ -35,6 +37,20 @@ from .factor import (PRIME_BLOCK, factor_over_Q, frobenius_traces, gf_p2_roots, 
                      z_divmod, z_mul)
 
 
+def theta_coordinates(coords: Sequence[Fraction], e: int) -> Tuple[int, List[int]]:
+    """(D, X) with D sum c_i alpha^i = sum X_i theta^i for theta = e alpha, D > 0 the least."""
+    scaled = [Fraction(c) / e ** i for i, c in enumerate(coords)]
+    D = math.lcm(*(c.denominator for c in scaled))
+    return D, [c.numerator * (D // c.denominator) for c in scaled]
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_model(g: UniPoly) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(d, G, (Tr(theta^0), ..., Tr(theta^(n-1)))), G = `g.integral_rescaling()`, once per g."""
+    d, G = g.integral_rescaling()
+    return d, tuple(G), tuple(integer_power_sums(G, len(G) - 2))
+
+
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     """Characteristic polynomial of multiplication by the element with given coords.
 
@@ -46,14 +62,11 @@ def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     e_(m-i) p_i give the elementary symmetric functions e_m of the
     conjugates of D beta, integers as D beta is integral over Z, by exact
     division; the coefficient of x^(n-m) is (-1)^m e_m / D^m (H. Cohen,
-    GTM 138, section 4.2).
+    GTM 138, section 4.2).  G and its traces are cached per g.
     """
-    d, G = g.integral_rescaling()
+    d, G, traces = _trace_model(g)
     n = len(G) - 1
-    scaled = [Fraction(c) / d ** i for i, c in enumerate(coords)]
-    D = math.lcm(*(c.denominator for c in scaled))
-    B = z_divmod([c.numerator * (D // c.denominator) for c in scaled], G)[1]
-    traces = integer_power_sums(G, n - 1)
+    D, B = theta_coordinates(coords, d)
     e, psums, power = [1], [], [1]
     for m in range(1, n + 1):
         power = z_divmod(z_mul(power, B), G)[1]
@@ -102,6 +115,11 @@ class NumberField:
         """(e, G, disc(G)), G = e^5 g(x / e) the monic integral rescaling, once per field."""
         e, G = self.defining_poly.integral_rescaling()
         return e, G, integer_discriminant(G)
+
+    def from_theta(self, ints: Sequence[int], den: int) -> "FieldElement":
+        """sum ints_i theta^i / den, theta = e alpha: the coordinate of alpha^i is ints_i e^i / den."""
+        e = self.integral_model[0]
+        return self.element([Fraction(c * e ** i, den) for i, c in enumerate(ints)])
 
 
 class FieldElement:
@@ -153,22 +171,23 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
         other = self._check(other)
-        product = UniPoly(self.coords) * UniPoly(other.coords) % self.field.defining_poly
-        return FieldElement(self.field, (product[i] for i in range(5)))
+        e, G, _ = self.field.integral_model
+        (dx, x), (dy, y) = theta_coordinates(self.coords, e), theta_coordinates(other.coords, e)
+        return self.field.from_theta(z_divmod(z_mul(x, y), G)[1], dx * dy)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")
-        result = self.field.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        e, G, _ = self.field.integral_model
+        d, x = theta_coordinates(self.coords, e)
+        acc = [1, 0, 0, 0, 0]
+        for bit in bin(n)[2:]:
+            acc = z_divmod(z_mul(acc, acc), G)[1]
+            if bit == "1":
+                acc = z_divmod(z_mul(acc, x), G)[1]
+        return self.field.from_theta(acc, d ** n)
 
     @property
     def is_zero(self) -> bool:
@@ -275,7 +294,7 @@ def _decide_at_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
     first prime where the root counts differ, or else where G splits.
     """
     d, F = f.integral_rescaling()
-    e, G, disc_g = K.integral_model
+    _, G, disc_g = K.integral_model
     roots = None
     for block in _prime_blocks(integer_discriminant(F) * disc_g, len(F) - 1):
         traces = frobenius_traces([F, G], block, 2).tolist()
@@ -284,7 +303,7 @@ def _decide_at_prime(f: UniPoly, K: NumberField) -> RootSearchResult:
                 return RootSearchResult("absent", None, detail=f"root counts mod {p} differ: "
                                         f"{f1} for f, {g1} for the field polynomial")
             if roots is None and g2 == 5:
-                roots = [K.element([Fraction(c * e ** j, disc_g * d) for j, c in enumerate(h)])
+                roots = [K.from_theta(h, disc_g * d)
                          for h in (_interpolated_roots(F, G, disc_g, p) if f2 == 5 else ())]
                 if roots:
                     return RootSearchResult("certified", min(roots, key=_height_key),
@@ -393,12 +412,12 @@ def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List
                 break
             coords.append(a)
         else:
-            if _vanishes(F, G, coords, disc_g):
+            if vanishes(F, G, coords, disc_g):
                 roots.append(coords)
     return roots
 
 
-def _vanishes(F: List[int], G: List[int], h: List[int], scale: int) -> bool:
+def vanishes(F: Sequence[int], G: Sequence[int], h: Sequence[int], scale: int) -> bool:
     """Whether F(h(theta) / scale) = 0 in Z[theta] = Z[x]/(G), F and G monic integer.
 
     Horner's rule on scale^n F(h / scale) = sum F_i scale^(n-i) h^i, with

@@ -112,18 +112,19 @@ def recover_t(point: CurvePoint) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-# five lines; each entry maps two projective parameters (u : v) to a point
+# five lines; each coordinate is a row (x, y) standing for x u + y v, for
+# the two projective parameters (u : v), denominators cleared per line
 _LINES = {
     # a = 10b, c = -3b/5: t = 0
-    "t0-a": lambda u, v: (10 * u, u, Fraction(-3, 5) * u, v),
+    "t0-a": ((50, 0), (5, 0), (-3, 0), (0, 5)),
     # a = b = 0: t = 0
-    "t0-b": lambda u, v: (0, 0, u, v),
+    "t0-b": ((0, 0), (0, 0), (1, 0), (0, 1)),
     # b = 21d/32, c = -3d/4: t = infinity
-    "t-inf": lambda u, v: (u, Fraction(21, 32) * v, Fraction(-3, 4) * v, v),
+    "t-inf": ((32, 0), (0, 21), (0, -24), (0, 32)),
     # a = 125d/16, c = -5d/4: t = -3125/256 (reducible quintic)
-    "t-reducible": lambda u, v: (Fraction(125, 16) * v, u, Fraction(-5, 4) * v, v),
+    "t-reducible": ((0, 125), (16, 0), (0, -20), (0, 16)),
     # c = d = 0: inside the singular locus, no t value attached
-    "singular": lambda u, v: (u, v, 0, 0),
+    "singular": ((1, 0), (0, 1), (0, 0), (0, 0)),
 }
 
 LINE_NAMES = tuple(_LINES)
@@ -137,42 +138,22 @@ def line_point(name: str, u, v) -> CurvePoint:
     """A point of one of the five lines; (u, v) projective on the line."""
     if name not in _LINES:
         raise ValueError(f"unknown line {name!r}; choose from {LINE_NAMES}")
-    coords = _LINES[name](Fraction(u), Fraction(v))
-    return CurvePoint.from_rationals(coords)
+    u, v = Fraction(u), Fraction(v)
+    # (u : v) as the integer pair (U : V), scaled by the positive u.den v.den
+    U, V = u.numerator * v.denominator, v.numerator * u.denominator
+    return CurvePoint.from_integers([x * U + y * V for x, y in _LINES[name]])
 
 
-# five explicit rational curves, by parametrization degree in s
+# five explicit rational curves; each coordinate is a row of coefficients of
+# s^0, ..., s^4, denominators cleared per curve, read at s = u/w as the
+# degree-4 form sum_i row[i] u^i w^(4-i)
 _CURVES = {
-    "R1": lambda s: (
-        Fraction(-3, 100) * s ** 4 - Fraction(1, 5) * s ** 3 + s ** 2,
-        Fraction(3, 100) * s ** 3 + Fraction(1, 5) * s ** 2 - s,
-        Fraction(0),
-        Fraction(32, 125) * s ** 2 + Fraction(24, 25) * s + Fraction(16, 5),
-    ),
-    "R2": lambda s: (
-        Fraction(7, 2000) * s ** 4 + Fraction(1, 100) * s ** 3 + Fraction(1, 4) * s ** 2 + s,
-        -Fraction(7, 2000) * s ** 3 - Fraction(1, 100) * s ** 2 - Fraction(1, 4) * s - 1,
-        Fraction(-5, 2) * (Fraction(8, 625) * s ** 2 + Fraction(2, 125) * s - Fraction(4, 25)),
-        Fraction(8, 625) * s ** 2 + Fraction(2, 125) * s - Fraction(4, 25),
-    ),
-    "R3": lambda s: (
-        Fraction(-1, 250) * s ** 3 + Fraction(2, 25) * s ** 2 - Fraction(1, 2) * s + 1,
-        Fraction(-1, 250) * s ** 2 + Fraction(1, 10),
-        Fraction(-5, 4) * (Fraction(-32, 625) * s + Fraction(16, 125)),
-        Fraction(-32, 625) * s + Fraction(16, 125),
-    ),
-    "R4": lambda s: (
-        Fraction(0),
-        Fraction(-1, 2) * s ** 2 - Fraction(5, 4) * s,
-        s,
-        Fraction(1),
-    ),
-    "R5": lambda s: (
-        -5 * s ** 2 - Fraction(25, 2) * s,
-        Fraction(-1, 2) * s ** 2 - Fraction(5, 4) * s,
-        s,
-        Fraction(1),
-    ),
+    "R1": ((0, 0, 500, -100, -15), (0, -500, 100, 15, 0), (0, 0, 0, 0, 0), (1600, 480, 128, 0, 0)),
+    "R2": ((0, 10000, 2500, 100, 35), (-10000, -2500, -100, -35, 0),
+           (4000, -400, -320, 0, 0), (-1600, 160, 128, 0, 0)),
+    "R3": ((1250, -625, 100, -5, 0), (125, 0, -5, 0, 0), (-200, 80, 0, 0, 0), (160, -64, 0, 0, 0)),
+    "R4": ((0, 0, 0, 0, 0), (0, -5, -2, 0, 0), (0, 4, 0, 0, 0), (4, 0, 0, 0, 0)),
+    "R5": ((0, -50, -20, 0, 0), (0, -5, -2, 0, 0), (0, 4, 0, 0, 0), (4, 0, 0, 0, 0)),
 }
 
 CURVE_NAMES = ("R1", "R2", "R3", "R4", "R5")
@@ -181,14 +162,16 @@ CURVE_NAMES = ("R1", "R2", "R3", "R4", "R5")
 def rational_curve(name: str, s) -> CurvePoint:
     """Point of one of the five rational curves on X at parameter s.
 
-    Raises when every coordinate vanishes (finitely many excluded s).
+    No rational s makes every coordinate vanish: d has no rational root on
+    R1 and R2 and is constant on R4 and R5, and b is nonzero at R3's s = 5/2.
     """
     if name not in _CURVES:
         raise ValueError(f"unknown curve {name!r}; choose from {CURVE_NAMES}")
-    coords = _CURVES[name](Fraction(s))
-    if all(v == 0 for v in coords):
-        raise ValueError(f"parameter s = {s} excluded on {name}: all coordinates vanish")
-    return CurvePoint.from_rationals(coords)
+    # the point times the positive w^4, s = u/w in lowest terms
+    u, w = Fraction(s).as_integer_ratio()
+    powers = [u ** i * w ** (4 - i) for i in range(5)]
+    return CurvePoint.from_integers([sum(c * m for c, m in zip(row, powers))
+                                     for row in _CURVES[name]])
 
 
 def consistency_with_curve(point: CurvePoint,

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .qpoly import UniPoly, is_rational_square, format_rational
 from .factor import cycle_types, factor_over_Q, fifth_power_class, primes_below
+from .numberfield import theta_coordinates, vanishes
 
 
 @dataclass(frozen=True)
@@ -186,18 +187,23 @@ def galois_type_heuristic(f: Trinomial, prime_bound: int = 500) -> Tuple[str, Ga
     Evidence: whether the discriminant is a rational square, and the
     factorization cycle types modulo all good primes below the bound, at
     which the reduction is squarefree, read by `cycle_types` off the monic
-    integral rescaling, which has the same cycle types there.  This is an
-    upper-confidence identification, not a proof.
+    integral rescaling, which has the same cycle types there.  Reducible f
+    raises; f is factored over Q only when the types leave a factor possible.
+    This is an upper-confidence identification, not a proof.
     """
     poly = f.as_unipoly()
-    if not factor_over_Q(poly).is_irreducible:
-        raise ValueError(f"{f} is reducible over Q")
     disc = trinomial_disc(f)
     square = is_rational_square(disc)
     d, monic = poly.integral_rescaling()
     good = [p for p in primes_below(prime_bound)
             if d % p and disc.numerator % p and disc.denominator % p]
     observed = set(cycle_types(monic, good))
+    # a factor of degree k over Q makes k a sum of parts of every cycle type
+    # (Cohen, GTM 138, ch. 3): a 5-cycle rules out k = 1, 2, and so do
+    # (1, 4) and (2, 3) together
+    proven = (5,) in observed or {(1, 4), (2, 3)} <= observed
+    if not proven and not factor_over_Q(poly).is_irreducible:
+        raise ValueError(f"{f} is reducible over Q")
     evidence = GaloisEvidence(square, tuple(sorted(observed)), len(good))
     for name, in_a5, allowed in _GROUPS:
         if in_a5 == square and observed <= allowed:
@@ -256,15 +262,24 @@ class TrinomialPair:
     verified: bool
 
 
+def _vanishes_at(h: ScaledTrinomial, beta, f: ScaledTrinomial) -> bool:
+    """Whether h(beta) = 0 in Q[x]/(f): with theta = e alpha a root of G, the monic integral
+    rescaling of f, and H that of h, H(d beta) = 0 for d beta = k(theta) / S."""
+    e, G = f.as_unipoly().integral_rescaling()
+    d, H = h.as_unipoly().integral_rescaling()
+    S, k = theta_coordinates([d * c for c in beta], e)
+    return vanishes(H, G, k, S)
+
+
 def two_trinomial_family(a: Fraction) -> TrinomialPair:
     """A field with two inequivalent trinomials, from one parameter.
 
     f = (4a+32)x^5 + (-5a^2+5a)x - a^3 + a^2 has the root alpha; the
     explicit combination beta of alpha-powers is a root of
     h = (a^3+7a^2-8a)x^5 + (10a^2+115a-125)x + 2a^2-76a-250.
-    The identity h(beta) = 0 is checked exactly in Q[x]/(f), which is
-    valid verbatim in the etale algebra even when f is reducible (the
-    reducible case is flagged, not rejected).
+    The identity h(beta) = 0 is checked exactly in Q[x]/(f), in integers,
+    which is valid verbatim in the etale algebra even when f is reducible
+    (the reducible case is flagged, not rejected).
     """
     a = Fraction(a)
     if a in (0, 1, -8):
@@ -281,11 +296,5 @@ def two_trinomial_family(a: Fraction) -> TrinomialPair:
     h = ScaledTrinomial(a ** 3 + 7 * a ** 2 - 8 * a,
                         10 * a ** 2 + 115 * a - 125,
                         2 * a ** 2 - 76 * a - 250)
-    fm = f.monic().as_unipoly()
-    beta_poly = UniPoly(beta) % fm
-    acc = UniPoly.zero()
-    for coeff in reversed(h.as_unipoly().coeffs):
-        acc = (acc * beta_poly + UniPoly.constant(coeff)) % fm
-    verified = acc.is_zero
     irreducible = factor_over_Q(f.as_unipoly()).is_irreducible
-    return TrinomialPair(f, beta, h, irreducible, verified)
+    return TrinomialPair(f, beta, h, irreducible, _vanishes_at(h, beta, f))

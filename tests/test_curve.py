@@ -1120,3 +1120,25 @@ def test_contains_agrees_with_the_per_term_reference(index, data):
         assert curve.contains(coords) == expected, coords
     with pytest.raises(ValueError, match=f"need {n} coordinates"):
         curve.contains(CurvePoint(tuple(coords[1:])) if n == 4 else coords[1:])
+
+
+def test_contains_builds_each_form_table_once_and_checks_every_form(monkeypatch):
+    built = []
+    monkeypatch.setattr(curve_module, "cleared_table",
+                        lambda form, order: built.append(form) or cleared_table(form, order))
+    for t in (T65, F(-3125, 20736), F(7, 3)):
+        curve = curve_from_t(t)
+        before = len(built)
+        # (0 : 0 : -5 : 2) is on every t-form quadric and off every cubic
+        off_cubic = CurvePoint((0, 0, -5, 2))
+        assert reference_evaluate(curve.quadric, dict(zip(CURVE_VARS, off_cubic.coords))) == 0
+        for _ in range(3):
+            assert not curve.contains(off_cubic)
+            assert curve.contains(CurvePoint((0, 1, 0, 0)))
+        assert len(built) == before + 2
+    general = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))
+    before = len(built)
+    for _ in range(3):
+        assert general.contains((0, 1, 0, 0, 0)) and general.contains((0, 3, -3, 1, 1))
+        assert not general.contains((0, 3, -3, 1, 2))
+    assert len(built) == before + 3

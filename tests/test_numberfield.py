@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant
+from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant, integer_power_sums
 from quintic_trinomials.factor import (cycle_type_mod_p, factor_mod_p, factor_over_Q,
                                        frobenius_traces, gf_p2_roots, primes_below)
 from quintic_trinomials import numberfield
@@ -16,6 +16,7 @@ from quintic_trinomials.numberfield import (NumberField, has_root_in_field, char
                                             _sqrt_div, _sqrt_horner, _sqrt_mul)
 from quintic_trinomials.curve import curve_from_t, point_search
 
+from fraction_reference import field_product
 from qpoly_reference import power_sums
 from trager_oracle import monic_from_power_sums, trager_has_root, trager_norm
 
@@ -214,6 +215,17 @@ def test_integer_charpoly_matches_the_fraction_reference(low, coords):
     assert charpoly_mod(g, coords) == _charpoly_reference(g, coords)
 
 
+def test_charpoly_mod_rescales_and_traces_once_per_polynomial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numberfield, "integer_power_sums",
+                        lambda G, n: calls.append(G) or integer_power_sums(G, n))
+    numberfield._trace_model.cache_clear()
+    g = UniPoly([F(7, 11), F(-3, 13), 0, 0, 0, 1])
+    for k in range(4):
+        assert charpoly_mod(g, [k, 1, 0, 0, 0]) == _charpoly_reference(g, [k, 1, 0, 0, 0])
+    assert len(calls) == 1
+
+
 def test_integer_charpoly_matches_the_fraction_reference_on_the_t65_points():
     curve = curve_from_t(F(6, 5))
     points = point_search(curve, 200).points
@@ -351,6 +363,35 @@ def test_products_are_multiplicative_and_distributive(field, x, y, z):
     beta, gamma, delta = field.element(x), field.element(y), field.element(z)
     assert (beta * gamma).norm() == beta.norm() * gamma.norm()
     assert (beta + gamma) * delta == beta * delta + gamma * delta
+
+
+# fields with rational coefficients, where theta = e alpha has e > 1
+_PRODUCT_FIELDS = _PROPERTY_FIELDS + [NumberField(UniPoly([F(1, 3), F(1, 2), 0, 0, 0, 1])),
+                                      NumberField(UniPoly([F(-2, 7), F(5, 3), F(1, 4), 0,
+                                                           F(-1, 2), 1]))]
+
+_WIDE_COORDS = st.one_of(
+    st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=45), min_size=5,
+             max_size=5),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(lambda q: [q, 0, 0, 0, 0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PRODUCT_FIELDS), _WIDE_COORDS, _WIDE_COORDS)
+def test_products_match_the_fraction_reference(field, x, y):
+    # the product in Z[theta]/(G) against the Fraction product reduced mod g
+    product = field.element(x) * field.element(y)
+    assert product.coords == field_product(field.defining_poly, x, y)
+    assert (field.element(y) * field.element(x)).coords == product.coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_PRODUCT_FIELDS), _WIDE_COORDS, st.integers(0, 7))
+def test_powers_match_repeated_fraction_products(field, x, n):
+    expected = (1, 0, 0, 0, 0)
+    for _ in range(n):
+        expected = field_product(field.defining_poly, expected, x)
+    assert (field.element(x) ** n).coords == expected
 
 
 def test_str_of_elements():

@@ -13,6 +13,7 @@ from quintic_trinomials.surface import (SURFACE_FORM, on_surface, recover_t, t_p
 from quintic_trinomials import cli, report, surface
 from quintic_trinomials.curve import CurvePoint, T_FORM_QUADRIC, curve_from_t, point_search
 
+from fraction_reference import CURVES, LINES
 from test_multipoly import reference_evaluate
 
 
@@ -44,10 +45,10 @@ def _criterion_7_samples():
     """The sample points of verify-paper criterion 7, as their parametrizations give them."""
     for name in CURVE_NAMES:
         for k in range(1, 51):
-            yield surface._CURVES[name](F(k, 3))
+            yield CURVES[name](F(k, 3))
     for name in LINE_NAMES:
         for k in range(1, 51):
-            yield surface._LINES[name](F(k), F(k + 1))
+            yield LINES[name](F(k), F(k + 1))
 
 
 def test_membership_agrees_with_reference_near_criterion_7_samples():
@@ -67,6 +68,29 @@ def test_membership_agrees_with_reference_near_criterion_7_samples():
             checked += 1
             off += expected != 0
     assert checked == 500 * 9 and off > 3000
+
+
+_PARAMETERS = [F(k, q) for k in range(-12, 13) for q in (1, 2, 3, 7)]
+
+
+def test_rational_curves_match_the_fraction_parametrizations():
+    # negative s and s = 0 included: the integer rows homogenized in (u : w)
+    for name in CURVE_NAMES:
+        for s in _PARAMETERS:
+            assert rational_curve(name, s) == CurvePoint.from_rationals(CURVES[name](s)), (name, s)
+
+
+def test_lines_match_the_fraction_parametrizations():
+    # v = 0 and u = 0 included; u = v = 0 leaves no point on either side
+    for name in LINE_NAMES:
+        for u in _PARAMETERS[::3]:
+            for v in _PARAMETERS[1::5] + [F(0)]:
+                if u == v == 0:
+                    continue
+                expected = CurvePoint.from_rationals(LINES[name](u, v))
+                assert line_point(name, u, v) == expected, (name, u, v)
+        with pytest.raises(ValueError):
+            line_point(name, 0, 0)
 
 
 def test_lines_vanish_and_recover_annotated_t():

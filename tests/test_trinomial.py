@@ -13,7 +13,8 @@ from quintic_trinomials.trinomial import (Trinomial, ScaledTrinomial, EquivClass
                                           NotTForm, equiv_class, normalize_t_form,
                                           trinomial_disc, galois_type_heuristic, GaloisEvidence,
                                           weber_family, dihedral_family,
-                                          sw2_family, two_trinomial_family)
+                                          sw2_family, two_trinomial_family, _vanishes_at)
+from fraction_reference import galois_type_factoring_first, pair_identity
 from qpoly_reference import content_and_primitive
 
 
@@ -129,6 +130,36 @@ def test_galois_heuristic_matches_per_prime_reference_on_families():
         assert galois_type_heuristic(f)[1] == _reference_evidence(f, 500), f
 
 
+def _result_or_error(heuristic, f, prime_bound):
+    try:
+        return heuristic(f, prime_bound)
+    except ValueError as exc:
+        return str(exc)
+
+
+_SMALL_RATIONAL = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_RATIONAL, _SMALL_RATIONAL, st.booleans(), st.sampled_from([7, 30, 500]))
+def test_galois_heuristic_matches_the_factor_first_reference(a, r, reducible, prime_bound):
+    # b = -(r^5 + a r) puts the root r on x^5 + ax + b; bound 7 leaves few
+    # primes, so the cycle types often fail to prove irreducibility
+    b = -(r ** 5 + a * r) if reducible else r
+    f = Trinomial(a, b)
+    assert (_result_or_error(galois_type_heuristic, f, prime_bound)
+            == _result_or_error(galois_type_factoring_first, f, prime_bound))
+
+
+def test_galois_heuristic_on_reducible_and_degenerate_trinomials():
+    repeated = F(-3125, 256)  # x^5 + tx + t has a double root
+    for f in (Trinomial(1, 1), Trinomial(-2, 1), Trinomial(0, 0), Trinomial(5, 0),
+              Trinomial(0, 32), Trinomial(repeated, repeated), Trinomial(-1, 0)):
+        message = f"{f} is reducible over Q"
+        assert (_result_or_error(galois_type_heuristic, f, 500) == message
+                == _result_or_error(galois_type_factoring_first, f, 500))
+
+
 def test_weber_family_values():
     assert weber_family(2) == Trinomial(F(15, 32), F(21, 16))
     assert weber_family(0) == Trinomial(F(-5, 16), F(3, 8))
@@ -216,6 +247,25 @@ def test_two_trinomial_family_random_parameters():
             continue
         pair = two_trinomial_family(a)
         assert pair.verified, f"a = {a}"
+        done += 1
+
+
+def test_two_trinomial_identity_matches_the_fraction_reference():
+    rng = random.Random(56)
+    done = 0
+    while done < 30:
+        a = F(rng.randint(-90, 90), rng.randint(1, 16))
+        if a in (0, 1, -8):
+            continue
+        pair = two_trinomial_family(a)
+        f, h = pair.f.as_unipoly(), pair.h.as_unipoly()
+        assert pair.verified and pair_identity(f, pair.beta_coords, h), f"a = {a}"
+        # moving one coordinate of beta by 1, or by a small fraction, breaks the identity
+        for j in range(5):
+            for delta in (1, F(1, 7)):
+                moved = tuple(c + delta if i == j else c for i, c in enumerate(pair.beta_coords))
+                assert not _vanishes_at(pair.h, moved, pair.f), (a, j, delta)
+                assert not pair_identity(f, moved, h), (a, j, delta)
         done += 1
 
 
