@@ -5,10 +5,9 @@ alpha^4.  Products, powers and `vanishes` work in Z[theta]/(G), theta =
 e alpha a root of the monic integral rescaling G of g, on D beta written
 over the powers of theta (`theta_coordinates`).  The characteristic
 polynomial of the multiplication-by-beta map is computed there too, from
-the traces of the powers of D beta by Newton's identities (`charpoly_mod`,
-with G and its traces cached per g); it equals the minimal polynomial of
-beta whenever beta is irrational (degree five is prime, so there are no
-intermediate fields).
+the traces of the powers of D beta by Newton's identities (`charpoly_mod`);
+it equals the minimal polynomial of beta whenever beta is irrational
+(degree five is prime, so there are no intermediate fields).
 
 Whether an irreducible quintic f has a root in K is decided at a prime
 (Cohen, "A Course in Computational Algebraic Number Theory", ch. 3-4;
@@ -44,13 +43,6 @@ def theta_coordinates(coords: Sequence[Fraction], e: int) -> Tuple[int, List[int
     return D, [c.numerator * (D // c.denominator) for c in scaled]
 
 
-@functools.lru_cache(maxsize=64)
-def _trace_model(g: UniPoly) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """(d, G, (Tr(theta^0), ..., Tr(theta^(n-1)))), G = `g.integral_rescaling()`, once per g."""
-    d, G = g.integral_rescaling()
-    return d, tuple(G), tuple(integer_power_sums(G, len(G) - 2))
-
-
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     """Characteristic polynomial of multiplication by the element with given coords.
 
@@ -62,11 +54,12 @@ def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
     e_(m-i) p_i give the elementary symmetric functions e_m of the
     conjugates of D beta, integers as D beta is integral over Z, by exact
     division; the coefficient of x^(n-m) is (-1)^m e_m / D^m (H. Cohen,
-    GTM 138, section 4.2).  G and its traces are cached per g.
+    GTM 138, section 4.2).
     """
-    d, G, traces = _trace_model(g)
+    d, G = g.integral_rescaling()
     n = len(G) - 1
     D, B = theta_coordinates(coords, d)
+    traces = integer_power_sums(G, n - 1)
     e, psums, power = [1], [], [1]
     for m in range(1, n + 1):
         power = z_divmod(z_mul(power, B), G)[1]

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant, integer_power_sums
+from quintic_trinomials.qpoly import UniPoly, count_real_roots, discriminant
 from quintic_trinomials.factor import (cycle_type_mod_p, factor_mod_p, factor_over_Q,
                                        frobenius_traces, gf_p2_roots, primes_below)
 from quintic_trinomials import numberfield
@@ -213,17 +213,6 @@ def test_integer_charpoly_matches_the_fraction_reference(low, coords):
     # exceeds 1 whenever a coefficient has a denominator; random, rational and zero elements
     g = UniPoly([*low, 1])
     assert charpoly_mod(g, coords) == _charpoly_reference(g, coords)
-
-
-def test_charpoly_mod_rescales_and_traces_once_per_polynomial(monkeypatch):
-    calls = []
-    monkeypatch.setattr(numberfield, "integer_power_sums",
-                        lambda G, n: calls.append(G) or integer_power_sums(G, n))
-    numberfield._trace_model.cache_clear()
-    g = UniPoly([F(7, 11), F(-3, 13), 0, 0, 0, 1])
-    for k in range(4):
-        assert charpoly_mod(g, [k, 1, 0, 0, 0]) == _charpoly_reference(g, [k, 1, 0, 0, 0])
-    assert len(calls) == 1
 
 
 def test_integer_charpoly_matches_the_fraction_reference_on_the_t65_points():
