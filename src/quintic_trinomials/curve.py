@@ -35,8 +35,11 @@ the AND of five packed rows.  Both forms are homogeneous, so that test
 is the same at every cell of a line through the origin mod p: it is
 evaluated once at each of the p^2 + p + 1 points of P^2(F_p), and the
 p^3 residue cells read it through an index of their lines that depends
-only on p.  Rows are sieved in tiles of a fixed size, so working memory
-grows as O(H), not with the (2H+1)^2 cells of a slice.
+only on p.  A row with an all-zero packed row holds no survivor, so the
+search first ANDs tables of which packed rows have a bit set, a coarse
+test before the fine one as in `ratpoints`, and gathers only the rows
+left (10-12% on the paper's curves).  Rows are sieved in tiles of a fixed size, so
+working memory grows as O(H), not with the (2H+1)^2 cells of a slice.
 A multiple of a cell carries the same projective points as the cell, and
 the primitive cell of a point survives the sieve too, so only primitive
 survivors are confirmed, each once, in Python integers: an exact square
@@ -378,22 +381,23 @@ _OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
 # ceil((2H + 1) / 64) 64-bit words, 8.8 MB at this bound
 MAX_HEIGHT_BOUND = 1 << 14
 
-# A tile of the search reads at most this many bytes of packed rows, one
-# modulus at a time, and the rows are packed in groups of at most as many
-# cells: working memory is the packed rows, O(H), plus O(_TILE_BYTES).
+# A tile of the search holds at most this many bytes of live-row positions
+# (or one slice) and reads at most this many bytes of packed rows at a time,
+# and the rows are packed in groups of at most as many cells: working memory
+# is the packed rows, O(H), plus O(_TILE_BYTES).
 _TILE_BYTES = 2 ** 18
 
 # A search starts a process pool only when its half box has more than this
 # many cells; a smaller box is searched in-process.  The half box of height
 # H has (H + 1)(2H + 1)^2 cells, and a pool costs 10-25 ms to start.
 # Measured on 2 CPUs (Python 3.11), jobs 2 took this many times the wall
-# time of jobs 1 on t = 6/5, 19/14 and -3125/20736:
-#   H = 200: 2.4, 2.0          H = 350: 1.6, 1.1, 1.0     H = 400: 1.4, 0.8, 0.8
-#   H = 450-500: 0.7-0.9 (one run 1.2)                    H = 550-1000: 0.5-0.8
-# so two workers break even near H = 400-450, 0.5-0.7 times 2^29 cells;
-# 2^29 (a pool from H = 512) keeps the searches of doubtful gain in-process.
-# Above it the pool is sized as before, by jobs, the CPUs and the slices.
-_CELLS_PER_WORKER = 2 ** 29
+# time of jobs 1 on t = 6/5, 19/14 and -3125/20736 (medians of 3-5 runs,
+# two rounds):
+#   H = 512: 1.1-1.7    H = 600: 0.8-1.2    H = 650: 0.7-1.3    H = 700-800: 0.8-1.0
+#   H = 1000-1600: 0.5-0.8
+# so two workers break even near H = 650, about 2^30 cells; 2^30 (a pool
+# from H = 645) keeps the searches that mostly lose in-process.
+_CELLS_PER_WORKER = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -620,11 +624,20 @@ def _packed_rows(forms: _SearchForms, height_bound: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Sieve:
-    """A search's forms, height bound and packed sieve rows, built once per search."""
+    """A search's forms, height bound and packed sieve rows, built once per
+    search; live[k][r, a] is whether rows[_OFFSETS[k] + r m + a] has a bit set."""
 
     forms: _SearchForms
     height_bound: int
     rows: np.ndarray
+    live: Tuple[np.ndarray, ...]
+
+
+def _build_sieve(forms: _SearchForms, height_bound: int) -> _Sieve:
+    rows = _packed_rows(forms, height_bound)
+    any_bit = rows.any(axis=1)
+    live = tuple(any_bit[start:start + m * m].reshape(m, m) for m, start in zip(_MODULI, _OFFSETS))
+    return _Sieve(forms, height_bound, rows, live)
 
 
 def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> None:
@@ -679,11 +692,13 @@ def _confirm(forms: _SearchForms, height_bound: int, cell, out: set) -> None:
 def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     """Points from the half-box cells with z_lo <= z < z_hi; exact everywhere.
 
-    The rows (z, x) of the chunk are sieved in tiles: a row is the AND of
-    its packed rows, one per modulus, and only its nonzero bytes are
-    unpacked.  Only primitive survivors are confirmed: a multiple k c of a
-    cell c carries the points of c, and if c carries a point it survives
-    too (R(c) = 0 and disc(c) is a square), in whichever chunk holds it.
+    The rows (z, x) of the chunk are sieved in tiles of slices.  A tile's
+    live rows are the AND of the five liveness tables at (z mod m, x mod m);
+    other rows have an all-zero packed row and no survivor.  A live row is
+    the AND of its packed rows, and only its nonzero bytes are unpacked.
+    Only primitive survivors are confirmed: a multiple k c of a cell c
+    carries the points of c, and if c carries a point it survives too
+    (R(c) = 0 and disc(c) is a square), in whichever chunk holds it.
     Half box: z >= 0, with y >= 0 when z = 0 and x > 0 when y = z = 0;
     negated cells give the same points.  The zero cell (0, 0, 0) can only
     hold the unit point of v, which the chunk holding z = 0 checks once.
@@ -693,31 +708,38 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     out = set()
     if z_lo == 0 < z_hi:
         _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
-    # the packed row of modulus k at (z, x) is rows[by_z[k, z - z_lo] + by_x[k, x + H]]
     moduli = np.array(_MODULI)[:, None]
-    by_z = np.arange(z_lo, z_hi) % moduli * moduli
-    by_x = _OFFSETS[:-1, None] + np.arange(-H, H + 1) % moduli
-    # a tile is a run of rows in (z, x) order, so it reads the same number of
-    # bytes at every height, one modulus at a time
-    tile, n = max(1, _TILE_BYTES // (8 * len(_MODULI) * words)), (z_hi - z_lo) * width
-    for lo in range(0, n, tile):
-        z, x = np.divmod(np.arange(lo, min(lo + tile, n)), width)
-        index = np.take(by_z, z, axis=1) + np.take(by_x, x, axis=1)
-        acc = np.take(rows, index[0], axis=0)
-        for more in index[1:]:
-            acc &= np.take(rows, more, axis=0)
-        # the nonzero words of the AND, their nonzero bytes, and their bits
-        hits = np.flatnonzero(acc)
-        octets = acc.ravel()[hits].view(np.uint8)
-        hit = np.flatnonzero(octets)
-        if hit.size:
-            j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
-            k = hit[j >> 3]
-            row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
-            for cell in zip((x[row] - H).tolist(), (column - H).tolist(), (z_lo + z[row]).tolist()):
-                if ((cell[2] > 0 or cell[1] > 0 or (cell[1] == 0 and cell[0] > 0))
-                        and math.gcd(*cell) == 1):
-                    _confirm(forms, H, cell, out)
+    # x mod m at each column x + H of a slice, one row per modulus
+    residues = (np.arange(-H, H + 1) % moduli).astype(np.uint8)
+    # live-row positions take 8 bytes each
+    slices = max(1, _TILE_BYTES // (8 * width))
+    group = max(1, _TILE_BYTES // (8 * len(_MODULI) * words))
+    for z0 in range(z_lo, z_hi, slices):
+        z_residues = np.arange(z0, min(z0 + slices, z_hi)) % moduli
+        mask = sieve.live[0][z_residues[0]][:, residues[0]]
+        for live, zs, xs in zip(sieve.live[1:], z_residues[1:], residues[1:]):
+            mask &= live[zs][:, xs]
+        live_rows = np.flatnonzero(mask)
+        # the packed row of modulus k at (z0 + i, x) is rows[firsts[k, i] + residues[k, x + H]]
+        firsts = _OFFSETS[:-1, None] + z_residues * moduli
+        for lo in range(0, live_rows.size, group):
+            z, x = np.divmod(live_rows[lo:lo + group], width)
+            index = np.take(firsts, z, axis=1) + np.take(residues, x, axis=1)
+            acc = np.take(rows, index[0], axis=0)
+            for more in index[1:]:
+                acc &= np.take(rows, more, axis=0)
+            # the nonzero words of the AND, their nonzero bytes, and their bits
+            hits = np.flatnonzero(acc)
+            octets = acc.ravel()[hits].view(np.uint8)
+            hit = np.flatnonzero(octets)
+            if hit.size:
+                j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
+                k = hit[j >> 3]
+                row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
+                for cell in zip((x[row] - H).tolist(), (column - H).tolist(), (z0 + z[row]).tolist()):
+                    if ((cell[2] > 0 or cell[1] > 0 or (cell[1] == 0 and cell[0] > 0))
+                            and math.gcd(*cell) == 1):
+                        _confirm(forms, H, cell, out)
     return out
 
 
@@ -750,7 +772,7 @@ def _search(curve, height_bound: int, jobs: int) -> set:
         raise ValueError(f"height bound must be in [0, {MAX_HEIGHT_BOUND}]")
     H = height_bound
     forms = _search_forms(curve)
-    sieve = _Sieve(forms, H, _packed_rows(forms, H))
+    sieve = _build_sieve(forms, H)
     # a pool only for a half box above _CELLS_PER_WORKER cells; one chunk
     # when serial, else four per worker, so that a worker on a slower CPU
     # does not hold up the rest.  The sieve is built once, here, and

@@ -29,7 +29,7 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       SearchResult, _search_chunk, split_by_variable,
                                       table_resultant, cleared_table,
                                       _search_forms, _sieve_tables, worker_count, _MODULI,
-                                      _ORBITS, _OFFSETS, _Sieve, _packed_rows)
+                                      _ORBITS, _OFFSETS, _build_sieve, _packed_rows)
 
 from qpoly_reference import power_sums
 from test_multipoly import reference_evaluate
@@ -121,8 +121,7 @@ def _partition_searches():
 
 
 def _sieve(curve, H):
-    forms = _search_forms(curve)
-    return _Sieve(forms, H, _packed_rows(forms, H))
+    return _build_sieve(_search_forms(curve), H)
 
 
 def _pieces(H):
@@ -159,6 +158,87 @@ def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows):
             got = [_search_chunk(tiled, lo, hi) for lo, hi in ((0, H + 1), *_pieces(H))]
         assert got == expected
         assert H != 88 or CurvePoint((88, 70, 75, -60)) in expected[0]
+
+
+def _reference_chunk(sieve, lo, hi):
+    """The confirmed cells and the points of the slices lo <= z < hi, with
+    every row (z, x) the AND of its five packed rows, read from sieve.rows
+    as `_passes_rows` reads them, and no step that skips rows: survivors in
+    the half box that are primitive are confirmed, and the chunk holding
+    z = 0 checks the unit point of v."""
+    forms, H, rows = sieve.forms, sieve.height_bound, sieve.rows
+    z, x = (a.ravel() for a in np.meshgrid(np.arange(lo, hi), np.arange(-H, H + 1), indexing="ij"))
+    acc = np.bitwise_and.reduce([rows[_OFFSETS[k] + z % m * m + x % m]
+                                 for k, m in enumerate(_MODULI)])
+    nonzero = np.flatnonzero(acc.any(axis=1))
+    bits = np.unpackbits(acc[nonzero].view(np.uint8), axis=1, bitorder="little")[:, :2 * H + 1]
+    row, column = np.nonzero(bits)
+    row = nonzero[row]
+    cells = [cell for cell in zip(x[row].tolist(), (column - H).tolist(), z[row].tolist())
+             if (cell[2] > 0 or cell[1] > 0 or (cell[1] == 0 and cell[0] > 0))
+             and math.gcd(*cell) == 1]
+    out = set()
+    if lo == 0 < hi:
+        curve_module._add_if_on_curve(forms, H, (1, 0, 0, 0), out)
+    for cell in cells:
+        curve_module._confirm(forms, H, cell, out)
+    return cells, out
+
+
+def _scan_curves():
+    # the sieve's curves (the double plane, and lead = 0 with a cubic of degree
+    # 2 in v among them), two random t and three general fields
+    rng = random.Random(27)
+    return [*_sieve_curves(),
+            *(curve_from_t(F(rng.randint(-50, 50) or 1, rng.randint(1, 50))) for _ in range(2)),
+            *(curve_from_field(UniPoly(g)) for g in ([105, 75, 0, 0, 0, 1], [6, -4, 2, -2, 4, 1],
+                                                     [F(1, 2), F(3, 7), -2, 0, F(5, 3), 1]))]
+
+
+# rows of one word (H = 0, 1), one bit short of two words (63), one and three
+# bits past them (64, 65) and the default height, at the default tiles and at
+# tiles of 1 and 7 rows (1-row tiles up to H = 63 and none at H = 200, for time)
+@pytest.mark.parametrize("H, tile_rows", [
+    (0, None), (0, 1), (0, 7), (1, None), (1, 1), (1, 7), (63, None), (63, 1), (63, 7),
+    (64, None), (64, 7), (65, None), (65, 7), (200, None)])
+def test_search_chunk_matches_the_unskipped_row_reference(monkeypatch, H, tile_rows):
+    # skipping the rows that some modulus leaves without a bit confirms the
+    # same cells, in the same order, and finds the same points as ANDing all
+    # five packed rows of every row, over the whole half box and its chunk splits
+    confirmed = []
+    confirm = curve_module._confirm
+
+    def spy(forms, height_bound, cell, out):
+        confirmed.append(cell)
+        confirm(forms, height_bound, cell, out)
+
+    chunks = ((0, H + 1), *_pieces(H))
+    for curve in _scan_curves():
+        sieve = _sieve(curve, H)
+        expected = [_reference_chunk(sieve, lo, hi) for lo, hi in chunks]
+        with monkeypatch.context() as patch:
+            if tile_rows:
+                patch.setattr(curve_module, "_TILE_BYTES",
+                              tile_rows * 8 * len(_MODULI) * sieve.rows.shape[1])
+            patch.setattr(curve_module, "_confirm", spy)
+            for (lo, hi), (cells, points) in zip(chunks, expected):
+                confirmed.clear()
+                assert _search_chunk(sieve, lo, hi) == points, (curve, lo, hi)
+                assert confirmed == cells, (curve, lo, hi)
+
+
+@pytest.mark.parametrize("H", [5, 40])
+def test_liveness_table_is_whether_each_packed_row_has_a_bit(H):
+    # one m x m table per modulus, read at (z mod m, x mod m), in the layout
+    # of _OFFSETS; at H = 5 the rows of z residues above H stay zero and dead
+    for curve in _sieve_curves():
+        sieve = _sieve(curve, H)
+        any_bit = sieve.rows.any(axis=1)
+        assert len(sieve.live) == len(_MODULI)
+        for k, (m, live) in enumerate(zip(_MODULI, sieve.live)):
+            assert live.shape == (m, m) and live.dtype == bool
+            assert np.array_equal(live.ravel(), any_bit[_OFFSETS[k]:_OFFSETS[k + 1]])
+            assert not live[H + 1:].any()
 
 
 @pytest.fixture
