@@ -8,16 +8,18 @@ the subset search stays cheap and no lattice machinery is involved.  The
 integer discriminant is the one squarefree test: a nonzero one skips the
 rational gcds of the squarefree split, and good primes do not divide it.
 
-Everything modulo p starts from the Frobenius matrix of f: its rows are
+Splitting modulo p starts from the Frobenius matrix of f: its rows are
 x^(ip) mod f, built from one x^p mod f.  Distinct-degree splitting gets
 each x^(p^k) by one product with the matrix; its parts, the products of
-the degree-d factors, give the cycle type and the number of factors of a
-squarefree f mod p.  So the Hensel prime (fewest factors among the first
-five good odd primes, smallest p on a tie) is chosen from one split per
-prime, a count of one proves irreducibility at once, and at the chosen
-prime equal-degree splitting (Cantor-Zassenhaus) of the stored parts
-separates the factors.  Recombination divides candidate factors exactly
-in Z[x], after a constant-term divisibility test.
+the degree-d factors, give the cycle type of a squarefree f mod p.  The
+number of factors of f up to degree 5 needs no split: its root count mod
+p and Stickelberger's parity of disc(f) fix it (`_factor_count`).  So the
+Hensel prime (fewest factors among the first five good odd primes,
+smallest p on a tie) is chosen from counts alone, a count of one proves
+irreducibility at once, and only at the chosen prime do distinct- and
+equal-degree splitting (Cantor-Zassenhaus) separate the factors.
+Recombination divides candidate factors exactly in Z[x], after a
+constant-term divisibility test.
 
 Root counts and cycle types over many primes p > deg f at once run in
 numpy int64 lanes, one per (polynomial, prime): x^p mod f by
@@ -203,7 +205,7 @@ def _gf_divmod(a, b, p):
     db, da = len(b) - 1, len(_gf_trim(a)) - 1
     if da < db:
         return [], _gf_trim(a)
-    inv = pow(b[-1], p - 2, p)
+    inv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         c = a[k + db] % p * inv % p
@@ -617,28 +619,53 @@ def _mignotte_bound(ints: Sequence[int]) -> int:
     return 2 ** len(ints) * norm2 * abs(ints[-1])
 
 
+def _factor_count(f, disc: int, p: int) -> int:
+    """Number of irreducible factors of monic f mod an odd prime p not dividing its disc.
+
+    Above degree 5 the distinct-degree split counts them.  Up to degree 5
+    the root count N_1, by evaluation at every residue, leaves n - N_1 in
+    factors of degree >= 2: none, one for 2 or 3, and for 4 or 5 one or
+    two, told apart by Stickelberger's (disc / p) = (-1)^(n - r), r the
+    number of factors (R. G. Swan, Pacific J. Math. 12, 1962).
+    """
+    f = [c % p for c in f]
+    n = len(f) - 1
+    if n > 5:
+        return sum((len(part) - 1) // d for part, d in _distinct_degree(f, p))
+    roots = 0
+    for x in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = acc * x + c
+        roots += acc % p == 0
+    rest = n - roots
+    if rest < 4:
+        return roots + (rest > 0)
+    odd = pow(disc % p, (p - 1) // 2, p) != 1  # n - r is odd
+    return roots + 1 + (rest - 1 - odd) % 2
+
+
 def _factor_squarefree_monic_int(ints: List[int], disc: int) -> List[List[int]]:
     """Irreducible factors in Z[x] of a monic squarefree integer polynomial of discriminant disc."""
     n = len(ints) - 1
     if n == 1:
         return [ints]
     # among the first few good odd primes, where the monic ints stay squarefree
-    # as they do not divide disc, lift at the one with the fewest factors,
-    # counted from the distinct-degree split; one factor proves
-    # irreducibility, and only the chosen prime's parts are split further
+    # as they do not divide disc, lift at the one with the fewest factors;
+    # one factor proves irreducibility, and only the chosen prime is split
     candidates = []
     p = 3
     while len(candidates) < 5:
         if disc % p and is_prime(p):
-            parts = _distinct_degree([c % p for c in ints], p)
-            count = sum((len(part) - 1) // d for part, d in parts)
+            count = _factor_count(ints, disc, p)
             if count == 1:
                 return [ints]
-            candidates.append((count, p, parts))
+            candidates.append((count, p))
         p += 2
-    _, p, parts = min(candidates, key=lambda c: c[:2])
+    p = min(candidates)[1]
     rng = random.Random(_EDF_SEED)
-    factors_mod = [irr for part, d in parts for irr in _equal_degree_split(part, d, p, rng)]
+    factors_mod = [irr for part, d in _distinct_degree([c % p for c in ints], p)
+                   for irr in _equal_degree_split(part, d, p, rng)]
     bound = _mignotte_bound(ints)
     k = 1
     while p ** k < 2 * bound + 1:

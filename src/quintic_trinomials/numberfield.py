@@ -348,15 +348,63 @@ def _lifted_roots(f_ints, roots, n, p, k):
     return lifted
 
 
+def _ceil_root(a: int, k: int) -> int:
+    """The least m >= 0 with m^k >= a, for an integer a >= 0: integer Newton from above."""
+    if a <= 1:
+        return a
+    m = 1 << -(-a.bit_length() // k)
+    while True:
+        step = ((k - 1) * m + a // m ** (k - 1)) // k
+        if step >= m:
+            return m if m ** k == a else m + 1
+        m = step
+
+
+def _root_modulus_bound(P: Sequence[int]) -> int:
+    """An integer M >= 1 with |z| <= M for every complex root z of the monic integer P.
+
+    The lesser of Fujiwara's bound 2 max(|a_(n-1)|, |a_(n-2)|^(1/2), ...,
+    |a_1|^(1/(n-1)), |a_0 / 2|^(1/n)) (Tohoku Math. J. 10, 1916), each
+    root rounded up in integers, and Cauchy's 1 + max |a_i|: both are proven.
+    """
+    *low, _ = P
+    n = len(low)
+    fujiwara = 2 * max(_ceil_root(-(-abs(low[0]) // 2), n),
+                       *(_ceil_root(abs(c), n - i) for i, c in enumerate(low) if i))
+    return max(1, min(fujiwara, 1 + max(map(abs, low))))
+
+
 def _root_bound(F: List[int], G: List[int], disc_g: int) -> int:
     """B >= |disc_g c_j| for every root sum c_j theta^j of F in Q(theta), theta a root of G.
 
     Derived in `_interpolated_roots`: (isqrt|D| + 1) 56 M_G^10 M_F with the
-    Cauchy root bounds M_F, M_G of the monic integer quintics F and G.
+    root bounds M_F, M_G of `_root_modulus_bound` for the monic integer
+    quintics F and G.
     """
-    cauchy_f = 1 + max(abs(c) for c in F[:-1])
-    cauchy_g = 1 + max(abs(c) for c in G[:-1])
-    return (math.isqrt(abs(disc_g)) + 1) * 56 * cauchy_g ** 10 * cauchy_f
+    return ((math.isqrt(abs(disc_g)) + 1) * 56 * _root_modulus_bound(G) ** 10
+            * _root_modulus_bound(F))
+
+
+def _frobenius_matchings(conj_g: Sequence[int], conj_f: Sequence[int]):
+    """Every bijection i -> match[i] of G's roots onto F's that commutes with conjugation.
+
+    conj[i] is the index of the conjugate of root i.  Rational roots (conj[i]
+    = i) go to rational roots, and each conjugate pair of G to a pair of F
+    in either orientation; patterns with different counts give none.
+    """
+    def orbits(conj):
+        return ([i for i, c in enumerate(conj) if c == i],
+                [(i, c) for i, c in enumerate(conj) if i < c])
+
+    (fixed_g, pairs_g), (fixed_f, pairs_f) = orbits(conj_g), orbits(conj_f)
+    if len(fixed_g) != len(fixed_f):
+        return
+    sources = fixed_g + [i for pair in pairs_g for i in pair]
+    for fixed in itertools.permutations(fixed_f):
+        for pairs in itertools.permutations(pairs_f):
+            for oriented in itertools.product(*((pair, pair[::-1]) for pair in pairs)):
+                targets = [*fixed, *(m for pair in oriented for m in pair)]
+                yield tuple(m for _, m in sorted(zip(sources, targets)))
 
 
 def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List[List[int]]:
@@ -369,16 +417,17 @@ def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List
     replaced by (phi_i); D c_j is an integer as phi is in O_K and D O_K in
     Z[theta].  det(V)^2 = D, and column m of V has norm at most sqrt(5)
     M_G^m, so Hadamard gives |det V_j| <= 5^(5/2) M_G^(10 - j) M_F <= 56
-    M_G^10 M_F, M_G and M_F the Cauchy root bounds 1 + max |coefficient|
-    of G and F: |D c_j| <= B of `_root_bound`.
+    M_G^10 M_F, with M_G >= 1 and M_F the root bounds of G and F from
+    `_root_modulus_bound` (Fujiwara's, or Cauchy's where that is smaller):
+    |D c_j| <= B of `_root_bound`.
 
     In Z/p^k[sqrt n], n a non-residue mod p, conjugation is Frobenius; h is
     rational, so the matching theta_i -> h(theta_i) / D commutes with it.
-    Only such matchings are interpolated: 120 when G splits mod p, 12 for
-    the cycle type 1^3 2, 8 for 1 2^2.  Once p^k > 2B, a true one gives the
-    D c_j as symmetric residues with a zero sqrt(n) part; the factor 2^64
-    leaves a false one a chance of about 2^-64 per coordinate to pass the
-    bound, and every candidate is verified exactly.
+    Only such matchings are enumerated (`_frobenius_matchings`): 120 when G
+    splits mod p, 12 for the cycle type 1^3 2, 8 for 1 2^2.  Once p^k > 2B,
+    a true one gives the D c_j as symmetric residues with a zero sqrt(n)
+    part; the factor 2^64 leaves a false one a chance of about 2^-64 per
+    coordinate to pass the bound, and every candidate is verified exactly.
     """
     bound = _root_bound(F, G, disc_g)
     k = next(k for k in itertools.count(1) if p ** k > (2 * bound) << 64)
@@ -394,9 +443,7 @@ def _interpolated_roots(F: List[int], G: List[int], disc_g: int, p: int) -> List
         terms.append([[_sqrt_mul(phi, c, n, q) for c in basis] for phi in phis])
     conj_g, conj_f = ([rs.index((a, -b % q)) for a, b in rs] for rs in (thetas, phis))
     roots = []
-    for match in itertools.permutations(range(5)):
-        if any(match[conj_g[i]] != conj_f[m] for i, m in enumerate(match)):
-            continue
+    for match in _frobenius_matchings(conj_g, conj_f):
         coords = []
         for j in range(5):
             a, b = (sum(t) % q for t in zip(*(terms[i][m][j] for i, m in enumerate(match))))

@@ -184,10 +184,12 @@ def test_distinct_degree_count_and_cycle_type_match_full_factorization(low, p):
     assert cycle_type_mod_p(ints, p) == tuple(sorted(len(g) - 1 for g, _ in full))
 
 
-def test_hensel_prime_has_fewest_factors_from_one_split_per_prime(monkeypatch):
+def test_hensel_prime_has_fewest_factors_and_is_the_only_prime_split(monkeypatch):
     # (x^2 - 3x - 3)(x^3 - 2x^2 - 3x - 3) has 3, 2, 4, 5 and 3 factors mod
     # the first five good odd primes 5, 11, 13, 17, 19; mod 17 all five
-    # factors have degree 1, so the distinct-degree split has one part
+    # factors have degree 1, so the distinct-degree split has one part.
+    # The counts come from root counts and discriminant parity, so only the
+    # chosen prime gets a Frobenius matrix
     quad, cubic = [-3, -3, 1], [-3, -3, -2, 1]
     ints = factor.z_mul(quad, cubic)
     good = [p for p in primes_below(30)[1:] if factor._gf_is_squarefree(ints, p)][:5]
@@ -214,9 +216,45 @@ def test_hensel_prime_has_fewest_factors_from_one_split_per_prime(monkeypatch):
     monkeypatch.setattr(factor, "factor_mod_p", no_full_factorization)
     fac = factor_over_Q(UniPoly.from_int_coeffs(ints))
     assert [f.coeffs for f, _ in fac.factors] == [tuple(map(F, quad)), tuple(map(F, cubic))]
-    # one Frobenius matrix per prime tried, none again at the Hensel prime
-    assert frobenius == good
-    assert lifted_at == [best]
+    assert frobenius == [11]
+    assert lifted_at == [11]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=n, max_size=n)))
+def test_factor_count_from_roots_and_parity_matches_the_factorization(low):
+    # up to degree 5 the root count mod p and Stickelberger's parity of the
+    # discriminant fix the number of factors, at p <= n (3 and 5) too
+    ints = low + [1]
+    disc = integer_discriminant(ints)
+    assume(disc)
+    for p in primes_below(60)[1:]:
+        if disc % p:
+            assert factor._factor_count(ints, disc, p) == len(factor_mod_p(ints, p)), (ints, p)
+
+
+def test_sextic_factor_count_comes_from_the_split(monkeypatch):
+    # above degree 5 the root count and parity no longer fix the count: mod 7
+    # the types (6) and (2, 2, 2) both have no root and (disc / 7) = -1
+    sextics = {(6,): [-2, 9, 8, -5, 2, 6, 1], (2, 2, 2): [-9, -9, -9, 6, -9, -8, 1],
+               (3, 3): [-5, 6, -3, -1, 4, 0, 1], (2, 4): [4, -5, -9, 0, 4, 4, 1]}
+    split = []
+    distinct_degree = factor._distinct_degree
+
+    def spy(f, p):
+        split.append(p)
+        return distinct_degree(f, p)
+
+    monkeypatch.setattr(factor, "_distinct_degree", spy)
+    for cycle_type, ints in sextics.items():
+        disc = integer_discriminant(ints)
+        assert cycle_type_mod_p(ints, 7) == cycle_type
+        if len(cycle_type) != 2:
+            assert factor._gf_roots(ints, 7) == [] and pow(disc % 7, 3, 7) == 6
+        split.clear()
+        assert factor._factor_count(ints, disc, 7) == len(cycle_type)
+        assert split == [7]
 
 
 def test_cycle_type_of_non_squarefree_reduction_uses_full_factorization(monkeypatch):

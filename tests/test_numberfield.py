@@ -1,9 +1,11 @@
 """Quintic field arithmetic, characteristic polynomials, root certificates."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -428,6 +430,53 @@ def test_root_coordinates_lie_within_the_interpolation_bound(field, coords):
     h = [int(c) for c in scaled]
     assert max(map(abs, h)) <= _root_bound(F, G, disc)
     assert h in _interpolated_roots(F, G, disc, _common_prime(F, G, 2))
+
+
+def _conjugations():
+    """Every involution of five roots with 5, 3 or 1 fixed points: types 1^5, 1^3 2 and 1 2^2."""
+    out = []
+    for swaps in range(3):
+        for pairs in itertools.combinations(itertools.combinations(range(5), 2), swaps):
+            conj = list(range(5))
+            for i, j in pairs:
+                conj[i], conj[j] = j, i
+            if len({i for pair in pairs for i in pair}) == 2 * swaps:
+                out.append(tuple(conj))
+    return out
+
+
+def test_frobenius_matchings_are_the_permutations_that_commute_with_conjugation():
+    conjugations = _conjugations()
+    assert len(conjugations) == 1 + 10 + 15
+    for conj_g, conj_f in itertools.product(conjugations, repeat=2):
+        kept = {match for match in itertools.permutations(range(5))
+                if all(match[conj_g[i]] == conj_f[m] for i, m in enumerate(match))}
+        enumerated = list(numberfield._frobenius_matchings(conj_g, conj_f))
+        assert len(enumerated) == len(set(enumerated))
+        assert set(enumerated) == kept
+        fixed = sum(i == c for i, c in enumerate(conj_g))
+        if fixed == sum(i == c for i, c in enumerate(conj_f)):
+            assert len(kept) == {5: 120, 3: 12, 1: 8}[fixed]
+        else:
+            assert not kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-20, 20), st.integers(-10 ** 40, 10 ** 40)),
+                min_size=5, max_size=5))
+def test_root_modulus_bound_covers_every_root_and_never_exceeds_cauchy(low):
+    # Fujiwara's bound, computed in integers, holds every complex root (numpy's
+    # roots as an oracle, with a relative margin for their rounding) and is at
+    # most Cauchy's 1 + max |a_i|, so the interpolation precision never grows
+    P = low + [1]
+    bound = numberfield._root_modulus_bound(P)
+    assert 1 <= bound <= 1 + max(map(abs, low))
+    largest = max(abs(np.roots([float(c) for c in reversed(P)])))
+    assert largest <= bound * (1 + 1e-6)
+    for c in low:
+        for k in range(1, 6):
+            m = numberfield._ceil_root(abs(c), k)
+            assert m ** k >= abs(c) and (m == 0 or (m - 1) ** k < abs(c))
 
 
 def _non_residue(p):
