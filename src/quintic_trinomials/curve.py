@@ -45,7 +45,7 @@ the primitive cell of a point survives the sieve too, so only primitive
 survivors are confirmed, each once, in Python integers: an exact square
 root of disc, and the quadric, the cubic and the height bound on the
 curve's output coordinates.  Its integer coefficient tables are the
-curve's own forms with denominators cleared.  The slices are split into
+numerators of the curve's own forms.  The slices are split into
 chunks for a process pool only when the half box has more than
 _CELLS_PER_WORKER cells, enough to pay for the workers' start-up; jobs,
 the CPU count and the slices bound the workers, and smaller boxes are
@@ -54,7 +54,6 @@ searched in-process.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -148,12 +147,8 @@ class TrinomialCurve:
         a, b, c, d = (Fraction(v) for v in point.coords)
         return (a, b, c, d, self.e_coordinate(a))
 
-    @functools.cached_property
-    def _tables(self) -> Tuple[_Table, ...]:
-        return tuple(cleared_table(f, f.vars) for f in (self.quadric, self.cubic))
-
     def contains(self, point: CurvePoint) -> bool:
-        return _forms_vanish(self._tables, len(self.quadric.vars), point.coords)
+        return _forms_vanish((self.quadric, self.cubic), point.coords)
 
 
 def curve_from_t(t: Fraction) -> TrinomialCurve:
@@ -167,8 +162,12 @@ def curve_from_t(t: Fraction) -> TrinomialCurve:
         raise ValueError("t = 0 degenerates the trace elimination")
     if t == T_EXCLUDED:
         raise ValueError("t = -3125/256: the defining quintic has a repeated root")
-    # no two terms of a t-form share their (a, b, c, d) part
-    quadric, cubic = (MultiPoly(CURVE_VARS, {e[:4]: c * t ** e[4] for e, c in form.terms.items()})
+    # no two terms of a t-form share their (a, b, c, d) part; t = p/q enters
+    # as p^k q^(2 - k) over q^2, t having degree at most 2 in either form
+    p, q = t.numerator, t.denominator
+    powers = (q * q, p * q, p * p)
+    quadric, cubic = (MultiPoly(CURVE_VARS, {e[:4]: k * powers[e[4]] for e, k in form.terms.items()},
+                                q * q)
                       for form in (T_FORM_QUADRIC, T_FORM_CUBIC))
     return TrinomialCurve(t=t, quadric=quadric, cubic=cubic)
 
@@ -198,25 +197,22 @@ class GeneralCurve:
     def live_vars(self) -> Tuple[str, ...]:
         return tuple(v for v in FULL_VARS if v != self.eliminated)
 
-    @functools.cached_property
-    def _tables(self) -> Tuple[_Table, ...]:
-        return tuple(cleared_table(f, f.vars) for f in (self.linear, self.quadric, self.cubic))
-
     def contains(self, coords: Sequence[Fraction]) -> bool:
-        return _forms_vanish(self._tables, len(self.quadric.vars), coords)
+        return _forms_vanish((self.linear, self.quadric, self.cubic), coords)
 
 
-def _forms_vanish(tables: Sequence[_Table], width: int, coords: Sequence[Fraction]) -> bool:
-    """Whether the integer tables of homogeneous forms in `width` variables,
-    built once per curve, all vanish at the coordinates, one per variable:
-    rational ones are scaled to integers by the lcm of their denominators."""
+def _forms_vanish(forms: Sequence[MultiPoly], coords: Sequence[Fraction]) -> bool:
+    """Whether the numerators of homogeneous forms all vanish at the
+    coordinates, one per variable: rational ones are scaled to integers by
+    the lcm of their denominators."""
+    width = len(forms[0].vars)
     if len(coords) != width:
         raise ValueError(f"need {width} coordinates, got {len(coords)}")
     if not all(isinstance(v, int) for v in coords):
         values = [Fraction(v) for v in coords]
         den = math.lcm(*(v.denominator for v in values))
         coords = [v.numerator * (den // v.denominator) for v in values]
-    return not any(form_value(table, coords) for table in tables)
+    return not any(form_value(form.terms.items(), coords) for form in forms)
 
 
 def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurve:
@@ -245,27 +241,22 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
     d, G = g.integral_rescaling()
-    traces = integer_power_sums(G, 12)
-    sums = [Fraction(t, d ** m) for m, t in enumerate(traces[:5])]
-    # linear = -Tr(beta) = -sum s_i x_i
-    coeffs = {name: -s for name, s in zip(FULL_VARS, sums)}
-    if eliminate is None:
-        best = max(abs(c) for c in coeffs.values())
-        eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
-    if coeffs[eliminate] == 0:
-        raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
-    k = FULL_VARS.index(eliminate)
-    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    linear = MultiPoly(FULL_VARS, {units[i]: -s for i, s in enumerate(sums[:5])})
-    # x_k = -sum s_i x_i / s_k over the live i
-    expr = MultiPoly(FULL_VARS, {units[i]: -sums[i] / sums[k] for i in range(5) if i != k})
     scale = d ** 12
-    S = [t * d ** (12 - m) for m, t in enumerate(traces)]
+    S = [t * d ** (12 - m) for m, t in enumerate(integer_power_sums(G, 12))]
+    if eliminate is None:
+        best = max(abs(s) for s in S[:5])
+        eliminate = [n for n, s in zip(FULL_VARS, S) if abs(s) == best][-1]
+    k = FULL_VARS.index(eliminate)
+    if S[k] == 0:
+        raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    # linear = -Tr(beta) = -sum s_i x_i, and x_k = -sum s_i x_i / s_k over the live i
+    linear = MultiPoly(FULL_VARS, {units[i]: -S[i] for i in range(5)}, scale)
+    expr = MultiPoly(FULL_VARS, {units[i]: -S[i] for i in range(5) if i != k}, S[k])
     # gamma_i as its two (coefficient, power of alpha) terms
     gamma = {i: ((S[k], i), (-S[i], k)) for i in range(5) if i != k}
     forms = []
     for n in (2, 3):
-        den = -n * S[k] ** n * scale
         terms = {}
         for idx in itertools.combinations_with_replacement(gamma, n):
             # scale * Tr(gamma_i1 ... gamma_in), each S_m standing for scale * s_m
@@ -273,8 +264,8 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
                         for choice in itertools.product(*(gamma[i] for i in idx)))
             exps = tuple(idx.count(i) for i in range(5))
             count = math.factorial(n) // math.prod(map(math.factorial, exps))
-            terms[exps] = Fraction(count * trace, den)
-        forms.append(MultiPoly(FULL_VARS, terms))
+            terms[exps] = count * trace
+        forms.append(MultiPoly(FULL_VARS, terms, -n * S[k] ** n * scale))
     quadric, cubic = forms
     return GeneralCurve(g=g, linear=linear, quadric=quadric, cubic=cubic,
                         eliminated=eliminate, elimination_expr=expr)
@@ -402,7 +393,7 @@ _CELLS_PER_WORKER = 2 ** 30
 
 @dataclass(frozen=True)
 class _SearchForms:
-    """Integer tables of a curve for the search engine, denominators cleared.
+    """Integer tables of a curve for the search engine, the forms' numerators.
 
     The engine tables are over the live coordinates (v, x, y, z): the
     quadric is lead*v^2 + linear*v + rest, and (x, y, z) are enumerated as
@@ -424,15 +415,6 @@ class _SearchForms:
     resultant: _Table
     coordinate_map: Tuple[Tuple[int, ...], ...]
     checks: Tuple[_Table, ...]
-
-
-def cleared_table(form: MultiPoly, order: Sequence[str]) -> _Table:
-    """The form times the lcm of its denominators, with exponents over the
-    variables `order` (any other variable of the form must not occur)."""
-    scale = math.lcm(*(c.denominator for c in form.terms.values()))
-    pos = [form.vars.index(n) for n in order]
-    return tuple(sorted((tuple(e[i] for i in pos), c.numerator * (scale // c.denominator))
-                        for e, c in form.terms.items()))
 
 
 def split_by_variable(table: _Table, degree: int) -> Tuple[_Table, ...]:
@@ -511,7 +493,7 @@ def _search_forms(curve) -> _SearchForms:
         live, expr = curve.live_vars, curve.elimination_expr
         checks = (curve.linear, curve.quadric, curve.cubic)
     else:
-        live, expr = CURVE_VARS, MultiPoly.zero(CURVE_VARS)
+        live, expr = CURVE_VARS, MultiPoly(CURVE_VARS)
         checks = (curve.quadric, curve.cubic)
     names = curve.quadric.vars
     exponents = [[e[names.index(n)] for e in curve.quadric.terms] for n in live]
@@ -520,7 +502,7 @@ def _search_forms(curve) -> _SearchForms:
     if solve is None:
         raise ValueError("quadric involves no live variable")
     order = (solve, *(n for n in live if n != solve))
-    rest, linear, square = split_by_variable(cleared_table(curve.quadric, order), 2)
+    rest, linear, square = split_by_variable(curve.quadric.table(order), 2)
     lead = next((k for e, k in square if not any(e)), 0)
     disc = _sum_of_products(lead, {"b": linear, "c": rest}, _DISCRIMINANT_TERMS)
     # A square factor of the content hides residues from the sieve, so the
@@ -534,11 +516,11 @@ def _search_forms(curve) -> _SearchForms:
             root_scale *= ell
     # live -> output coordinates, scaled by the elimination's denominator;
     # the eliminated coordinate (if any) is a linear form in the live ones
-    den = math.lcm(*(c.denominator for c in expr.terms.values()))
-    weights = {names[e.index(1)]: int(c * den) for e, c in expr.terms.items()}
+    weights = {names[e.index(1)]: k for e, k in expr.terms.items()}
     coordinate_map = tuple(
-        tuple(den * (n == m) if n in order else weights.get(m, 0) for m in order) for n in names)
-    cubic_in_v = split_by_variable(cleared_table(curve.cubic, order), 3)
+        tuple(expr.den * (n == m) if n in order else weights.get(m, 0) for m in order)
+        for n in names)
+    cubic_in_v = split_by_variable(curve.cubic.table(order), 3)
     resultant = table_resultant(lead, linear, rest, cubic_in_v)
     # without its content, the resultant vanishes at the same cells and sieves
     # moduli that share a factor with the content
@@ -548,17 +530,15 @@ def _search_forms(curve) -> _SearchForms:
         disc=tuple((e, k // root_scale ** 2) for e, k in disc), root_scale=root_scale,
         cubic_in_v=cubic_in_v, resultant=tuple((e, k // res_content) for e, k in resultant),
         coordinate_map=coordinate_map,
-        checks=tuple(cleared_table(f, names) for f in checks))
+        checks=tuple(f.table(names) for f in checks))
 
 
 def form_value(table: _Table, coords) -> int:
-    """The value of an integer table at integer coordinates."""
+    """The value at integer coordinates of an integer table, or of any
+    (exponents, int) pairs, such as a form's `terms.items()`."""
     total = 0
     for exps, k in table:
-        for x, e in zip(coords, exps):
-            if e:
-                k *= x ** e
-        total += k
+        total += k * math.prod(map(pow, coords, exps))
     return total
 
 

@@ -1,106 +1,97 @@
-"""Sparse multivariate polynomials over Q, as a container for the curve
-and surface forms.
+"""Sparse multivariate forms over Q: the curve and surface forms.
 
-Terms are {exponent tuple: Fraction} over a fixed variable list, with
-partial evaluation and proportionality testing; there is no ring
-arithmetic.  Every computation with a form runs on its integer table
-(`curve.cleared_table`): evaluation at a point by `curve.form_value`, the
-split by powers of one variable by `curve.split_by_variable`, and the
-resultant by `curve.table_resultant`.  Term order (lexicographic on
-exponent tuples) is fixed, so serialized output is deterministic.
+A form is integer numerators `terms` {exponent tuple: int} over a fixed
+variable list and one denominator `den` > 0, with gcd(den, content) = 1.
+There is no ring arithmetic: evaluation, the split by powers of one
+variable and the resultant run on `table` through `curve`.  Terms print
+in descending exponent order, so output is deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .qpoly import format_terms
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
-    def __init__(self, variables: Sequence[str], terms: Dict[Tuple[int, ...], Fraction] = None):
+    def __init__(self, variables: Sequence[str], terms: Dict[Tuple[int, ...], int] = None,
+                 den: int = 1):
         self.vars = tuple(variables)
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                if len(exps) != len(self.vars):
-                    raise ValueError("exponent tuple length mismatch")
-                clean[tuple(exps)] = c
-        self.terms = clean
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(variables) -> "MultiPoly":
-        return MultiPoly(variables, {})
+        terms = terms or {}
+        if any(len(e) != len(self.vars) for e in terms):
+            raise ValueError("exponent tuple length mismatch")
+        if not den:
+            raise ValueError("zero denominator")
+        g = math.gcd(den, *terms.values())
+        if den < 0:
+            g = -g
+        self.terms = {tuple(e): k // g for e, k in terms.items() if k}
+        self.den = den // g
 
     @staticmethod
-    def from_spec(variables, spec: Iterable[Tuple[object, Dict[str, int]]]) -> "MultiPoly":
-        """Build from [(coeff, {varname: exponent}), ...]."""
+    def from_spec(variables, spec, den: int = 1) -> "MultiPoly":
+        """Build from [(numerator, {varname: exponent}), ...] over `den`."""
         variables = tuple(variables)
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for coeff, powers in spec:
+        terms: Dict[Tuple[int, ...], int] = {}
+        for k, powers in spec:
             exps = [0] * len(variables)
             for name, e in powers.items():
                 exps[variables.index(name)] = e
             key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff)
-        return MultiPoly(variables, terms)
-
-    # -- comparison -------------------------------------------------------------
+            terms[key] = terms.get(key, 0) + k
+        return MultiPoly(variables, terms, den)
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
+        return (isinstance(other, MultiPoly) and self.vars == other.vars
+                and self.den == other.den and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, self.den, tuple(sorted(self.terms.items()))))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- substitution ------------------------------------------------------------
+    def table(self, order: Sequence[str]):
+        """The numerators as sorted (exponents, int) pairs, exponents over the
+        variables `order` (any other variable of the form must not occur)."""
+        pos = [self.vars.index(n) for n in order]
+        return tuple(sorted((tuple(e[i] for i in pos), k) for e, k in self.terms.items()))
 
     def partial_evaluate(self, values: Dict[str, Fraction]) -> "MultiPoly":
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        idx = {self.vars.index(n): Fraction(v) for n, v in values.items()}
-        for e, c in self.terms.items():
-            coeff = c
+        """The form with the named variables put in: v = p/q enters as
+        p^e q^(n - e) over q^n, n the top degree of v in the form."""
+        subs = {self.vars.index(n): Fraction(v) for n, v in values.items()}
+        top = {i: max((e[i] for e in self.terms), default=0) for i in subs}
+        terms: Dict[Tuple[int, ...], int] = {}
+        for e, k in self.terms.items():
             key = list(e)
-            for i, v in idx.items():
-                if e[i]:
-                    coeff *= v ** e[i]
+            for i, v in subs.items():
+                k *= v.numerator ** e[i] * v.denominator ** (top[i] - e[i])
                 key[i] = 0
-            k = tuple(key)
-            terms[k] = terms.get(k, Fraction(0)) + coeff
-        return MultiPoly(self.vars, terms)
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + k
+        return MultiPoly(self.vars, terms, self.den * math.prod(
+            v.denominator ** top[i] for i, v in subs.items()))
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:
         """Return r with self = r * other, or None if not proportional."""
         if other.vars != self.vars:
             raise ValueError("mixed variable sets")
-        if self.is_zero and other.is_zero:
+        if self.terms.keys() != other.terms.keys():
+            return None
+        if not self.terms:
             return Fraction(1)
-        if self.is_zero or other.is_zero:
+        e0 = next(iter(self.terms))
+        k0, m0 = self.terms[e0], other.terms[e0]
+        if any(k * m0 != k0 * other.terms[e] for e, k in self.terms.items()):
             return None
-        if set(self.terms) != set(other.terms):
-            return None
-        items = iter(self.terms.items())
-        e0, c0 = next(items)
-        r = c0 / other.terms[e0]
-        for e, c in items:
-            if c != r * other.terms[e]:
-                return None
-        return r
-
-    # -- presentation -----------------------------------------------------------
+        return Fraction(k0 * other.den, m0 * self.den)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
+        """(exponents, Fraction coefficient) pairs, in descending order of exponents."""
+        return [(e, Fraction(self.terms[e], self.den)) for e in sorted(self.terms, reverse=True)]
 
     def __str__(self):
         return format_terms((c, "*".join(f"{n}^{k}" if k > 1 else n
@@ -108,5 +99,4 @@ class MultiPoly:
                             for e, c in self.sorted_terms())
 
     def __repr__(self):
-        return f"MultiPoly({self.vars}, {self.terms!r})"
-
+        return f"MultiPoly({self.vars}, {self.terms!r}, {self.den})"

@@ -14,10 +14,10 @@ the singular locus) and at least five explicit rational curves.
 The 30-term sextic form is transcribed once below and guarded by a
 transcription test against `curve.T_FORM_*`: the resultant in t of the
 two curve forms, divided by the common factor 5a, must reproduce it up
-to a rational unit.  The forms are split by their powers of t into
-integer tables (`curve.split_by_variable`) and the resultant is the
-search engine's own (`curve.table_resultant`); the t^0 and t^1 tables of
-the quadric also give t at a point.
+to a rational unit.  Every form here has denominator 1.  The curve forms'
+integer tables are split by their powers of t (`curve.split_by_variable`)
+and the resultant is the search engine's own (`curve.table_resultant`);
+the t^0 and t^1 tables of the quadric also give t at a point.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 from .multipoly import MultiPoly
 from .curve import (CURVE_VARS, CurvePoint, T_EXCLUDED, T_FORM_CUBIC, T_FORM_QUADRIC,
-                    cleared_table, curve_from_t, form_value, split_by_variable, table_resultant)
+                    curve_from_t, form_value, split_by_variable, table_resultant)
 
 SURFACE_VARS = CURVE_VARS
 
@@ -65,11 +65,9 @@ SURFACE_FORM = MultiPoly.from_spec(SURFACE_VARS, [
     (2000, {"b": 2, "c": 3, "d": 1}),
 ])
 
-_SEXTIC = cleared_table(SURFACE_FORM, SURFACE_VARS)
-
 # the curve forms as integer tables over (t, a, b, c, d), split by powers of
 # t: the quadric is linear in t and the cubic quadratic
-_QUADRIC_IN_T, _CUBIC_IN_T = (split_by_variable(cleared_table(form, ("t", *SURFACE_VARS)), n)
+_QUADRIC_IN_T, _CUBIC_IN_T = (split_by_variable(form.table(("t", *SURFACE_VARS)), n)
                               for form, n in ((T_FORM_QUADRIC, 1), (T_FORM_CUBIC, 2)))
 
 # the quadric is den*t - num, so t = num/den at a point of the surface;
@@ -85,7 +83,7 @@ def _coordinates(point: CurvePoint) -> Tuple[int, ...]:
 
 def on_surface(point: CurvePoint) -> bool:
     """Exact evaluation of the sextic form."""
-    return form_value(_SEXTIC, _coordinates(point)) == 0
+    return form_value(SURFACE_FORM.terms.items(), _coordinates(point)) == 0
 
 
 def t_parts(point: CurvePoint) -> Tuple[int, int]:

@@ -1,6 +1,7 @@
 """Curve construction, point search, and the point/trinomial dictionary."""
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -27,8 +28,9 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       point_to_trinomial, trinomial_to_point,
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
                                       SearchResult, _search_chunk, split_by_variable,
-                                      table_resultant, cleared_table,
+                                      table_resultant,
                                       _search_forms, _sieve_tables, worker_count, _MODULI,
+                                      form_value,
                                       _ORBITS, _OFFSETS, _build_sieve, _packed_rows)
 
 from qpoly_reference import power_sums
@@ -66,16 +68,18 @@ def test_curve_point_normalization():
 def test_curve_from_t_quadric_coefficients():
     curve = curve_from_t(T65)
     expected = MultiPoly.from_spec(("a", "b", "c", "d"), [
-        (-5, {"a": 2}), (50, {"a": 1, "b": 1}), (F(192, 5), {"b": 1, "d": 1}),
-        (F(96, 5), {"c": 2}), (48, {"c": 1, "d": 1})])
-    assert curve.quadric == expected
+        (-25, {"a": 2}), (250, {"a": 1, "b": 1}), (192, {"b": 1, "d": 1}),
+        (96, {"c": 2}), (240, {"c": 1, "d": 1})], den=5)
+    assert curve.quadric == expected and (curve.quadric.den, curve.quadric.terms) == (
+        5, {(2, 0, 0, 0): -25, (1, 1, 0, 0): 250, (0, 1, 0, 1): 192, (0, 0, 2, 0): 96,
+            (0, 0, 1, 1): 240})
     # an independent transcription of the cubic at t = 6/5, since curve_from_t
     # reads the shared t-forms
     expected_cubic = MultiPoly.from_spec(("a", "b", "c", "d"), [
-        (-10, {"a": 3}), (25, {"a": 2, "b": 1}), (-125, {"a": 2, "c": 1}),
-        (-192, {"a": 1, "c": 1, "d": 1}), (-120, {"a": 1, "d": 2}),
-        (F(384, 5), {"b": 2, "c": 1}), (96, {"b": 2, "d": 1}), (96, {"b": 1, "c": 2}),
-        (F(-2304, 25), {"c": 1, "d": 2}), (F(-1728, 25), {"d": 3})])
+        (-250, {"a": 3}), (625, {"a": 2, "b": 1}), (-3125, {"a": 2, "c": 1}),
+        (-4800, {"a": 1, "c": 1, "d": 1}), (-3000, {"a": 1, "d": 2}),
+        (1920, {"b": 2, "c": 1}), (2400, {"b": 2, "d": 1}), (2400, {"b": 1, "c": 2}),
+        (-2304, {"c": 1, "d": 2}), (-1728, {"d": 3})], den=25)
     assert curve.cubic == expected_cubic
 
 
@@ -404,12 +408,6 @@ def test_search_confirms_each_primitive_cell_once(monkeypatch):
         assert z > 0 or y > 0 or (y == 0 and x > 0)
 
 
-def _cleared(form):
-    """The form times the lcm of its denominators."""
-    scale = math.lcm(*(k.denominator for k in form.terms.values()))
-    return MultiPoly(form.vars, {e: k * scale for e, k in form.terms.items()})
-
-
 def _degrees(form, name):
     """The exponents of the variable `name` in the terms of the form."""
     i = form.vars.index(name)
@@ -417,10 +415,10 @@ def _degrees(form, name):
 
 
 def _split_live(curve):
-    """The cleared quadric and cubic, the variable v that the engine solves
-    for (the first live one with a square term, else of degree 1), and the
-    other live variables, enumerated as (x, y, z)."""
-    quadric, cubic = _cleared(curve.quadric), _cleared(curve.cubic)
+    """The quadric and cubic, the variable v that the engine solves for (the
+    first live one with a square term, else of degree 1), and the other live
+    variables, enumerated as (x, y, z)."""
+    quadric, cubic = curve.quadric, curve.cubic
     live = curve.live_vars if isinstance(curve, GeneralCurve) else quadric.vars
     v = (next((n for n in live if 2 in _degrees(quadric, n)), None)
          or next(n for n in live if max(_degrees(quadric, n)) == 1))
@@ -435,6 +433,7 @@ def _sympy_sieve_forms(curve):
     symbols = dict(zip(quadric.vars, sympy.symbols(quadric.vars)))
 
     def expression(form):
+        """The numerators of the form, the form with its denominators cleared."""
         return sum(int(k) * sympy.prod([symbols[n] ** e for n, e in zip(form.vars, exps)])
                    for exps, k in form.terms.items())
 
@@ -561,10 +560,10 @@ def test_packed_rows_match_the_resultant_oracle(H):
 def test_table_resultant_in_low_degrees():
     # Res_t(x t + y, t^2 - x) = y^2 - x^3, over (t, x, y)
     order = ("t", "x", "y")
-    rest, linear = split_by_variable(cleared_table(
-        MultiPoly.from_spec(order, [(1, {"x": 1, "t": 1}), (1, {"y": 1})]), order), 1)
-    quadratic = split_by_variable(cleared_table(
-        MultiPoly.from_spec(order, [(1, {"t": 2}), (-1, {"x": 1})]), order), 2)
+    rest, linear = split_by_variable(
+        MultiPoly.from_spec(order, [(1, {"x": 1, "t": 1}), (1, {"y": 1})]).table(order), 1)
+    quadratic = split_by_variable(
+        MultiPoly.from_spec(order, [(1, {"t": 2}), (-1, {"x": 1})]).table(order), 2)
     assert table_resultant(0, linear, rest, quadratic) == (((0, 0, 2), 1), ((0, 3, 0), -1))
 
 
@@ -678,7 +677,7 @@ def _reference_search(curve, H):
             for b in range(0 if d == c == 0 else -H, H + 1):
                 coeff = [F(0), F(0), F(0)]
                 for (ea, eb, ec, ed), k in curve.quadric.terms.items():
-                    coeff[ea] += k * b ** eb * c ** ec * d ** ed
+                    coeff[ea] += F(k, curve.quadric.den) * b ** eb * c ** ec * d ** ed
                 c0, c1, c2 = coeff
                 disc = c1 * c1 - 4 * c2 * c0
                 if disc < 0 or not is_rational_square(disc):
@@ -729,7 +728,7 @@ def _unsieved_reference(curve, H):
     live = curve.live_vars if general else curve.quadric.vars
     v = next(n for n in live if 2 in _degrees(curve.quadric, n))
     others = [n for n in live if n != v]
-    quadric, iv = _cleared(curve.quadric), curve.quadric.vars.index(v)
+    quadric, iv = curve.quadric, curve.quadric.vars.index(v)
     grid = dict(zip(others, np.meshgrid(*[np.arange(-H, H + 1)] * 3, indexing="ij")))
     coeffs, sizes = [], []
     for n in range(3):
@@ -851,7 +850,7 @@ def test_field_L_polynomial():
 
 
 def _lift(form4):
-    return MultiPoly(FULL_VARS, {e + (0,): c for e, c in form4.terms.items()})
+    return MultiPoly(FULL_VARS, {e + (0,): k for e, k in form4.terms.items()}, form4.den)
 
 
 def test_general_construction_matches_t_form():
@@ -861,8 +860,8 @@ def test_general_construction_matches_t_form():
     gens = sympy.symbols(FULL_VARS)
 
     def expression(form):
-        return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
-                                     for e, c in form.terms.items()}, *gens).as_expr()
+        return sympy.Poly.from_dict({e: sympy.Rational(k, form.den)
+                                     for e, k in form.terms.items()}, *gens).as_expr()
 
     for t in (F(2), T65):
         curve_t = curve_from_t(t)
@@ -933,8 +932,8 @@ def _newton_reference(g, eliminate=None):
                    for idx in itertools.product(range(5), repeat=k))
 
     def multipoly(poly):
-        return MultiPoly(FULL_VARS, {e: F(int(c.numerator), int(c.denominator))
-                                     for e, c in poly.terms()})
+        den = math.lcm(*(int(c.denominator) for _, c in poly.terms()))
+        return MultiPoly(FULL_VARS, {e: int(c * den) for e, c in poly.terms()}, den)
 
     p1, p2, p3 = (trace_form(k) for k in (1, 2, 3))
     linear = -p1
@@ -1202,23 +1201,47 @@ def test_contains_agrees_with_the_per_term_reference(index, data):
         curve.contains(CurvePoint(tuple(coords[1:])) if n == 4 else coords[1:])
 
 
-def test_contains_builds_each_form_table_once_and_checks_every_form(monkeypatch):
-    built = []
-    monkeypatch.setattr(curve_module, "cleared_table",
-                        lambda form, order: built.append(form) or cleared_table(form, order))
+def test_contains_converts_nothing_per_call_and_checks_every_form(monkeypatch):
+    # contains reads each form's stored integers: no table, form or Fraction
+    # is built per call, and the forms are evaluated in turn up to the first
+    # that does not vanish, so all of them at a point of the curve
+    evaluated, converted = [], []
+    monkeypatch.setattr(curve_module, "form_value",
+                        lambda table, coords: evaluated.append(table) or form_value(table, coords))
+    for name in ("__init__", "table"):
+        method = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name, lambda self, *args, method=method, name=name:
+                            converted.append(name) or method(self, *args))
+    monkeypatch.setattr(curve_module, "Fraction",
+                        lambda *args: converted.append("Fraction") or F(*args))
+
+    def check(curve, coords, forms, on_curve):
+        values = dict(zip(forms[0].vars, getattr(coords, "coords", coords)))
+        vanish = [reference_evaluate(form, values) == 0 for form in forms]
+        assert all(vanish) == on_curve
+        expected = forms[:vanish.index(False) + 1] if False in vanish else forms
+        for _ in range(3):
+            evaluated.clear()
+            assert curve.contains(coords) == on_curve
+            # each table is a view of the form's own dict of numerators
+            assert all(type(table) is type({}.items()) for table in evaluated)
+            assert len(evaluated) == len(expected) and all(
+                gc.get_referents(table)[0] is form.terms for table, form in zip(evaluated, expected))
+
     for t in (T65, F(-3125, 20736), F(7, 3)):
         curve = curve_from_t(t)
-        before = len(built)
+        converted.clear()
+        forms = [curve.quadric, curve.cubic]
         # (0 : 0 : -5 : 2) is on every t-form quadric and off every cubic
-        off_cubic = CurvePoint((0, 0, -5, 2))
-        assert reference_evaluate(curve.quadric, dict(zip(CURVE_VARS, off_cubic.coords))) == 0
-        for _ in range(3):
-            assert not curve.contains(off_cubic)
-            assert curve.contains(CurvePoint((0, 1, 0, 0)))
-        assert len(built) == before + 2
+        check(curve, CurvePoint((0, 0, -5, 2)), forms, False)
+        check(curve, CurvePoint((0, 1, 0, 0)), forms, True)
+        assert converted == []
     general = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))
-    before = len(built)
-    for _ in range(3):
-        assert general.contains((0, 1, 0, 0, 0)) and general.contains((0, 3, -3, 1, 1))
-        assert not general.contains((0, 3, -3, 1, 2))
-    assert len(built) == before + 3
+    converted.clear()
+    forms = [general.linear, general.quadric, general.cubic]
+    check(general, (0, 1, 0, 0, 0), forms, True)
+    check(general, (0, 3, -3, 1, 1), forms, True)
+    check(general, (0, 3, -3, 1, 2), forms, False)
+    # on the linear form and the quadric, off the cubic
+    check(general, (0, 1, 1, 0, 0), forms, False)
+    assert converted == []
