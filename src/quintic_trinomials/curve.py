@@ -36,10 +36,18 @@ is the same at every cell of a line through the origin mod p: it is
 evaluated once at each of the p^2 + p + 1 points of P^2(F_p), and the
 p^3 residue cells read it through an index of their lines that depends
 only on p.  A row with an all-zero packed row holds no survivor, so the
-search first ANDs tables of which packed rows have a bit set, a coarse
-test before the fine one as in `ratpoints`, and gathers only the rows
-left (10-12% on the paper's curves).  Rows are sieved in tiles of a fixed size, so
-working memory grows as O(H), not with the (2H+1)^2 cells of a slice.
+search first ANDs which packed rows have a bit set, a coarse test before
+the fine one as in `ratpoints`, and gathers only the rows left (10-14% on
+the paper's curves).  On a half box above _LIVENESS_CELLS cells four more
+primes, 31, 37, 41 and 43, join that coarse test with no packed rows: for
+z != 0 mod m the row (z, x) has a cell that passes mod m iff x / z mod m
+lies in the set of x where some (x : y : 1) passes, and the row z = 0 is
+read from the line at infinity, so each prime is an m x m table from the
+same evaluation on P^2(F_m).  They leave 2-4% of the rows live.  The
+liveness of each modulus is packed over the columns x like the sieve over
+y, so a tile's coarse test is an AND of words.  Rows are sieved in tiles
+of a fixed size, so working memory grows as O(H), not with the (2H+1)^2
+cells of a slice.
 A multiple of a cell carries the same projective points as the cell, and
 the primitive cell of a point survives the sieve too, so only primitive
 survivors are confirmed, each once, in Python integers: an exact square
@@ -340,12 +348,22 @@ class SearchResult:
 # (exponents, integer coefficient) pairs
 _Table = Tuple[Tuple[Tuple[int, ...], int], ...]
 
-# The sieve's prime moduli, and _SQUARES[k][r] for r < m: is r a square mod
-# m = _MODULI[k].  With the resultant in the sieve, more or larger moduli
-# cost more than the survivors they remove.  A modulus costs each search
-# about m^2 evaluations of the two forms and one gather of m^3 cells.
+# The sieve's prime moduli.  With the resultant in the sieve, more or larger
+# packed moduli cost more than the survivors they remove.  A modulus costs
+# each search about m^2 evaluations of the two forms and one gather of m^3
+# cells.
 _MODULI = (11, 17, 19, 23, 29)
-_SQUARES = tuple(np.isin(np.arange(m), np.arange(m) ** 2 % m) for m in _MODULI)
+
+# The liveness-only primes: on a large box each sieves whole rows (z, x)
+# through one m x m table, with no packed rows and no gather of m^3 cells.
+_LIVENESS_MODULI = (31, 37, 41, 43)
+
+# _SQUARES[m][r] for r < m: is r a square mod m, for every sieve prime m
+_SQUARES = {m: np.isin(np.arange(m), np.arange(m) ** 2 % m) for m in _MODULI + _LIVENESS_MODULI}
+
+# The product of every sieve prime, below 2^42: a form's coefficients are
+# reduced modulo it once per search, then modulo each prime in int64.
+_MODULUS_PRODUCT = math.prod(_MODULI + _LIVENESS_MODULI)
 
 
 def _orbit_index(m: int) -> np.ndarray:
@@ -362,8 +380,17 @@ def _orbit_index(m: int) -> np.ndarray:
     return index
 
 
-# _ORBITS[k] = _orbit_index(_MODULI[k]), built once at import: it depends on m, not on a curve
+def _slope_index(m: int) -> np.ndarray:
+    """S[r, x] = x / r mod m for the prime m and r != 0: the cell (x, y, r) lies
+    on the line of (S[r, x] : y' : 1) for y' = y / r.  The row r = 0 is zero."""
+    inverse = np.array([0, *(pow(r, -1, m) for r in range(1, m))])
+    return (np.arange(m) * inverse[:, None] % m).astype(np.uint8)
+
+
+# _ORBITS[k] = _orbit_index(_MODULI[k]) and _SLOPES[k] = _slope_index(_LIVENESS_MODULI[k]),
+# built once at import: they depend on m, not on a curve
 _ORBITS = tuple(_orbit_index(m) for m in _MODULI)
+_SLOPES = tuple(_slope_index(m) for m in _LIVENESS_MODULI)
 
 # The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
 _OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
@@ -381,14 +408,25 @@ _TILE_BYTES = 2 ** 18
 # A search starts a process pool only when its half box has more than this
 # many cells; a smaller box is searched in-process.  The half box of height
 # H has (H + 1)(2H + 1)^2 cells, and a pool costs 10-25 ms to start.
-# Measured on 2 CPUs (Python 3.11), jobs 2 took this many times the wall
-# time of jobs 1 on t = 6/5, 19/14 and -3125/20736 (medians of 3-5 runs,
-# two rounds):
-#   H = 512: 1.1-1.7    H = 600: 0.8-1.2    H = 650: 0.7-1.3    H = 700-800: 0.8-1.0
-#   H = 1000-1600: 0.5-0.8
-# so two workers break even near H = 650, about 2^30 cells; 2^30 (a pool
-# from H = 645) keeps the searches that mostly lose in-process.
-_CELLS_PER_WORKER = 2 ** 30
+# Measured on 2 CPUs (Python 3.11), with the liveness rows of
+# _LIVENESS_MODULI, jobs 2 took this many times the wall time of jobs 1 on
+# t = 6/5, 19/14 and -3125/20736 (medians of 5-7 runs, two rounds):
+#   H = 512: 3.0-3.4    H = 600: 2.5-2.7    H = 700: 2.1-2.4    H = 800: 1.1-2.2
+#   H = 900: 0.9-1.7    H = 1000: 0.86-1.03    H = 1024: 0.96-1.12
+#   H = 1200: 0.70-0.92    H = 1600: 0.65-0.80
+# so two workers break even near H = 1000, about 2^32 cells; 2^32 (a pool
+# from H = 1024) keeps the searches that mostly lose in-process.
+_CELLS_PER_WORKER = 2 ** 32
+
+# A search adds the rows of _LIVENESS_MODULI to its liveness masks only when
+# its half box has more than this many cells: their four tables cost about
+# 0.3 ms a search to build.  Measured on 2 CPUs (Python 3.11), point_search
+# on t = 6/5, -3125/20736, 19/14, 7/3, 2/5 and -17/8 took this many times its
+# time without them (the six searches' medians of 11 alternating runs):
+#   H = 30: 1.33    H = 60: 1.27    H = 80: 1.18    H = 100: 1.12
+#   H = 120: 1.04   H = 150: 0.90   H = 200: 0.72   H = 300: 0.50
+# so they break even near H = 130, about 2^23 cells (tables from H = 128).
+_LIVENESS_CELLS = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -542,39 +580,81 @@ def form_value(table: _Table, coords) -> int:
     return total
 
 
+def _reduced_forms(forms: _SearchForms) -> np.ndarray:
+    """C[f, i, j, k], the x^i y^j z^k coefficient of disc (f = 0) and of the
+    resultant (f = 1), reduced modulo _MODULUS_PRODUCT."""
+    degree = max((sum(e) for e, _ in forms.resultant), default=0)
+    cubes = np.zeros((2, *(max(degree + 1, 3),) * 3), dtype=np.int64)
+    for f, table in enumerate((forms.disc, forms.resultant)):
+        for e, k in table:
+            cubes[(f, *e[1:])] = k % _MODULUS_PRODUCT
+    return cubes
+
+
+def _predicate(reduced: np.ndarray, m: int) -> np.ndarray:
+    """Whether disc is a square mod m and resultant = 0 mod m at each point of
+    P^2(F_m) and at the zero cell, numbered as in _orbit_index: (x : y : 1) at
+    x m + y, (x : 1 : 0) at m^2 + x, (1 : 0 : 0) and the zero cell last.  Both
+    forms are homogeneous, so the test is the same at every cell of a line
+    through the origin."""
+    cubes = reduced % m
+    # a form at (x, y, z) is powers[x] . C_z . powers[y], with C_z[i, j] the
+    # sum over k of its x^i y^j z^k coefficient times z^k: C_1 sums over k,
+    # and C_0 is the slice k = 0; powers[1] = (1, 1, ...), powers[0] = (1, 0, ...)
+    powers = np.arange(m)[:, None] ** np.arange(cubes.shape[-1]) % m
+    flat = cubes[..., 0]
+    values = np.concatenate((
+        (powers @ (cubes.sum(axis=3) % m) % m @ powers.T).reshape(2, -1),
+        flat.sum(axis=2) % m @ powers.T, flat[:, :, 0].sum(axis=1)[:, None],
+        flat[:, :1, 0]), axis=1) % m
+    return _SQUARES[m][values[0]] & (values[1] == 0)
+
+
 def _sieve_tables(forms: _SearchForms, layers: int) -> Iterator[np.ndarray]:
     """For each m of _MODULI in turn, the table T with T[r, x, y] = (disc(x, y, r)
     is a square mod m and resultant(x, y, r) = 0 mod m), for residues x, y
-    and r < min(m, layers).
+    and r < min(m, layers): `_predicate` on P^2(F_m), one gather through
+    _ORBITS[k]."""
+    reduced = _reduced_forms(forms)
+    for m, orbits in zip(_MODULI, _ORBITS):
+        yield np.take(_predicate(reduced, m), orbits[:layers])
 
-    Both forms are homogeneous, so T is constant on every line through the
-    origin: the predicate is evaluated once per point of P^2(F_m), in the
-    order of _ORBITS, and T is one gather through _ORBITS[k].
+
+def _liveness_tables(forms: _SearchForms) -> Tuple[np.ndarray, ...]:
+    """For each m of _LIVENESS_MODULI, the table L with L[r, a] = whether some
+    y residue passes the sieve test mod m at (a, y, r), the `_predicate` of m.
+
+    For r != 0 the cell (a, y, r) lies on the line of (a / r : y / r : 1), and
+    y / r runs over every residue, so L[r, a] = S[a / r] for the set S of x
+    where some (x : y : 1) passes.  The row r = 0 reads the line at infinity:
+    (a : y : 0) is (1 : 0 : 0) or some (x : 1 : 0) with x != 0 when a != 0,
+    and the zero cell or (0 : 1 : 0) when a = 0.
     """
-    disc = {e[1:]: k for e, k in forms.disc}
-    degree = max((sum(e) for e, _ in forms.resultant), default=0)
-    for m, squares, orbits in zip(_MODULI, _SQUARES, _ORBITS):
-        kxx, kxy, kyy, kxz, kyz, kzz = (
-            disc.get(e, 0) % m
-            for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)))
-        x, y = np.arange(m)[:, None], np.arange(m)[None, :]
-        # each form at (x : y : 1), (x : 1 : 0), (1 : 0 : 0) and the zero cell,
-        # numbered as in _orbit_index
-        values = np.concatenate((
-            ((kxx * x + kxy * y + kxz) * x + (kyy * y + kyz) * y + kzz).ravel(),
-            (kxx * x[:, 0] + kxy) * x[:, 0] + kyy, (kxx, 0))) % m
-        # resultant(x, y, z) = powers[x] . C_z . powers[y], with C_z[i, j] the sum
-        # over k of its x^i y^j z^k coefficient times z^k: C_1 sums over k, and
-        # C_0 is the slice k = 0; powers[1] = (1, 1, ...), powers[0] = (1, 0, ...)
-        coeffs = np.zeros((degree + 1,) * 3, dtype=np.int64)
-        for e, k in forms.resultant:
-            coeffs[e[1:]] = k % m
-        powers = x ** np.arange(degree + 1) % m
-        flat = coeffs[:, :, 0]
-        zeros = np.concatenate((
-            (powers @ (coeffs.sum(axis=2) % m) % m @ powers.T).ravel(),
-            powers @ (flat.sum(axis=1) % m), (flat[:, 0].sum(), flat[0, 0]))) % m == 0
-        yield np.take(squares[values] & zeros, orbits[:layers])
+    reduced = _reduced_forms(forms)
+    tables = []
+    for m, slopes in zip(_LIVENESS_MODULI, _SLOPES):
+        passes = _predicate(reduced, m)
+        table = np.take(passes[:m * m].reshape(m, m).any(axis=1), slopes)
+        table[0] = passes[m * m + 1:m * m + m + 1].any()
+        table[0, 0] = passes[m * m] | passes[m * m + m + 1]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _pack_columns(table: np.ndarray, height_bound: int, out: np.ndarray) -> None:
+    """Pack the rows of an n x m table over the 2H + 1 columns of a slice: row
+    i of `out`, of 64-bit words, gets bit j of word w set iff
+    table[i, (64 w + j - H) mod m], a period of m columns; the bits past
+    column 2H stay zero.  The cells take one byte each before packing, in
+    groups of at most _TILE_BYTES."""
+    H, m = height_bound, table.shape[1]
+    width = 2 * H + 1
+    octets = out.view(np.uint8)
+    columns, periods = np.arange(-H, m - H) % m, -(-width // m)
+    group = max(1, _TILE_BYTES // (m * periods))
+    for i in range(0, len(table), group):
+        bits = np.tile(table[i:i + group, columns], periods)[:, :width]
+        octets[i:i + len(bits), :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
 
 
 def _packed_rows(forms: _SearchForms, height_bound: int) -> np.ndarray:
@@ -583,29 +663,26 @@ def _packed_rows(forms: _SearchForms, height_bound: int) -> np.ndarray:
     at y = 64 w + j - H, for every x residue a and every z residue r <= H (rows
     of larger r, which no slice reads, stay zero); the bits past column 2H are
     zero.
-
-    The cells take one byte each before packing, in groups of at most
-    _TILE_BYTES.
     """
     H = height_bound
-    width = 2 * H + 1
-    rows = np.zeros((int(_OFFSETS[-1]), -(-width // 64)), dtype="<u8")
-    octets = rows.view(np.uint8)
+    rows = np.zeros((int(_OFFSETS[-1]), -(-(2 * H + 1) // 64)), dtype="<u8")
     for m, table, start in zip(_MODULI, _sieve_tables(forms, H + 1), _OFFSETS):
-        # column j of a row reads y residue (j - H) mod m, a period of m columns
-        table, columns, periods = table.reshape(-1, m), np.arange(-H, m - H) % m, -(-width // m)
-        group = max(1, _TILE_BYTES // (m * periods))
-        for i in range(0, len(table), group):
-            bits = np.tile(table[i:i + group, columns], periods)[:, :width]
-            octets[start + i:start + i + len(bits), :-(-width // 8)] = np.packbits(
-                bits, axis=1, bitorder="little")
+        _pack_columns(table.reshape(-1, m), H, rows[start:start + table.size // m])
     return rows
 
 
 @dataclass(frozen=True)
 class _Sieve:
-    """A search's forms, height bound and packed sieve rows, built once per
-    search; live[k][r, a] is whether rows[_OFFSETS[k] + r m + a] has a bit set."""
+    """A search's forms, height bound, packed sieve rows and packed row
+    liveness, built once per search.
+
+    A row (z, x) is live modulo m when some cell (x, y, z) passes the sieve
+    test mod m: for the five packed moduli, when rows[_OFFSETS[k] + r m + a]
+    has a bit set, and on a half box above _LIVENESS_CELLS cells also for
+    each prime of _LIVENESS_MODULI (`_liveness_tables`).  live[k][r] packs
+    the liveness of the rows (r, x) mod the k-th of these moduli over the
+    columns x + H of a slice, as `_pack_columns` packs; a row that is not
+    live modulo some m holds no survivor."""
 
     forms: _SearchForms
     height_bound: int
@@ -614,10 +691,35 @@ class _Sieve:
 
 
 def _build_sieve(forms: _SearchForms, height_bound: int) -> _Sieve:
-    rows = _packed_rows(forms, height_bound)
+    H = height_bound
+    rows = _packed_rows(forms, H)
     any_bit = rows.any(axis=1)
-    live = tuple(any_bit[start:start + m * m].reshape(m, m) for m, start in zip(_MODULI, _OFFSETS))
-    return _Sieve(forms, height_bound, rows, live)
+    tables = tuple(any_bit[start:start + m * m].reshape(m, m)
+                   for m, start in zip(_MODULI, _OFFSETS))
+    if _half_box(H) > _LIVENESS_CELLS:
+        tables += _liveness_tables(forms)
+    live = tuple(np.zeros((len(table), rows.shape[1]), dtype="<u8") for table in tables)
+    for table, packed in zip(tables, live):
+        _pack_columns(table, H, packed)
+    return _Sieve(forms, H, rows, live)
+
+
+def _half_box(height_bound: int) -> int:
+    """The cells (x, y, z) with z in [0, H] and x, y in [-H, H]."""
+    return (height_bound + 1) * (2 * height_bound + 1) ** 2
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """The positions 64 w + j of the set bits j of the words w of an array of
+    64-bit words, in increasing order; a bit of a 2-D array of W words a row
+    is at row * 64 W + column.  Only the nonzero words and their nonzero
+    bytes are unpacked."""
+    hits = np.flatnonzero(words)
+    octets = words.ravel()[hits].view(np.uint8)
+    hit = np.flatnonzero(octets)
+    j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
+    k = hit[j >> 3]
+    return 64 * hits[k >> 3] + 8 * (k & 7) + (j & 7)
 
 
 def _add_if_on_curve(forms: _SearchForms, height_bound: int, live, out: set) -> None:
@@ -673,9 +775,11 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     """Points from the half-box cells with z_lo <= z < z_hi; exact everywhere.
 
     The rows (z, x) of the chunk are sieved in tiles of slices.  A tile's
-    live rows are the AND of the five liveness tables at (z mod m, x mod m);
-    other rows have an all-zero packed row and no survivor.  A live row is
-    the AND of its packed rows, and only its nonzero bytes are unpacked.
+    live rows are the set bits of the AND of each slice's liveness rows,
+    live[k][z mod m] for the five packed moduli, and the four liveness-only
+    primes on a large box; other rows have no cell that passes the sieve
+    modulo some m.  Only the live rows are gathered: each is the AND of its
+    five packed rows, and only the nonzero bytes of either AND are unpacked.
     Only primitive survivors are confirmed: a multiple k c of a cell c
     carries the points of c, and if c carries a point it survives too
     (R(c) = 0 and disc(c) is a square), in whichever chunk holds it.
@@ -688,38 +792,33 @@ def _search_chunk(sieve: _Sieve, z_lo: int, z_hi: int) -> set:
     out = set()
     if z_lo == 0 < z_hi:
         _add_if_on_curve(forms, H, (1, 0, 0, 0), out)
-    moduli = np.array(_MODULI)[:, None]
-    # x mod m at each column x + H of a slice, one row per modulus
-    residues = (np.arange(-H, H + 1) % moduli).astype(np.uint8)
+    # the moduli of the liveness rows, the five packed ones first
+    moduli = np.array([len(live) for live in sieve.live])[:, None]
+    packed = moduli[:len(_MODULI)]
+    # x mod m at each column x + H of a slice, one row per packed modulus
+    residues = (np.arange(-H, H + 1) % packed).astype(np.uint8)
     # live-row positions take 8 bytes each
     slices = max(1, _TILE_BYTES // (8 * width))
     group = max(1, _TILE_BYTES // (8 * len(_MODULI) * words))
     for z0 in range(z_lo, z_hi, slices):
         z_residues = np.arange(z0, min(z0 + slices, z_hi)) % moduli
-        mask = sieve.live[0][z_residues[0]][:, residues[0]]
-        for live, zs, xs in zip(sieve.live[1:], z_residues[1:], residues[1:]):
-            mask &= live[zs][:, xs]
-        live_rows = np.flatnonzero(mask)
+        mask = sieve.live[0][z_residues[0]]
+        for live, zs in zip(sieve.live[1:], z_residues[1:]):
+            mask &= live[zs]
+        live_rows = _set_bits(mask)
         # the packed row of modulus k at (z0 + i, x) is rows[firsts[k, i] + residues[k, x + H]]
-        firsts = _OFFSETS[:-1, None] + z_residues * moduli
+        firsts = _OFFSETS[:-1, None] + z_residues[:len(_MODULI)] * packed
         for lo in range(0, live_rows.size, group):
-            z, x = np.divmod(live_rows[lo:lo + group], width)
+            z, x = np.divmod(live_rows[lo:lo + group], 64 * words)
             index = np.take(firsts, z, axis=1) + np.take(residues, x, axis=1)
             acc = np.take(rows, index[0], axis=0)
             for more in index[1:]:
                 acc &= np.take(rows, more, axis=0)
-            # the nonzero words of the AND, their nonzero bytes, and their bits
-            hits = np.flatnonzero(acc)
-            octets = acc.ravel()[hits].view(np.uint8)
-            hit = np.flatnonzero(octets)
-            if hit.size:
-                j = np.flatnonzero(np.unpackbits(octets[hit], bitorder="little"))
-                k = hit[j >> 3]
-                row, column = np.divmod(64 * hits[k >> 3] + 8 * (k & 7) + (j & 7), 64 * words)
-                for cell in zip((x[row] - H).tolist(), (column - H).tolist(), (z0 + z[row]).tolist()):
-                    if ((cell[2] > 0 or cell[1] > 0 or (cell[1] == 0 and cell[0] > 0))
-                            and math.gcd(*cell) == 1):
-                        _confirm(forms, H, cell, out)
+            row, column = np.divmod(_set_bits(acc), 64 * words)
+            for cell in zip((x[row] - H).tolist(), (column - H).tolist(), (z0 + z[row]).tolist()):
+                if ((cell[2] > 0 or cell[1] > 0 or (cell[1] == 0 and cell[0] > 0))
+                        and math.gcd(*cell) == 1):
+                    _confirm(forms, H, cell, out)
     return out
 
 
@@ -757,8 +856,7 @@ def _search(curve, height_bound: int, jobs: int) -> set:
     # when serial, else four per worker, so that a worker on a slower CPU
     # does not hold up the rest.  The sieve is built once, here, and
     # reaches each worker once, through the pool's initializer.
-    cells = (H + 1) * (2 * H + 1) ** 2
-    workers = worker_count(jobs, H + 1) if cells > _CELLS_PER_WORKER else 1
+    workers = worker_count(jobs, H + 1) if _half_box(H) > _CELLS_PER_WORKER else 1
     n_chunks = 4 * workers if workers > 1 else 1
     edges = [(H + 1) * i // n_chunks for i in range(n_chunks)] + [H + 1]
     lows, highs = zip(*((lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi))

@@ -1,5 +1,6 @@
 """Curve construction, point search, and the point/trinomial dictionary."""
 
+import dataclasses
 import functools
 import gc
 import itertools
@@ -30,7 +31,8 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       SearchResult, _search_chunk, split_by_variable,
                                       table_resultant,
                                       _search_forms, _sieve_tables, worker_count, _MODULI,
-                                      form_value,
+                                      form_value, _LIVENESS_MODULI, _orbit_index, _predicate,
+                                      _reduced_forms, _liveness_tables,
                                       _ORBITS, _OFFSETS, _build_sieve, _packed_rows)
 
 from qpoly_reference import power_sums
@@ -167,13 +169,18 @@ def test_search_chunk_is_tile_invariant(monkeypatch, tile_rows):
 def _reference_chunk(sieve, lo, hi):
     """The confirmed cells and the points of the slices lo <= z < hi, with
     every row (z, x) the AND of its five packed rows, read from sieve.rows
-    as `_passes_rows` reads them, and no step that skips rows: survivors in
-    the half box that are primitive are confirmed, and the chunk holding
-    z = 0 checks the unit point of v."""
+    as `_passes_rows` reads them, and no step that skips rows on the packed
+    moduli: survivors in the half box that are primitive are confirmed, and
+    the chunk holding z = 0 checks the unit point of v.  A sieve that carries
+    the tables of the liveness-only primes (a box above the threshold) also
+    clears every row that one of them rejects at (z mod m, x mod m)."""
     forms, H, rows = sieve.forms, sieve.height_bound, sieve.rows
     z, x = (a.ravel() for a in np.meshgrid(np.arange(lo, hi), np.arange(-H, H + 1), indexing="ij"))
     acc = np.bitwise_and.reduce([rows[_OFFSETS[k] + z % m * m + x % m]
                                  for k, m in enumerate(_MODULI)])
+    if len(sieve.live) > len(_MODULI):
+        for m, table in zip(_LIVENESS_MODULI, _liveness_tables(forms)):
+            acc[~table[z % m, x % m]] = 0
     nonzero = np.flatnonzero(acc.any(axis=1))
     bits = np.unpackbits(acc[nonzero].view(np.uint8), axis=1, bitorder="little")[:, :2 * H + 1]
     row, column = np.nonzero(bits)
@@ -208,7 +215,10 @@ def _scan_curves():
 def test_search_chunk_matches_the_unskipped_row_reference(monkeypatch, H, tile_rows):
     # skipping the rows that some modulus leaves without a bit confirms the
     # same cells, in the same order, and finds the same points as ANDing all
-    # five packed rows of every row, over the whole half box and its chunk splits
+    # five packed rows of every row, over the whole half box and its chunk
+    # splits; at H = 200, above the threshold, the reference also drops the
+    # rows of the liveness-only primes
+    assert (len(_sieve(curve_from_t(T65), H).live) > len(_MODULI)) == (H == 200)
     confirmed = []
     confirm = curve_module._confirm
 
@@ -231,18 +241,110 @@ def test_search_chunk_matches_the_unskipped_row_reference(monkeypatch, H, tile_r
                 assert confirmed == cells, (curve, lo, hi)
 
 
+def _unpacked_live(sieve):
+    """L[k][r, x + H], whether the row (z, x) with z = r mod m is live modulo
+    the k-th modulus of the sieve, unpacked from sieve.live."""
+    width = 2 * sieve.height_bound + 1
+    return [np.unpackbits(live.view(np.uint8), axis=1, bitorder="little").astype(bool)
+            for live in sieve.live], width
+
+
 @pytest.mark.parametrize("H", [5, 40])
 def test_liveness_table_is_whether_each_packed_row_has_a_bit(H):
-    # one m x m table per modulus, read at (z mod m, x mod m), in the layout
-    # of _OFFSETS; at H = 5 the rows of z residues above H stay zero and dead
+    # one packed row over the columns x + H per z residue r of each modulus:
+    # bit x + H is whether rows[_OFFSETS[k] + r m + x mod m] has a bit set;
+    # at H = 5 the rows of z residues above H stay zero and dead, and the
+    # bits past column 2H are zero
     for curve in _sieve_curves():
         sieve = _sieve(curve, H)
         any_bit = sieve.rows.any(axis=1)
+        unpacked, width = _unpacked_live(sieve)
         assert len(sieve.live) == len(_MODULI)
-        for k, (m, live) in enumerate(zip(_MODULI, sieve.live)):
-            assert live.shape == (m, m) and live.dtype == bool
-            assert np.array_equal(live.ravel(), any_bit[_OFFSETS[k]:_OFFSETS[k + 1]])
-            assert not live[H + 1:].any()
+        x = np.arange(-H, H + 1)
+        for k, (m, live, bits) in enumerate(zip(_MODULI, sieve.live, unpacked)):
+            assert live.shape == (m, sieve.rows.shape[1]) and live.dtype == np.uint64
+            table = any_bit[_OFFSETS[k]:_OFFSETS[k + 1]].reshape(m, m)
+            assert np.array_equal(bits[:, :width], table[:, x % m])
+            assert not bits[:, width:].any()
+            assert not table[H + 1:].any()
+
+
+def _liveness_curves():
+    # random t, t with 31, 37, 41 or 43 in the numerator or the denominator
+    # (a prime dividing q or p can make a form vanish mod it), the sieve's
+    # curves and three general fields
+    rng = random.Random(30)
+    ts = [F(rng.randint(-99, 99) or 1, rng.randint(1, 99)) for _ in range(4)]
+    ts += [F(m * rng.randint(1, 9), rng.randint(1, 20)) for m in _LIVENESS_MODULI]
+    ts += [F(-rng.randint(1, 30), m * rng.randint(1, 3)) for m in _LIVENESS_MODULI]
+    return [*map(curve_from_t, ts), *_sieve_curves(),
+            *(curve_from_field(UniPoly(g)) for g in ([105, 75, 0, 0, 0, 1], [6, -4, 2, -2, 4, 1],
+                                                     [F(1, 2), F(3, 7), -2, 0, F(5, 3), 1]))]
+
+
+def test_liveness_tables_are_whether_some_column_of_a_row_passes():
+    # L[r, a] for a liveness-only prime m is whether some y residue passes at
+    # (a, y, r): read from S_m on the affine plane for r != 0, and from the
+    # line at infinity for r = 0.  The brute force takes every residue cell
+    # of the predicate through _orbit_index(m); on the sieve's curves the
+    # predicate itself is the resultant oracle's at every cell.
+    # The sieve of a box above the threshold packs them after the five
+    # packed moduli's rows.
+    H = 200
+    x = np.arange(-H, H + 1)
+    for curve in _liveness_curves():
+        forms = _search_forms(curve)
+        reduced = _reduced_forms(forms)
+        tables = _liveness_tables(forms)
+        unpacked, width = _unpacked_live(_build_sieve(forms, H))
+        assert len(unpacked) == len(_MODULI) + len(tables) == len(_MODULI) + len(_LIVENESS_MODULI)
+        for m, table, bits in zip(_LIVENESS_MODULI, tables, unpacked[len(_MODULI):]):
+            cells = np.take(_predicate(reduced, m), _orbit_index(m))
+            assert table.shape == (m, m) and table.dtype == bool
+            assert np.array_equal(table, cells.any(axis=2)), (curve, m)
+            assert np.array_equal(bits[:, :width], table[:, x % m]) and not bits[:, width:].any()
+    for curve in _sieve_curves():
+        forms, passes = _search_forms(curve), _oracle(curve)
+        for m in _LIVENESS_MODULI:
+            r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
+            cells = np.take(_predicate(_reduced_forms(forms), m), _orbit_index(m))
+            assert (cells == passes(m, x, y, r)).all(), (curve, m)
+
+
+@pytest.mark.parametrize("H", [0, 1, 63, 64, 65, 200])
+def test_liveness_primes_keep_the_points_of_the_five_prime_sieve(monkeypatch, H):
+    # with the threshold at 0 every box carries the liveness tables: the
+    # chunks find the points of the five-prime unskipped reference, and every
+    # cell they confirm passes all nine primes, each as the sieve tests it:
+    # the cell passes the oracle modulo the five packed primes, and its row
+    # (z, x) has a y residue that passes modulo each liveness-only prime
+    confirmed = []
+    confirm = curve_module._confirm
+
+    def spy(forms, height_bound, cell, out):
+        confirmed.append(cell)
+        confirm(forms, height_bound, cell, out)
+
+    for curve in _scan_curves():
+        five = _sieve(curve, H)
+        assert len(five.live) == len(_MODULI) or H == 200
+        chunks = ((0, H + 1), *_pieces(H))
+        expected = [_reference_chunk(dataclasses.replace(five, live=five.live[:len(_MODULI)]),
+                                     lo, hi)[1] for lo, hi in chunks]
+        passes = _oracle(curve)
+        with monkeypatch.context() as patch:
+            patch.setattr(curve_module, "_LIVENESS_CELLS", 0)
+            nine = _sieve(curve, H)
+            assert len(nine.live) == len(_MODULI) + len(_LIVENESS_MODULI)
+            patch.setattr(curve_module, "_confirm", spy)
+            for (lo, hi), points in zip(chunks, expected):
+                confirmed.clear()
+                assert _search_chunk(nine, lo, hi) == points, (curve, lo, hi)
+                for x, y, z in confirmed:
+                    for m in _MODULI:
+                        assert passes(m, x % m, y % m, z % m), (curve, (x, y, z), m)
+                    for m in _LIVENESS_MODULI:
+                        assert passes(m, x % m, np.arange(m), z % m).any(), (curve, (x, y, z), m)
 
 
 @pytest.fixture
@@ -252,11 +354,25 @@ def pooled(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
-def test_point_search_parallel_matches_serial(pooled):
+def test_point_search_parallel_matches_serial(pooled, monkeypatch):
+    # the liveness tables reach the workers inside the sieve: with every
+    # table of a liveness-only prime emptied, which drops every row, the
+    # pool confirms no cell and finds no point
+    monkeypatch.setattr(curve_module, "_LIVENESS_CELLS", 0)
     curve = curve_from_t(T65)
     serial = point_search(curve, 60)
     parallel = point_search(curve, 60, jobs=2)
-    assert serial == parallel
+    assert serial == parallel and serial.points
+    build = curve_module._build_sieve
+
+    def emptied(forms, height_bound):
+        sieve = build(forms, height_bound)
+        assert len(sieve.live) == len(_MODULI) + len(_LIVENESS_MODULI)
+        dead = tuple(np.zeros_like(table) for table in sieve.live[len(_MODULI):])
+        return dataclasses.replace(sieve, live=sieve.live[:len(_MODULI)] + dead)
+
+    monkeypatch.setattr(curve_module, "_build_sieve", emptied)
+    assert point_search(curve, 60, jobs=2) == SearchResult((), (), 60)
 
 
 class _Refused(Exception):
@@ -386,8 +502,9 @@ def test_search_finds_every_point_of_a_line_on_the_curve():
 
 
 def test_search_confirms_each_primitive_cell_once(monkeypatch):
-    # of the 440 sieve survivors of t = 6/5 at H = 200 only the primitive
-    # cells of the half box are confirmed, each once
+    # of the 435 sieve survivors of t = 6/5 at H = 200 (with the
+    # liveness-only primes) only the primitive cells of the half box are
+    # confirmed, each once
     H, cells = 200, []
     confirm = curve_module._confirm
 
@@ -1049,15 +1166,18 @@ def _traced_peaks(search, heights):
 def test_search_memory_grows_linearly_with_height():
     # The packed rows grow as O(H), tiles are bounded, and survivors are
     # confirmed one at a time.  A (2H+1)^2 mask per slice would grow the
-    # peak as H^2: the growth from H = 200 to 400 would be about four times
-    # that from 100 to 200, not two.  x^5 + 75x + 105 has many survivors,
-    # t = 19/14 few, so there the sieve's own memory shows.
+    # peak as H^2: the growth from H = 800 to 1600 would be about four times
+    # that from 400 to 800, not two.  x^5 + 75x + 105 has many survivors,
+    # t = 19/14 few, so there the sieve's own memory shows.  From H = 400 the
+    # packing's tiles are full and the box is above _LIVENESS_CELLS, so the
+    # growth is that of the packed rows alone; below, the peak moves between
+    # the packing and the scan's tiles, which fill at different heights.
     curve = curve_from_field(UniPoly([105, 75, 0, 0, 0, 1]))
     low, high = _traced_peaks(lambda H: general_point_search(curve, H), (200, 400))
     assert high < 3 * low
     curve = curve_from_t(F(19, 14))
-    p100, p200, p400 = _traced_peaks(lambda H: point_search(curve, H), (100, 200, 400))
-    assert p400 - p200 < 3 * (p200 - p100)
+    p400, p800, p1600 = _traced_peaks(lambda H: point_search(curve, H), (400, 800, 1600))
+    assert p1600 - p800 < 3 * (p800 - p400)
 
 
 def test_height_bound_is_validated_alike_by_both_entry_points():
