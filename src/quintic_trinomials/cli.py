@@ -17,9 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .qpoly import UniPoly, format_rational, parse_rational, poly_to_strings
 from .factor import factor_over_Q
@@ -41,70 +39,29 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
-ENV_JOBS = "QUINTRIN_JOBS"
-
 # the prime sieve takes one byte per integer below the bound; the limit also
 # keeps every prime inside the int64 lanes of the batched mod-p kernel
 MAX_PRIME_BOUND = 1 << 20
 
 
-@dataclass
-class RunConfig:
-    height_bound: int = 200
-    prime_bound: int = 500
-    jobs: int = 0  # 0 = hardware-derived
-    output: Optional[str] = None
-
-    def resolved_jobs(self) -> int:
-        if self.jobs > 0:
-            return self.jobs
-        return max(1, os.cpu_count() or 1)
-
-    def validate(self):
-        for name in ("height_bound", "prime_bound"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.prime_bound > MAX_PRIME_BOUND:
-            raise ValueError(f"prime_bound must be at most {MAX_PRIME_BOUND}")
-        if self.height_bound > MAX_HEIGHT_BOUND:
-            raise ValueError(f"height_bound must be at most {MAX_HEIGHT_BOUND}")
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 means the CPU count)")
+def _validate(args) -> None:
+    """Reject an out-of-range run setting before any work starts."""
+    height = getattr(args, "height", None)  # only `search` takes a height
+    if height is not None and height < 1:
+        raise ValueError("height_bound must be positive")
+    if args.prime_bound < 1:
+        raise ValueError("prime_bound must be positive")
+    if args.prime_bound > MAX_PRIME_BOUND:
+        raise ValueError(f"prime_bound must be at most {MAX_PRIME_BOUND}")
+    if height is not None and height > MAX_HEIGHT_BOUND:
+        raise ValueError(f"height_bound must be at most {MAX_HEIGHT_BOUND}")
+    if args.jobs < 0:
+        raise ValueError("jobs must be >= 0 (0 means the CPU count)")
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key in ("height_bound", "prime_bound", "jobs"):
-                setattr(cfg, key, int(val))
-            elif key == "output":
-                cfg.output = val
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    if os.environ.get(ENV_JOBS):
-        cfg.jobs = int(os.environ[ENV_JOBS])
-    for attr, arg in (("height_bound", "height"), ("prime_bound", "prime_bound"),
-                      ("jobs", "jobs"), ("output", "output")):
-        val = getattr(args, arg, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    cfg.validate()
-    return cfg
+def _jobs(args) -> int:
+    """The worker count: --jobs 0 means the CPU count."""
+    return args.jobs or os.cpu_count() or 1
 
 
 def _parse_poly(text: str) -> UniPoly:
@@ -132,7 +89,7 @@ def _emit(document, out) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args, cfg, out) -> int:
+def _cmd_classify(args, out) -> int:
     lead = parse_rational(args.lead) if args.lead else Fraction(1)
     tri = Trinomial.from_coefficients(lead, parse_rational(args.a), parse_rational(args.b))
     poly = tri.as_unipoly()
@@ -144,13 +101,13 @@ def _cmd_classify(args, cfg, out) -> int:
         "irreducible": irreducible,
     }
     if irreducible:
-        group, evidence = galois_type_heuristic(tri, cfg.prime_bound)
+        group, evidence = galois_type_heuristic(tri, args.prime_bound)
         doc["galois_heuristic"] = {"group": group, **evidence.to_json()}
     _emit(doc, out)
     return EXIT_OK
 
 
-def _cmd_curve(args, cfg, out) -> int:
+def _cmd_curve(args, out) -> int:
     if (args.t is None) == (args.g is None):
         raise ValueError("give exactly one of --t or --g")
     if args.eliminate is not None and args.g is None:
@@ -182,10 +139,10 @@ def _cmd_curve(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args, cfg, out) -> int:
+def _cmd_search(args, out) -> int:
     t = parse_rational(args.t)
     curve = curve_from_t(t)
-    result = point_search(curve, cfg.height_bound, jobs=cfg.resolved_jobs())
+    result = point_search(curve, args.height, jobs=_jobs(args))
     for pt in result.points:
         image = point_to_trinomial(curve, pt)
         record = {
@@ -202,7 +159,7 @@ def _cmd_search(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def _cmd_root_in_field(args, cfg, out) -> int:
+def _cmd_root_in_field(args, out) -> int:
     g = _parse_poly(args.g)
     f = _parse_poly(args.f)
     field = NumberField(g)
@@ -219,7 +176,7 @@ def _cmd_root_in_field(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def _cmd_family(args, cfg, out) -> int:
+def _cmd_family(args, out) -> int:
     param = parse_rational(args.param)
     if args.family == "weber":
         tri = weber_family(param)
@@ -249,7 +206,7 @@ def _cmd_family(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def _cmd_surface(args, cfg, out) -> int:
+def _cmd_surface(args, out) -> int:
     if args.surface_cmd == "check":
         values = _parse_tuple(args.point, 4)
         pt = CurvePoint.from_rationals(values)
@@ -276,7 +233,7 @@ def _parse_curve(text: str) -> WeierstrassCurve:
     return WeierstrassCurve(*_parse_tuple(text, 5))
 
 
-def _cmd_elliptic(args, cfg, out) -> int:
+def _cmd_elliptic(args, out) -> int:
     if args.elliptic_cmd == "info":
         curve = _parse_curve(args.curve)
         doc = {
@@ -298,8 +255,8 @@ def _cmd_elliptic(args, cfg, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg, out) -> int:
-    report = run_acceptance(jobs=cfg.resolved_jobs(), prime_bound=cfg.prime_bound)
+def _cmd_verify(args, out) -> int:
+    report = run_acceptance(jobs=_jobs(args), prime_bound=args.prime_bound)
     out.write(report)
     return EXIT_OK if "FAIL" not in report else 1
 
@@ -310,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quintrin",
         description="exact search and verification for quintic trinomials x^5+ax+b")
-    parser.add_argument("--config", help="key = value file overriding defaults")
-    parser.add_argument("--prime-bound", type=int, dest="prime_bound")
-    parser.add_argument("--jobs", type=int,
-                        help="at most this many worker processes (default: cpu count)")
+    parser.add_argument("--prime-bound", type=int, default=500, dest="prime_bound",
+                        help="bound on the primes of the Galois evidence (default: 500)")
+    parser.add_argument("--jobs", type=int, default=0,
+                        help="at most this many worker processes (default: 0, the cpu count)")
     parser.add_argument("--output", help="write to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="rational point search up to a height bound")
     p.add_argument("--t", required=True)
-    p.add_argument("--height", type=int)
+    p.add_argument("--height", type=int, default=200,
+                   help="height bound of the search box (default: 200)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("root-in-field", help="a certified root or a proof of absence, degree <= 5")
@@ -397,13 +355,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_option_values(list(argv)))
     try:
-        cfg = build_config(args)
-        out = open(cfg.output, "w", encoding="utf-8") if cfg.output else sys.stdout
+        _validate(args)
+        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code = args.func(args, cfg, out)
+        code = args.func(args, out)
         out.flush()
         return code
     except BrokenPipeError:

@@ -292,86 +292,85 @@ def test_elliptic_info_and_twist(capsys):
     assert doc["twists"] is True and doc["twist_factor"] == "-10"
 
 
-def test_config_file_and_env(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("height_bound = 5\njobs = 1\n")
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "search", "--t", "6/5")
-    assert code == EXIT_OK
-    assert [json.loads(l)["point"] for l in out.splitlines()] == [[0, 1, 0, 0]]
-    monkeypatch.setenv("QUINTRIN_JOBS", "1")
-    code, out2, _ = run_cli(capsys, "--config", str(cfg), "search", "--t", "6/5")
-    assert out2 == out
-
-
-def test_config_unknown_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    code, _, err = run_cli(capsys, "--config", str(cfg), "classify", "--a", "1", "--b", "2")
-    assert code == EXIT_USAGE
-
-
-def test_negative_jobs_exits_2(tmp_path, capsys, monkeypatch):
-    search = ("search", "--t", "6/5", "--height", "2")
-    code, out, err = run_cli(capsys, "--jobs", "-1", *search)
-    assert code == EXIT_USAGE and out == "" and "jobs" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("jobs = -3\n")
-    assert run_cli(capsys, "--config", str(cfg), *search)[0] == EXIT_USAGE
-    monkeypatch.setenv("QUINTRIN_JOBS", "-2")
-    assert run_cli(capsys, *search)[0] == EXIT_USAGE
-
-
-def test_prime_bound_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
-    limit = cli.MAX_PRIME_BOUND
-    assert limit == 1 << 20 and limit <= factor._BATCH_PRIME_LIMIT
-    parser = cli.build_parser()
-    classify = ("classify", "--a", "-5", "--b", "12")
-    cli.build_config(parser.parse_args(["--prime-bound", str(limit), *classify]))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"prime_bound = {limit + 1}\n")
-    for argv in (["--prime-bound", str(limit + 1), *classify],
-                 ["--prime-bound", str(10 ** 11), "verify", "paper"],
-                 ["--config", str(cfg), "verify", "paper"]):
-        with pytest.raises(ValueError, match="prime_bound must be at most"):
-            cli.build_config(parser.parse_args(argv))
-    with pytest.raises(ValueError, match="prime_bound must be at most"):
-        cli.RunConfig(prime_bound=limit + 1).validate()
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make a search, the Galois sieve or the paper suite fail if it starts."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran at a rejected bound")
 
     def no_sieve(*args, **kwargs):
         raise AssertionError("the sieve ran at a rejected bound")
 
+    monkeypatch.setattr(cli, "point_search", no_search)
     monkeypatch.setattr(cli, "run_acceptance", no_sieve)
     monkeypatch.setattr(cli, "galois_type_heuristic", no_sieve)
-    code, out, err = run_cli(capsys, "--prime-bound", str(10 ** 11), "verify", "paper")
-    assert code == EXIT_USAGE and out == "" and "prime_bound" in err
-    code, out, err = run_cli(capsys, "--config", str(cfg), *classify)
-    assert code == EXIT_USAGE and out == "" and "prime_bound" in err
 
 
-def test_height_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+_SEARCH = ("search", "--t", "6/5")
+_CLASSIFY = ("classify", "--a", "-5", "--b", "12")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*_SEARCH, "--height", "0"), "height_bound must be positive"),
+    ((*_SEARCH, "--height", "16385"), "height_bound must be at most 16384"),
+    (("--prime-bound", "0", *_CLASSIFY), "prime_bound must be positive"),
+    (("--prime-bound", "1048577", "verify", "paper"), "prime_bound must be at most 1048576"),
+    (("--jobs", "-1", *_SEARCH, "--height", "2"), "jobs must be >= 0 (0 means the CPU count)"),
+    # two violations: the prime bound is checked before the height's upper limit
+    (("--prime-bound", "1048577", *_SEARCH, "--height", "16385"),
+     "prime_bound must be at most 1048576"),
+])
+def test_run_setting_out_of_range_exits_2(capsys, no_work, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_negative_jobs_exits_2(capsys, no_work):
+    # --jobs is a global option: every command rejects a negative value,
+    # also one that starts no workers
+    for command in (_SEARCH, ("verify", "paper"), _CLASSIFY):
+        code, out, err = run_cli(capsys, "--jobs", "-3", *command)
+        assert code == EXIT_USAGE and out == "" and "jobs" in err
+
+
+def test_prime_bound_above_the_limit_exits_2(capsys, no_work):
+    limit = cli.MAX_PRIME_BOUND
+    assert limit == 1 << 20 and limit <= factor._BATCH_PRIME_LIMIT
+    cli._validate(cli.build_parser().parse_args(["--prime-bound", str(limit), *_CLASSIFY]))
+    for command in (("verify", "paper"), _CLASSIFY):
+        code, out, err = run_cli(capsys, "--prime-bound", str(10 ** 11), *command)
+        assert code == EXIT_USAGE and out == "" and "prime_bound" in err
+
+
+def test_height_above_the_limit_exits_2(capsys, no_work):
     limit = cli.MAX_HEIGHT_BOUND
     assert limit == curve.MAX_HEIGHT_BOUND == 1 << 14
-    parser = cli.build_parser()
-    search = ("search", "--t", "6/5")
-    cli.build_config(parser.parse_args([*search, "--height", str(limit)]))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"height_bound = {limit + 1}\n")
-    for argv in ([*search, "--height", str(limit + 1)],
-                 [*search, "--height", str(10 ** 7)],
-                 ["--config", str(cfg), *search]):
-        with pytest.raises(ValueError, match="height_bound must be at most"):
-            cli.build_config(parser.parse_args(argv))
-    with pytest.raises(ValueError, match="height_bound must be at most"):
-        cli.RunConfig(height_bound=limit + 1).validate()
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("the search ran at a rejected bound")
-
-    monkeypatch.setattr(cli, "point_search", no_search)
-    code, out, err = run_cli(capsys, *search, "--height", str(10 ** 7))
+    cli._validate(cli.build_parser().parse_args([*_SEARCH, "--height", str(limit)]))
+    code, out, err = run_cli(capsys, *_SEARCH, "--height", str(10 ** 7))
     assert code == EXIT_USAGE and out == "" and "height_bound" in err
-    code, out, err = run_cli(capsys, "--config", str(cfg), *search)
-    assert code == EXIT_USAGE and out == "" and "height_bound" in err
+
+
+@pytest.mark.parametrize("flags, cpus, jobs", [
+    ((), 3, 3), (("--jobs", "0"), 3, 3), (("--jobs", "2"), 3, 2), ((), None, 1),
+])
+def test_jobs_default_to_the_cpu_count(capsys, monkeypatch, flags, cpus, jobs):
+    handed = []
+
+    def search(c, height_bound, jobs):
+        handed.append(jobs)
+        return curve.SearchResult((), (), height_bound)
+
+    def acceptance(jobs, prime_bound):
+        handed.append(jobs)
+        return ""
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "point_search", search)
+    monkeypatch.setattr(cli, "run_acceptance", acceptance)
+    assert run_cli(capsys, *flags, *_SEARCH)[0] == EXIT_OK
+    assert run_cli(capsys, *flags, "verify", "paper")[0] == EXIT_OK
+    assert handed == [jobs, jobs]
 
 
 def test_output_file(tmp_path, capsys):
@@ -397,9 +396,23 @@ def test_usage_error_on_unknown_command(capsys):
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers are not forked, so they do not see the patch")
 def test_search_bytes_identical_across_parallelism(capsys, monkeypatch):
-    monkeypatch.setenv("QUINTRIN_JOBS", "1")
-    _, serial, _ = run_cli(capsys, "search", "--t", "6/5", "--height", "40")
-    monkeypatch.setenv("QUINTRIN_JOBS", "3")
-    _, parallel, _ = run_cli(capsys, "search", "--t", "6/5", "--height", "40")
-    assert serial == parallel
+    # a height-40 box is too small to pay for workers, so the search is made
+    # to start its pool at any size; jobs 1 must still run in-process
+    built = []
+
+    class CountedPool(curve.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(curve, "_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(curve, "ProcessPoolExecutor", CountedPool)
+    _, serial, _ = run_cli(capsys, "--jobs", "1", *_SEARCH, "--height", "40")
+    assert built == []
+    _, parallel, _ = run_cli(capsys, "--jobs", "3", *_SEARCH, "--height", "40")
+    assert built == [3]
+    assert serial == parallel and serial
