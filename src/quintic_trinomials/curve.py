@@ -35,19 +35,19 @@ the AND of five packed rows.  Both forms are homogeneous, so that test
 is the same at every cell of a line through the origin mod p: it is
 evaluated once at each of the p^2 + p + 1 points of P^2(F_p), and the
 p^3 residue cells read it through an index of their lines that depends
-only on p.  A row with an all-zero packed row holds no survivor, so the
-search first ANDs which packed rows have a bit set, a coarse test before
-the fine one as in `ratpoints`, and gathers only the rows left (10-14% on
-the paper's curves).  On a half box above _LIVENESS_CELLS cells four more
-primes, 31, 37, 41 and 43, join that coarse test with no packed rows: for
-z != 0 mod m the row (z, x) has a cell that passes mod m iff x / z mod m
+only on p.  The same evaluation says which rows are live: for
+z != 0 mod p the row (z, x) has a cell that passes mod p iff x / z mod p
 lies in the set of x where some (x : y : 1) passes, and the row z = 0 is
-read from the line at infinity, so each prime is an m x m table from the
-same evaluation on P^2(F_m).  They leave 2-4% of the rows live.  The
-liveness of each modulus is packed over the columns x like the sieve over
-y, so a tile's coarse test is an AND of words.  Rows are sieved in tiles
-of a fixed size, so working memory grows as O(H), not with the (2H+1)^2
-cells of a slice.
+read from the line at infinity, so each prime gives one p x p table.  A
+search makes one pass over its primes, one evaluation each, and ANDs the
+liveness of the rows first, a coarse test before the fine one as in
+`ratpoints`, then gathers only the rows left (10-14% on the paper's
+curves).  On a half box above _LIVENESS_CELLS cells four more primes, 31,
+37, 41 and 43, join that coarse test with no packed rows; they leave 2-4%
+of the rows live.  The liveness of each prime is packed over the columns
+x like the sieve over y, so a tile's coarse test is an AND of words.
+Rows are sieved in tiles of a fixed size, so working memory grows as
+O(H), not with the (2H+1)^2 cells of a slice.
 A multiple of a cell carries the same projective points as the cell, and
 the primitive cell of a point survives the sieve too, so only primitive
 survivors are confirmed, each once, in Python integers: an exact square
@@ -68,7 +68,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -361,7 +361,7 @@ _LIVENESS_MODULI = (31, 37, 41, 43)
 # _SQUARES[m][r] for r < m: is r a square mod m, for every sieve prime m
 _SQUARES = {m: np.isin(np.arange(m), np.arange(m) ** 2 % m) for m in _MODULI + _LIVENESS_MODULI}
 
-# The product of every sieve prime, below 2^42: a form's coefficients are
+# The product of every sieve prime, below 2^43: a form's coefficients are
 # reduced modulo it once per search, then modulo each prime in int64.
 _MODULUS_PRODUCT = math.prod(_MODULI + _LIVENESS_MODULI)
 
@@ -387,10 +387,11 @@ def _slope_index(m: int) -> np.ndarray:
     return (np.arange(m) * inverse[:, None] % m).astype(np.uint8)
 
 
-# _ORBITS[k] = _orbit_index(_MODULI[k]) and _SLOPES[k] = _slope_index(_LIVENESS_MODULI[k]),
-# built once at import: they depend on m, not on a curve
+# _ORBITS[k] = _orbit_index(_MODULI[k]) and _SLOPES[k] = _slope_index(m) for the
+# k-th m of _MODULI + _LIVENESS_MODULI, built once at import: they depend on m,
+# not on a curve
 _ORBITS = tuple(_orbit_index(m) for m in _MODULI)
-_SLOPES = tuple(_slope_index(m) for m in _LIVENESS_MODULI)
+_SLOPES = tuple(_slope_index(m) for m in _MODULI + _LIVENESS_MODULI)
 
 # The packed rows of modulus _MODULI[k] start at _OFFSETS[k], m^2 rows per modulus
 _OFFSETS = np.cumsum((0, *(m * m for m in _MODULI)))
@@ -610,37 +611,6 @@ def _predicate(reduced: np.ndarray, m: int) -> np.ndarray:
     return _SQUARES[m][values[0]] & (values[1] == 0)
 
 
-def _sieve_tables(forms: _SearchForms, layers: int) -> Iterator[np.ndarray]:
-    """For each m of _MODULI in turn, the table T with T[r, x, y] = (disc(x, y, r)
-    is a square mod m and resultant(x, y, r) = 0 mod m), for residues x, y
-    and r < min(m, layers): `_predicate` on P^2(F_m), one gather through
-    _ORBITS[k]."""
-    reduced = _reduced_forms(forms)
-    for m, orbits in zip(_MODULI, _ORBITS):
-        yield np.take(_predicate(reduced, m), orbits[:layers])
-
-
-def _liveness_tables(forms: _SearchForms) -> Tuple[np.ndarray, ...]:
-    """For each m of _LIVENESS_MODULI, the table L with L[r, a] = whether some
-    y residue passes the sieve test mod m at (a, y, r), the `_predicate` of m.
-
-    For r != 0 the cell (a, y, r) lies on the line of (a / r : y / r : 1), and
-    y / r runs over every residue, so L[r, a] = S[a / r] for the set S of x
-    where some (x : y : 1) passes.  The row r = 0 reads the line at infinity:
-    (a : y : 0) is (1 : 0 : 0) or some (x : 1 : 0) with x != 0 when a != 0,
-    and the zero cell or (0 : 1 : 0) when a = 0.
-    """
-    reduced = _reduced_forms(forms)
-    tables = []
-    for m, slopes in zip(_LIVENESS_MODULI, _SLOPES):
-        passes = _predicate(reduced, m)
-        table = np.take(passes[:m * m].reshape(m, m).any(axis=1), slopes)
-        table[0] = passes[m * m + 1:m * m + m + 1].any()
-        table[0, 0] = passes[m * m] | passes[m * m + m + 1]
-        tables.append(table)
-    return tuple(tables)
-
-
 def _pack_columns(table: np.ndarray, height_bound: int, out: np.ndarray) -> None:
     """Pack the rows of an n x m table over the 2H + 1 columns of a slice: row
     i of `out`, of 64-bit words, gets bit j of word w set iff
@@ -657,32 +627,22 @@ def _pack_columns(table: np.ndarray, height_bound: int, out: np.ndarray) -> None
         octets[i:i + len(bits), :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
 
 
-def _packed_rows(forms: _SearchForms, height_bound: int) -> np.ndarray:
-    """The packed sieve: rows[_OFFSETS[k] + r * m + a] has bit j of word w set
-    iff the cell (a, y, r) passes the table of m = _MODULI[k] (`_sieve_tables`),
-    at y = 64 w + j - H, for every x residue a and every z residue r <= H (rows
-    of larger r, which no slice reads, stay zero); the bits past column 2H are
-    zero.
-    """
-    H = height_bound
-    rows = np.zeros((int(_OFFSETS[-1]), -(-(2 * H + 1) // 64)), dtype="<u8")
-    for m, table, start in zip(_MODULI, _sieve_tables(forms, H + 1), _OFFSETS):
-        _pack_columns(table.reshape(-1, m), H, rows[start:start + table.size // m])
-    return rows
-
-
 @dataclass(frozen=True)
 class _Sieve:
     """A search's forms, height bound, packed sieve rows and packed row
-    liveness, built once per search.
+    liveness, built once per search by `_build_sieve`.
 
-    A row (z, x) is live modulo m when some cell (x, y, z) passes the sieve
-    test mod m: for the five packed moduli, when rows[_OFFSETS[k] + r m + a]
-    has a bit set, and on a half box above _LIVENESS_CELLS cells also for
-    each prime of _LIVENESS_MODULI (`_liveness_tables`).  live[k][r] packs
-    the liveness of the rows (r, x) mod the k-th of these moduli over the
-    columns x + H of a slice, as `_pack_columns` packs; a row that is not
-    live modulo some m holds no survivor."""
+    rows[_OFFSETS[k] + r m + a] has bit j of word w set iff the cell (a, y, r)
+    passes the sieve test mod m = _MODULI[k], at y = 64 w + j - H, for every x
+    residue a and every z residue r <= H (rows of larger r, which no slice
+    reads, stay zero); the bits past column 2H are zero.  A row (z, x) is
+    live modulo m when some y residue passes at (x, y, z) mod m, for the five
+    packed moduli and, on a half box above _LIVENESS_CELLS cells, the primes
+    of _LIVENESS_MODULI.  live[k][r] packs the liveness of the rows (r, x) mod
+    the k-th of these moduli over the columns x + H of a slice, as
+    `_pack_columns` packs; a row that is not live modulo some m holds no
+    survivor.  When 2H + 1 < m a live row can have an empty packed row, which
+    the AND of the packed rows drops."""
 
     forms: _SearchForms
     height_bound: int
@@ -691,15 +651,28 @@ class _Sieve:
 
 
 def _build_sieve(forms: _SearchForms, height_bound: int) -> _Sieve:
+    """One pass over the search's moduli, one `_predicate` evaluation each.
+
+    For r != 0 the cell (a, y, r) lies on the line of (a / r : y / r : 1), and
+    y / r runs over every residue, so the row (r, a) is live iff a / r lies in
+    the set of x where some (x : y : 1) passes.  The row r = 0 reads the line
+    at infinity: (a : y : 0) is (1 : 0 : 0) or some (x : 1 : 0) with x != 0
+    when a != 0, and the zero cell or (0 : 1 : 0) when a = 0.
+    """
     H = height_bound
-    rows = _packed_rows(forms, H)
-    any_bit = rows.any(axis=1)
-    tables = tuple(any_bit[start:start + m * m].reshape(m, m)
-                   for m, start in zip(_MODULI, _OFFSETS))
-    if _half_box(H) > _LIVENESS_CELLS:
-        tables += _liveness_tables(forms)
-    live = tuple(np.zeros((len(table), rows.shape[1]), dtype="<u8") for table in tables)
-    for table, packed in zip(tables, live):
+    moduli = _MODULI + _LIVENESS_MODULI if _half_box(H) > _LIVENESS_CELLS else _MODULI
+    reduced = _reduced_forms(forms)
+    words = -(-(2 * H + 1) // 64)
+    rows = np.zeros((int(_OFFSETS[-1]), words), dtype="<u8")
+    live = tuple(np.zeros((m, words), dtype="<u8") for m in moduli)
+    for k, (m, slopes, packed) in enumerate(zip(moduli, _SLOPES, live)):
+        passes = _predicate(reduced, m)
+        if k < len(_MODULI):
+            _pack_columns(np.take(passes, _ORBITS[k][:H + 1]).reshape(-1, m), H,
+                          rows[_OFFSETS[k]:_OFFSETS[k + 1]])
+        table = np.take(passes[:m * m].reshape(m, m).any(axis=1), slopes)
+        table[0] = passes[m * m + 1:m * m + m + 1].any()
+        table[0, 0] = passes[m * m] | passes[m * m + m + 1]
         _pack_columns(table, H, packed)
     return _Sieve(forms, H, rows, live)
 

@@ -163,7 +163,15 @@ def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
     assert out == "" and err == "internal error: lift invariant broken modulo 7\n"
 
 
+# the test process: a forked pool worker has another pid
+_TEST_PID = os.getpid()
+
+
 def _die(*args):
+    """Exit a pool worker at once; in the test process, fail the test instead
+    of ending pytest with no report."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("_die ran in the test process, not in a pool worker")
     os._exit(1)
 
 

@@ -30,10 +30,9 @@ from quintic_trinomials.curve import (CurvePoint, GeneralCurve, TrinomialCurve, 
                                       field_L_polynomial, CURVE_VARS, FULL_VARS, MAX_HEIGHT_BOUND,
                                       SearchResult, _search_chunk, split_by_variable,
                                       table_resultant,
-                                      _search_forms, _sieve_tables, worker_count, _MODULI,
+                                      _search_forms, worker_count, _MODULI,
                                       form_value, _LIVENESS_MODULI, _orbit_index, _predicate,
-                                      _reduced_forms, _liveness_tables,
-                                      _ORBITS, _OFFSETS, _build_sieve, _packed_rows)
+                                      _reduced_forms, _ORBITS, _OFFSETS, _build_sieve)
 
 from qpoly_reference import power_sums
 from test_multipoly import reference_evaluate
@@ -172,15 +171,15 @@ def _reference_chunk(sieve, lo, hi):
     as `_passes_rows` reads them, and no step that skips rows on the packed
     moduli: survivors in the half box that are primitive are confirmed, and
     the chunk holding z = 0 checks the unit point of v.  A sieve that carries
-    the tables of the liveness-only primes (a box above the threshold) also
-    clears every row that one of them rejects at (z mod m, x mod m)."""
+    the liveness of the liveness-only primes (a box above the threshold) also
+    clears every row (z, x) that one of them leaves dead in sieve.live."""
     forms, H, rows = sieve.forms, sieve.height_bound, sieve.rows
     z, x = (a.ravel() for a in np.meshgrid(np.arange(lo, hi), np.arange(-H, H + 1), indexing="ij"))
     acc = np.bitwise_and.reduce([rows[_OFFSETS[k] + z % m * m + x % m]
                                  for k, m in enumerate(_MODULI)])
-    if len(sieve.live) > len(_MODULI):
-        for m, table in zip(_LIVENESS_MODULI, _liveness_tables(forms)):
-            acc[~table[z % m, x % m]] = 0
+    unpacked, _ = _unpacked_live(sieve)
+    for m, bits in zip(_LIVENESS_MODULI, unpacked[len(_MODULI):]):
+        acc[~bits[z % m, x + H]] = 0
     nonzero = np.flatnonzero(acc.any(axis=1))
     bits = np.unpackbits(acc[nonzero].view(np.uint8), axis=1, bitorder="little")[:, :2 * H + 1]
     row, column = np.nonzero(bits)
@@ -249,26 +248,6 @@ def _unpacked_live(sieve):
             for live in sieve.live], width
 
 
-@pytest.mark.parametrize("H", [5, 40])
-def test_liveness_table_is_whether_each_packed_row_has_a_bit(H):
-    # one packed row over the columns x + H per z residue r of each modulus:
-    # bit x + H is whether rows[_OFFSETS[k] + r m + x mod m] has a bit set;
-    # at H = 5 the rows of z residues above H stay zero and dead, and the
-    # bits past column 2H are zero
-    for curve in _sieve_curves():
-        sieve = _sieve(curve, H)
-        any_bit = sieve.rows.any(axis=1)
-        unpacked, width = _unpacked_live(sieve)
-        assert len(sieve.live) == len(_MODULI)
-        x = np.arange(-H, H + 1)
-        for k, (m, live, bits) in enumerate(zip(_MODULI, sieve.live, unpacked)):
-            assert live.shape == (m, sieve.rows.shape[1]) and live.dtype == np.uint64
-            table = any_bit[_OFFSETS[k]:_OFFSETS[k + 1]].reshape(m, m)
-            assert np.array_equal(bits[:, :width], table[:, x % m])
-            assert not bits[:, width:].any()
-            assert not table[H + 1:].any()
-
-
 def _liveness_curves():
     # random t, t with 31, 37, 41 or 43 in the numerator or the denominator
     # (a prime dividing q or p can make a form vanish mod it), the sieve's
@@ -282,33 +261,68 @@ def _liveness_curves():
                                                      [F(1, 2), F(3, 7), -2, 0, F(5, 3), 1]))]
 
 
+def _brute_liveness(reduced, m):
+    """L[r, a], whether some y residue passes the predicate of m at the residue
+    cell (a, y, r): every cell read through _orbit_index(m), no slope rule."""
+    return np.take(_predicate(reduced, m), _orbit_index(m)).any(axis=2)
+
+
 def test_liveness_tables_are_whether_some_column_of_a_row_passes():
-    # L[r, a] for a liveness-only prime m is whether some y residue passes at
-    # (a, y, r): read from S_m on the affine plane for r != 0, and from the
-    # line at infinity for r = 0.  The brute force takes every residue cell
-    # of the predicate through _orbit_index(m); on the sieve's curves the
-    # predicate itself is the resultant oracle's at every cell.
-    # The sieve of a box above the threshold packs them after the five
-    # packed moduli's rows.
+    # a box above the threshold packs the liveness of the liveness-only
+    # primes after that of the five packed moduli; bit x + H of live[k][r] is
+    # whether some y residue passes at (x, y, r) mod m.  On the sieve's
+    # curves the predicate itself is the resultant oracle's at every cell.
     H = 200
     x = np.arange(-H, H + 1)
     for curve in _liveness_curves():
         forms = _search_forms(curve)
         reduced = _reduced_forms(forms)
-        tables = _liveness_tables(forms)
         unpacked, width = _unpacked_live(_build_sieve(forms, H))
-        assert len(unpacked) == len(_MODULI) + len(tables) == len(_MODULI) + len(_LIVENESS_MODULI)
-        for m, table, bits in zip(_LIVENESS_MODULI, tables, unpacked[len(_MODULI):]):
-            cells = np.take(_predicate(reduced, m), _orbit_index(m))
-            assert table.shape == (m, m) and table.dtype == bool
-            assert np.array_equal(table, cells.any(axis=2)), (curve, m)
-            assert np.array_equal(bits[:, :width], table[:, x % m]) and not bits[:, width:].any()
+        assert len(unpacked) == len(_MODULI) + len(_LIVENESS_MODULI)
+        for m, bits in zip(_LIVENESS_MODULI, unpacked[len(_MODULI):]):
+            expected = _brute_liveness(reduced, m)[:, x % m]
+            assert np.array_equal(bits[:, :width], expected), (curve, m)
     for curve in _sieve_curves():
         forms, passes = _search_forms(curve), _oracle(curve)
         for m in _LIVENESS_MODULI:
             r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
             cells = np.take(_predicate(_reduced_forms(forms), m), _orbit_index(m))
             assert (cells == passes(m, x, y, r)).all(), (curve, m)
+
+
+@pytest.mark.parametrize("H", [5, 40, 200])
+def test_liveness_of_every_prime_is_whether_some_y_residue_passes(monkeypatch, H):
+    # with the threshold at 0 every box carries all nine primes, each packed
+    # as m rows over the columns x + H, bits past column 2H zero.  The row
+    # (r, x) is live iff some y residue passes mod m, also where 2H + 1 < m
+    # hides residues from the packed rows (H = 5) and for z residues r > H,
+    # which no slice reads.
+    monkeypatch.setattr(curve_module, "_LIVENESS_CELLS", 0)
+    x = np.arange(-H, H + 1)
+    for curve in _liveness_curves():
+        forms = _search_forms(curve)
+        reduced = _reduced_forms(forms)
+        sieve = _build_sieve(forms, H)
+        unpacked, width = _unpacked_live(sieve)
+        assert len(sieve.live) == len(_MODULI) + len(_LIVENESS_MODULI)
+        for m, live, bits in zip(_MODULI + _LIVENESS_MODULI, sieve.live, unpacked):
+            assert live.shape == (m, sieve.rows.shape[1]) and live.dtype == np.uint64
+            expected = _brute_liveness(reduced, m)[:, x % m]
+            assert np.array_equal(bits[:, :width], expected), (curve, m)
+            assert not bits[:, width:].any()
+
+
+@pytest.mark.parametrize("H, calls", [(45, 5), (200, 9)])
+def test_a_search_reduces_its_forms_once_and_evaluates_each_modulus_once(monkeypatch, H, calls):
+    # one pass over the moduli: H = 45 is below the threshold, H = 200 above
+    counts = {"_reduced_forms": 0, "_predicate": 0}
+    for name in counts:
+        def spy(*args, name=name, wrapped=getattr(curve_module, name)):
+            counts[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(curve_module, name, spy)
+    assert point_search(curve_from_t(T65), H).points
+    assert counts == {"_reduced_forms": 1, "_predicate": calls}
 
 
 @pytest.mark.parametrize("H", [0, 1, 63, 64, 65, 200])
@@ -607,45 +621,67 @@ def _oracle(curve):
     return passes
 
 
+def _packed_cells(sieve, k):
+    """P[r, a, y + H], bit y + H of the packed row (r, a) of the k-th packed
+    modulus m, for the z residues r <= H, every x residue a, and every bit
+    of the row's words, past column 2H too."""
+    m, H = _MODULI[k], sieve.height_bound
+    layers = min(m, H + 1)
+    rows = sieve.rows[_OFFSETS[k]:_OFFSETS[k] + layers * m]
+    return np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").reshape(layers, m, -1)
+
+
 def test_sieve_tables_match_the_resultant_oracle():
-    # the table entry of a residue triple is True exactly when the cell passes
-    # both tests of the oracle; every layer r < m is built at height 200
+    # the packed rows at height 200 hold every layer r < m and every column
+    # residue y of each modulus: bit y + H of the row (r, a) is set exactly
+    # when the cell (a, y, r) passes both tests of the oracle
+    H = 200
     for curve in _sieve_curves():
         forms, passes = _search_forms(curve), _oracle(curve)
         assert forms.resultant
-        for m, table in zip(_MODULI, _sieve_tables(forms, 200)):
-            assert table.shape == (m, m, m)
+        sieve = _build_sieve(forms, H)
+        for k, m in enumerate(_MODULI):
+            cells = _packed_cells(sieve, k)[:, :, H:H + m]
+            assert cells.shape == (m, m, m)
             r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
-            assert (table == passes(m, x, y, r)).all()
+            assert (cells == passes(m, x, y, r)).all()
 
 
 @pytest.mark.parametrize("layers", [1, 6, 12, 28])
 def test_sieve_tables_below_m_layers_match_the_resultant_oracle(layers):
-    # the heights H = 0, 5, 11 and 27 keep layers r <= H of every modulus above H
+    # the heights H = 0, 5, 11 and 27 keep layers r <= H of every modulus above
+    # H, and the rows of larger r stay zero
+    H = layers - 1
     double_plane, quadratic_cubic = map(_search_forms, _sieve_curves()[-2:])
     assert not double_plane.disc
     assert quadratic_cubic.lead == 0 and max(sum(e) for e, _ in quadratic_cubic.resultant) == 5
     for curve in _sieve_curves():
         forms, passes = _search_forms(curve), _oracle(curve)
-        for m, table in zip(_MODULI, _sieve_tables(forms, layers)):
-            assert table.shape == (min(m, layers), m, m)
-            r, x, y = np.meshgrid(np.arange(min(m, layers)), np.arange(m), np.arange(m),
+        sieve = _build_sieve(forms, H)
+        for k, m in enumerate(_MODULI):
+            cells = _packed_cells(sieve, k)[:, :, :2 * H + 1]
+            assert cells.shape == (min(m, layers), m, 2 * H + 1)
+            r, x, y = np.meshgrid(np.arange(min(m, layers)), np.arange(m), np.arange(-H, H + 1) % m,
                                   indexing="ij")
-            assert (table == passes(m, x, y, r)).all()
+            assert (cells == passes(m, x, y, r)).all()
+            assert not sieve.rows[_OFFSETS[k] + min(m, layers) * m:_OFFSETS[k + 1]].any()
 
 
 def test_sieve_tables_are_constant_on_lines_through_the_origin():
     # the tables are built once per point of P^2(F_m): this rests on the
     # oracle's predicate being constant on {l c : l in F_m^*} for every residue
-    # cell c, and the tables keep it.  _ORBITS[k] takes one value on each such
-    # line and on the zero cell, and a different one on each of the
+    # cell c, and the packed rows keep it.  _ORBITS[k] takes one value on each
+    # such line and on the zero cell, and a different one on each of the
     # m^2 + m + 2 of them.
     for m, orbits in zip(_MODULI, _ORBITS):
         assert orbits.shape == (m, m, m)
         assert len(np.unique(orbits)) == m * m + m + 2
+    H = 200
     for curve in _sieve_curves():
         forms, passes = _search_forms(curve), _oracle(curve)
-        for m, table, orbits in zip(_MODULI, _sieve_tables(forms, 200), _ORBITS):
+        sieve = _build_sieve(forms, H)
+        for k, (m, orbits) in enumerate(zip(_MODULI, _ORBITS)):
+            table = _packed_cells(sieve, k)[:, :, H:H + m]
             r, x, y = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
             expected = passes(m, x, y, r)
             for unit in range(2, m):
@@ -663,15 +699,13 @@ def test_packed_rows_match_the_resultant_oracle(H):
     # 2H + 1 = 63 and 141 leave 1 and 51 padding bits.
     width = 2 * H + 1
     for curve in _sieve_curves():
-        rows, passes = _packed_rows(_search_forms(curve), H), _oracle(curve)
-        bits = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        assert not bits[:, width:].any()
-        for m, start in zip(_MODULI, itertools.accumulate((m * m for m in _MODULI), initial=0)):
-            layers = min(m, H + 1)
-            r, a, y = np.meshgrid(np.arange(layers), np.arange(m), np.arange(-H, H + 1) % m,
+        sieve, passes = _build_sieve(_search_forms(curve), H), _oracle(curve)
+        for k, m in enumerate(_MODULI):
+            cells = _packed_cells(sieve, k)
+            assert not cells[:, :, width:].any()
+            r, a, y = np.meshgrid(np.arange(m), np.arange(m), np.arange(-H, H + 1) % m,
                                   indexing="ij")
-            got = bits[start:start + layers * m, :width].reshape(layers, m, width)
-            assert (got == passes(m, a, y, r)).all()
+            assert (cells[:, :, :width] == passes(m, a, y, r)).all()
 
 
 def test_table_resultant_in_low_degrees():
@@ -730,10 +764,17 @@ def _general_points(g, H):
     return general_point_search(curve_from_field(UniPoly(list(g))), H)
 
 
-def _passes_rows(rows, H, cell):
-    x, y, z = cell
-    return all(rows[_OFFSETS[k] + z % m * m + x % m, (y + H) // 64] >> np.uint64((y + H) % 64) & 1
-               for k, m in enumerate(_MODULI))
+def _bit(words, i):
+    return words[i // 64] >> np.uint64(i % 64) & 1
+
+
+def _passes_sieve(sieve, cell):
+    """Whether the cell passes the packed rows, and its row (z, x) is live
+    modulo every modulus of the sieve."""
+    (x, y, z), H = cell, sieve.height_bound
+    return (all(_bit(sieve.rows[_OFFSETS[k] + z % m * m + x % m], y + H)
+                for k, m in enumerate(_MODULI))
+            and all(_bit(live[z % len(live)], x + H) for live in sieve.live))
 
 
 @pytest.mark.parametrize("source, H, count", [
@@ -741,13 +782,16 @@ def _passes_rows(rows, H, cell):
     ((-18, 0, 0, 0, 0, 1), 100, 5), ((105, 75, 0, 0, 0, 1), 800, 7)])
 def test_sieve_drops_no_cell_of_a_found_point(source, H, count):
     # the cell of every point found, and every multiple of it in the box,
-    # passes the packed rows: the sieve never rejects a cell of a point
+    # passes the packed rows and lies in a live row: the sieve never rejects
+    # a cell of a point (H = 200 and 800 carry the liveness-only primes)
     general = isinstance(source, tuple)
     curve = curve_from_field(UniPoly(list(source))) if general else curve_from_t(source)
     points = _general_points(source, H) if general else point_search(curve, H).points
     forms = _search_forms(curve)
     assert forms.resultant
-    rows = _packed_rows(forms, H)
+    sieve = _build_sieve(forms, H)
+    nine = _half_box(H) > curve_module._LIVENESS_CELLS
+    assert len(sieve.live) == len(_MODULI) + len(_LIVENESS_MODULI) * nine
     others = _split_live(curve)[3]
     names = FULL_VARS if general else CURVE_VARS
     assert len(points) == count
@@ -761,7 +805,7 @@ def test_sieve_drops_no_cell_of_a_found_point(source, H, count):
         for k in range(1, H // max(map(abs, cell)) + 1):
             # the slice z = 0 holds both signs of a cell
             for multiple in ((k, -k) if cell[2] == 0 else (k,)):
-                assert _passes_rows(rows, H, [multiple * w for w in cell]), (pt, multiple)
+                assert _passes_sieve(sieve, [multiple * w for w in cell]), (pt, multiple)
 
 
 def test_general_search_finds_the_seven_classes_of_x5_75x_105_below_800():
