@@ -110,8 +110,6 @@ def _cmd_classify(args, out) -> int:
 def _cmd_curve(args, out) -> int:
     if (args.t is None) == (args.g is None):
         raise ValueError("give exactly one of --t or --g")
-    if args.eliminate is not None and args.g is None:
-        raise ValueError("--eliminate needs --g")
     if args.t is not None:
         t = parse_rational(args.t)
         curve = curve_from_t(t)
@@ -126,7 +124,7 @@ def _cmd_curve(args, out) -> int:
         }
     else:
         g = _parse_poly(args.g)
-        curve = curve_from_field(g, eliminate=args.eliminate)
+        curve = curve_from_field(g)
         doc = {
             "field": poly_to_strings(g),
             "eliminated": curve.eliminated,
@@ -283,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="the classifying curve of a quintic field")
     p.add_argument("--t", help="parameter of x^5 + tx + t")
     p.add_argument("--g", help="monic quintic, ascending coefficients p/q,...")
-    p.add_argument("--eliminate", choices=list("abcde"),
-                   help="variable eliminated by the trace condition (with --g)")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("search", help="rational point search up to a height bound")

@@ -72,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qpoly import UniPoly, integer_power_sums
+from .qpoly import UniPoly, clear_denominators, integer_power_sums
 from .factor import factor_over_Q
 from .multipoly import MultiPoly
 from .numberfield import FieldElement, charpoly_mod
@@ -121,9 +121,7 @@ class CurvePoint:
 
     @staticmethod
     def from_rationals(values: Sequence[Fraction]) -> "CurvePoint":
-        vals = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in vals))
-        return CurvePoint.from_integers([int(v * den) for v in vals])
+        return CurvePoint.from_integers(clear_denominators([Fraction(v) for v in values])[1])
 
     @property
     def height(self) -> int:
@@ -217,19 +215,18 @@ def _forms_vanish(forms: Sequence[MultiPoly], coords: Sequence[Fraction]) -> boo
     if len(coords) != width:
         raise ValueError(f"need {width} coordinates, got {len(coords)}")
     if not all(isinstance(v, int) for v in coords):
-        values = [Fraction(v) for v in coords]
-        den = math.lcm(*(v.denominator for v in values))
-        coords = [v.numerator * (den // v.denominator) for v in values]
+        coords = clear_denominators([Fraction(v) for v in coords])[1]
     return not any(form_value(form.terms.items(), coords) for form in forms)
 
 
-def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurve:
+def curve_from_field(g: UniPoly) -> GeneralCurve:
     """The curve conditions for K = Q[x]/(g), from integer trace forms.
 
-    The variable eliminated via the linear trace condition defaults to
-    the one with the largest absolute coefficient, ties to the later
-    variable; x^5+tx+t fields therefore eliminate the alpha^4 coordinate
-    whenever |4t| >= 5.
+    The linear trace condition eliminates the coordinate x_k with the
+    largest |Tr(alpha^k)|, the later one on a tie; x^5+tx+t fields
+    therefore eliminate the alpha^4 coordinate whenever |4t| >= 5.  The
+    choice changes how the curve is written, not which curve it is, and
+    S_k is never 0, as |S_k| >= S_0 = 5 d^12.
 
     With s_n = Tr(alpha^n) = T_n / d^n, T_n = Tr(theta^n) for the root
     theta = d alpha of the monic integer G = d^5 g(x / d), scaled to
@@ -244,19 +241,12 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
     """
     if g.degree != 5 or g.lc != 1:
         raise ValueError("need a monic quintic")
-    if eliminate is not None and eliminate not in FULL_VARS:
-        raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
     d, G = g.integral_rescaling()
     scale = d ** 12
     S = [t * d ** (12 - m) for m, t in enumerate(integer_power_sums(G, 12))]
-    if eliminate is None:
-        best = max(abs(s) for s in S[:5])
-        eliminate = [n for n, s in zip(FULL_VARS, S) if abs(s) == best][-1]
-    k = FULL_VARS.index(eliminate)
-    if S[k] == 0:
-        raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
+    k = max(range(5), key=lambda i: (abs(S[i]), i))
     units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
     # linear = -Tr(beta) = -sum s_i x_i, and x_k = -sum s_i x_i / s_k over the live i
     linear = MultiPoly(FULL_VARS, {units[i]: -S[i] for i in range(5)}, scale)
@@ -276,7 +266,7 @@ def curve_from_field(g: UniPoly, eliminate: Optional[str] = None) -> GeneralCurv
         forms.append(MultiPoly(FULL_VARS, terms, -n * S[k] ** n * scale))
     quadric, cubic = forms
     return GeneralCurve(g=g, linear=linear, quadric=quadric, cubic=cubic,
-                        eliminated=eliminate, elimination_expr=expr)
+                        eliminated=FULL_VARS[k], elimination_expr=expr)
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qpoly import (UniPoly, count_real_roots, format_terms, integer_discriminant,
-                    integer_power_sums)
+from .qpoly import (UniPoly, clear_denominators, count_real_roots, format_terms,
+                    integer_discriminant, integer_power_sums)
 from .factor import (PRIME_BLOCK, factor_over_Q, frobenius_traces, gf_p2_roots, primes_below,
                      z_divmod, z_mul)
 
 
 def theta_coordinates(coords: Sequence[Fraction], e: int) -> Tuple[int, List[int]]:
     """(D, X) with D sum c_i alpha^i = sum X_i theta^i for theta = e alpha, D > 0 the least."""
-    scaled = [Fraction(c) / e ** i for i, c in enumerate(coords)]
-    D = math.lcm(*(c.denominator for c in scaled))
-    return D, [c.numerator * (D // c.denominator) for c in scaled]
+    return clear_denominators([Fraction(c) / e ** i for i, c in enumerate(coords)])
 
 
 def charpoly_mod(g: UniPoly, coords: Sequence[Fraction]) -> UniPoly:
@@ -472,5 +470,5 @@ def vanishes(F: Sequence[int], G: Sequence[int], h: Sequence[int], scale: int) -
 
 def _height_key(beta: FieldElement):
     """Order roots by height max(den, |den c_j|) (den the common denominator), then coordinates."""
-    den = math.lcm(*(c.denominator for c in beta.coords))
-    return max(den, *(abs(c.numerator) * (den // c.denominator) for c in beta.coords)), beta.coords
+    den, ints = clear_denominators(beta.coords)
+    return max(den, *map(abs, ints)), beta.coords

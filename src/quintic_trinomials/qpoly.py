@@ -256,10 +256,10 @@ def format_terms(terms: Iterable[Tuple[Fraction, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-def _cleared(p: UniPoly) -> Tuple[int, list]:
-    """(D, coefficients of D p): the least D > 0 that makes p integral."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
+def clear_denominators(values: Sequence[Fraction]) -> Tuple[int, list]:
+    """(D, [D v for v in values]): the least D > 0 that makes every value an integer."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _prem(a: list, b: list) -> list:
@@ -305,7 +305,7 @@ def resultant(p: UniPoly, q: UniPoly) -> Fraction:
         raise ValueError("resultant of two zero polynomials is undefined")
     if p.is_zero or q.is_zero:
         return Fraction(0)
-    (d, a), (e, b) = _cleared(p), _cleared(q)
+    (d, a), (e, b) = clear_denominators(p.coeffs), clear_denominators(q.coeffs)
     return Fraction(_int_resultant(a, b), d ** q.degree * e ** p.degree)
 
 
@@ -333,7 +333,7 @@ def discriminant(p: UniPoly) -> Fraction:
     n = p.degree
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    d, ints = _cleared(p)
+    d, ints = clear_denominators(p.coeffs)
     return Fraction(integer_discriminant(ints), d ** (2 * n - 2))
 
 
@@ -352,7 +352,7 @@ def count_real_roots(p: UniPoly) -> int:
     """
     if p.degree < 1:
         return 0
-    a = _cleared(p)[1]
+    a = clear_denominators(p.coeffs)[1]
     chain = [a, [i * c for i, c in enumerate(a)][1:]]
     while len(chain[-1]) > 1 and (r := _prem(*chain[-2:])):
         a, b = chain[-2:]

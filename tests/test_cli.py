@@ -1,8 +1,11 @@
 """Command-line surface: JSON shapes, exit codes, determinism."""
 
+import difflib
+import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,8 +100,28 @@ def test_curve_general_field(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["eliminated"] == "a"
-    code2, out2, _ = run_cli(capsys, "curve", "--g", "2,2,0,0,0,1", "--eliminate", "e")
+    code2, out2, _ = run_cli(capsys, "curve", "--g", "2,2,0,0,0,1")
     assert json.loads(out2)["eliminated"] == "e"
+
+
+def test_general_field_curves_match_golden_output(capsys):
+    # the commands and the digest of the CI step that pins `curve --g`, read
+    # from the workflow, so that the step, this test and the file agree
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    step = workflow.split("- name: general-field curve output")[1].split("- name:")[0]
+    commands = re.findall(r"^\s*run (curve .*)$", step, re.M)
+    digest = re.search(r'echo "([0-9a-f]{64})  \$out"', step)[1]
+    golden = (Path(__file__).parent / "golden" / "curve_general.txt").read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == digest
+    outputs = []
+    for command in commands:
+        code = main(command.split())
+        assert code == EXIT_OK, command
+        outputs.append(capsys.readouterr().out)
+    actual = "".join(outputs)
+    expected = golden.decode()
+    assert actual == expected, "".join(difflib.unified_diff(
+        expected.splitlines(True), actual.splitlines(True), "golden", "actual"))
 
 
 def test_curve_requires_exactly_one_source(capsys):
@@ -106,10 +129,12 @@ def test_curve_requires_exactly_one_source(capsys):
     assert code == EXIT_USAGE
 
 
-def test_curve_eliminate_without_general_field_exits_2(capsys):
-    code, out, err = run_cli(capsys, "curve", "--t", "6/5", "--eliminate", "a")
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error: ") and "--eliminate" in err
+def test_usage_error_on_unknown_option(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["curve", "--g", "2,2,0,0,0,1", "--bogus", "e"])
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --bogus e" in captured.err
 
 
 def test_search_stream_and_determinism(capsys):

@@ -1024,9 +1024,12 @@ def test_general_construction_matches_t_form():
         return sympy.Poly.from_dict({e: sympy.Rational(k, form.den)
                                      for e, k in form.terms.items()}, *gens).as_expr()
 
-    for t in (F(2), T65):
+    # both fields eliminate e: |Tr(alpha^4)| = |4t| is 8, and 5 for t = 5/4,
+    # a tie with Tr(1) = 5 that goes to the later coordinate
+    for t in (F(2), F(5, 4)):
         curve_t = curve_from_t(t)
-        general = curve_from_field(UniPoly([t, t, 0, 0, 0, 1]), eliminate="e")
+        general = curve_from_field(UniPoly([t, t, 0, 0, 0, 1]))
+        assert general.eliminated == "e"
         ratio_q = general.quadric.proportionality(_lift(curve_t.quadric))
         assert ratio_q is not None
         quadric = expression(general.quadric)
@@ -1036,9 +1039,23 @@ def test_general_construction_matches_t_form():
         assert ratio.is_Rational and ratio != 0
 
 
+# fields whose curves eliminate a, c, d and e: the coordinate with the largest
+# |Tr(alpha^k)|, the later one on a tie (x^5 + 5x/4 + 5/4 ties at k = 0 and 4)
+_ELIMINATION_FIELDS = (
+    ((2, 0, 0, -1, 0, 1), "a"),  # traces 5, 0, 2, 0, 2
+    ((-1, 4, 0, 3, 0, 1), "c"),  # 5, 0, -6, 0, 2
+    ((1, 1, 2, -1, 0, 1), "d"),  # 5, 0, 2, -6, -2
+    ((1, 0, 0, 2, 0, 1), "e"),  # 5, 0, -4, 0, 8
+    ((F(5, 4), F(5, 4), 0, 0, 0, 1), "e"),  # 5, 0, 0, 0, -5
+)
+
+
 def test_general_construction_auto_elimination():
+    for g, eliminated in _ELIMINATION_FIELDS:
+        assert curve_from_field(UniPoly(list(g))).eliminated == eliminated, g
     assert curve_from_field(UniPoly([2, 2, 0, 0, 0, 1])).eliminated == "e"
     assert curve_from_field(UniPoly([105, 75, 0, 0, 0, 1])).eliminated == "e"
+    assert curve_from_field(UniPoly([T65, T65, 0, 0, 0, 1])).eliminated == "a"
     pure = curve_from_field(UniPoly([-18, 0, 0, 0, 0, 1]))
     assert pure.eliminated == "a"
     assert pure.linear.proportionality(MultiPoly.from_spec(FULL_VARS, [(1, {"a": 1})])) is not None
@@ -1046,43 +1063,39 @@ def test_general_construction_auto_elimination():
 
 def test_general_forms_are_charpoly_coefficients_on_the_trace_hyperplane():
     rng = random.Random(7)
-    fields = [UniPoly([-18, 0, 0, 0, 0, 1]), UniPoly([105, 75, 0, 0, 0, 1]),
-              UniPoly([T65, T65, 0, 0, 0, 1]), UniPoly([F(1, 2), F(3, 7), -2, 0, F(5, 3), 1])]
+    fields = [UniPoly(list(g)) for g, _ in _ELIMINATION_FIELDS] + [
+        UniPoly([-18, 0, 0, 0, 0, 1]), UniPoly([105, 75, 0, 0, 0, 1]),
+        UniPoly([T65, T65, 0, 0, 0, 1]), UniPoly([F(1, 2), F(3, 7), -2, 0, F(5, 3), 1])]
     for g in fields:
-        for eliminate in (None, "a"):
-            curve = curve_from_field(g, eliminate=eliminate)
-            for _ in range(5):
-                live = {v: F(rng.randint(-9, 9), rng.randint(1, 4)) for v in curve.live_vars}
-                coords = _full_coords(curve, live)
-                values = dict(zip(FULL_VARS, coords))
-                cp = charpoly_mod(g, coords)
-                assert cp[4] == 0
-                assert reference_evaluate(curve.quadric, values) == cp[3]
-                assert reference_evaluate(curve.cubic, values) == cp[2]
+        curve = curve_from_field(g)
+        for _ in range(5):
+            live = {v: F(rng.randint(-9, 9), rng.randint(1, 4)) for v in curve.live_vars}
+            coords = _full_coords(curve, live)
+            values = dict(zip(FULL_VARS, coords))
+            cp = charpoly_mod(g, coords)
+            assert cp[4] == 0
+            assert reference_evaluate(curve.quadric, values) == cp[3]
+            assert reference_evaluate(curve.cubic, values) == cp[2]
 
 
 def test_general_construction_rejects_reducible():
     with pytest.raises(ValueError):
         curve_from_field(UniPoly([1, 1, 0, 0, 0, 1]))
-    # an unknown variable to eliminate is bad input too, and the error names a-e
-    with pytest.raises(ValueError, match="a, b, c, d, e"):
-        curve_from_field(UniPoly([2, 2, 0, 0, 0, 1]), eliminate="z")
 
 
-def _newton_reference(g, eliminate=None):
+def _newton_reference(g):
     """An independent construction by Newton's identities, in sympy: p_k =
     Tr(beta^k) for the generic beta = sum x_i alpha^i, expanded in five
     variables as sum s_(i1+...+ik) x_i1...x_ik; the x^4, x^3 and x^2
     coefficients of the characteristic polynomial are -p1, (p1^2 - p2)/2
     and -(p1^3 - 3 p1 p2 + 2 p3)/6, and the eliminated variable is
-    substituted from the trace condition -p1 = 0.  Returns (linear, quadric,
+    the one with the largest |Tr(alpha^k)|, the later on a tie, substituted
+    from the trace condition -p1 = 0.  Returns (linear, quadric,
     cubic, eliminated, elimination_expr) as MultiPolys; raises ValueError as
     curve_from_field does."""
     sympy = pytest.importorskip("sympy")
     if g.degree != 5 or g.lc != 1:
         raise ValueError("need a monic quintic")
-    if eliminate is not None and eliminate not in FULL_VARS:
-        raise ValueError(f"cannot eliminate {eliminate!r}: not one of {', '.join(FULL_VARS)}")
     if not factor_over_Q(g).is_irreducible:
         raise ValueError(f"{g} is reducible over Q")
     _, *xs = sympy.ring(FULL_VARS, sympy.QQ)
@@ -1101,20 +1114,17 @@ def _newton_reference(g, eliminate=None):
     quadric = (p1 * p1 - p2) / 2
     cubic = -(p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) / 6
     coeffs = {n: linear.coeff(x) for n, x in zip(FULL_VARS, xs)}
-    if eliminate is None:
-        best = max(abs(c) for c in coeffs.values())
-        eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
-    if coeffs[eliminate] == 0:
-        raise ValueError(f"cannot eliminate {eliminate}: zero trace coefficient")
+    best = max(abs(c) for c in coeffs.values())
+    eliminate = [n for n in FULL_VARS if abs(coeffs[n]) == best][-1]
     x = xs[FULL_VARS.index(eliminate)]
     expr = (linear - coeffs[eliminate] * x) / -coeffs[eliminate]
     return (multipoly(linear), multipoly(quadric.compose(x, expr)),
             multipoly(cubic.compose(x, expr)), eliminate, multipoly(expr))
 
 
-def _construction_or_error(build, g, eliminate):
+def _construction_or_error(build, g):
     try:
-        built = build(g, eliminate)
+        built = build(g)
     except ValueError as error:
         return str(error)
     if isinstance(built, GeneralCurve):
@@ -1132,33 +1142,24 @@ _DIFFERENTIAL_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("g", _DIFFERENTIAL_FIELDS)
+@pytest.mark.parametrize("g", _DIFFERENTIAL_FIELDS + tuple(g for g, _ in _ELIMINATION_FIELDS))
 def test_trace_form_construction_matches_newton_reference(g):
-    # the same forms, expression and eliminated name, or the same error, for
-    # every choice of the eliminated variable
+    # the same forms, expression and eliminated name, or the same error
     g = UniPoly(list(g))
-    for eliminate in (None, *FULL_VARS):
-        assert (_construction_or_error(curve_from_field, g, eliminate)
-                == _construction_or_error(_newton_reference, g, eliminate))
+    assert _construction_or_error(curve_from_field, g) == _construction_or_error(_newton_reference, g)
 
 
 _rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_rationals, min_size=5, max_size=5), st.sampled_from([None, *FULL_VARS]))
-def test_trace_form_construction_matches_newton_reference_on_random_fields(low, eliminate):
+@given(st.lists(_rationals, min_size=5, max_size=5))
+def test_trace_form_construction_matches_newton_reference_on_random_fields(low):
     g = UniPoly(low + [1])
-    assert (_construction_or_error(curve_from_field, g, eliminate)
-            == _construction_or_error(_newton_reference, g, eliminate))
+    assert _construction_or_error(curve_from_field, g) == _construction_or_error(_newton_reference, g)
 
 
 def test_construction_errors_name_the_cause():
-    g = UniPoly([F(1, 2), F(3, 7), 0, F(-5, 3), 0, 1])
-    for eliminate in ("b", "d"):
-        with pytest.raises(ValueError) as error:
-            curve_from_field(g, eliminate=eliminate)
-        assert str(error.value) == f"cannot eliminate {eliminate}: zero trace coefficient"
     reducible = UniPoly([1, 1, 0, 0, 0, 1])
     with pytest.raises(ValueError) as error:
         curve_from_field(reducible)
@@ -1181,16 +1182,19 @@ def _general_reference(curve, H):
     return sorted(found, key=lambda pt: (pt.height, pt.coords))
 
 
-@pytest.mark.parametrize("g, eliminate, H", [
+@pytest.mark.parametrize("g, eliminated, H", [
     ([-18, 0, 0, 0, 0, 1], None, 4),  # a quadric linear in v, and the zero cell
     ([105, 75, 0, 0, 0, 1], None, 4),
-    ([105, 75, 0, 0, 0, 1], "a", 4),
+    ([-1, 4, 0, 3, 0, 1], "c", 4),  # a, b, d and e are searched
     ([-20, 5, -5, -10, -5, 1], None, 3),  # a b*c term in the discriminant
     ([F(1, 2), F(3, 7), -2, 0, F(5, 3), 1], None, 3),
     ([F(-5, 2), F(-5, 2), 0, 0, 0, 1], None, 4),  # (4 : -2 : -1 : 2 : -2), eliminated e = -2
+    ([1, 1, 2, -1, 0, 1], "d", 4),
 ])
-def test_general_point_search_matches_fraction_reference(g, eliminate, H):
-    curve = curve_from_field(UniPoly(g), eliminate=eliminate)
+def test_general_point_search_matches_fraction_reference(g, eliminated, H):
+    # `eliminated` pins the coordinate of a case that is there for it
+    curve = curve_from_field(UniPoly(g))
+    assert eliminated in (None, curve.eliminated)
     for h in (0, H):
         assert general_point_search(curve, h) == _general_reference(curve, h)
 
@@ -1275,17 +1279,17 @@ def _small_quintic_fields(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_quintic_fields(), st.sampled_from([None, "a"]), st.integers(1, 3))
-def test_general_points_have_vanishing_trace_power_sums(field, eliminate, H):
+@given(_small_quintic_fields(), st.integers(1, 3))
+def test_general_points_have_vanishing_trace_power_sums(field, H):
     # every point gives beta with Tr(beta) = Tr(beta^2) = Tr(beta^3) = 0,
     # that is a characteristic polynomial without x^4, x^3 and x^2 terms
     g, shift = field
     assume(g[0] != 0 and factor_over_Q(g).is_irreducible)
-    points = general_point_search(curve_from_field(g, eliminate=eliminate), H)
+    points = general_point_search(curve_from_field(g), H)
     for pt in points:
         assert pt.height <= H
         cp = charpoly_mod(g, [F(v) for v in pt.coords])
-        assert cp[4] == cp[3] == cp[2] == 0, (g, eliminate, pt)
+        assert cp[4] == cp[3] == cp[2] == 0, (g, pt)
     if shift is not None and abs(shift) <= H:
         assert CurvePoint.from_rationals((-shift, 1, 0, 0, 0)) in points
 
